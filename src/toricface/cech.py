@@ -21,12 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .cohomology import CohomologyTable, check_characteristic, is_prime, \
+from .cohomology import CohomologyTable, check_characteristic, \
     table_from_cochain
 from .lattice import (
     dot,
-    hnf,
-    is_zero,
+    is_prime,
+    mat_mul,
+    reduce_mod_lattice,
     solve_in_lattice,
     vadd,
     vec,
@@ -35,7 +36,7 @@ from .lattice import (
 )
 from .moncomplex import MonoidalComplex
 from .monoid import monoid_member
-from .polyhedral import Cone, facets_through, incidence_sign
+from .polyhedral import Cone, facets_through
 
 DEFAULT_STATE_CAP = 200_000
 WITNESS_HARD_CAP = 10_000
@@ -60,30 +61,6 @@ class PieceResult:
     value: int
     witness: Optional[tuple]   # (z, y) with z - y = the requested degree
     steps: int                 # multiples of the denominator sum consumed
-
-
-def _coset_canon(L):
-    """Reduction closure sending v to the canonical member of v + L."""
-    if not L.basis:
-        return lambda v: tuple(v)
-    res = hnf([list(b) for b in L.basis])
-    piv = []
-    for r in res.H:
-        if is_zero(r):
-            continue
-        c = next(j for j, x in enumerate(r) if x != 0)
-        piv.append((c, tuple(r)))
-
-    def canon(v):
-        w = list(v)
-        for c, r in piv:
-            q = w[c] // r[c]
-            if q:
-                for j in range(len(w)):
-                    w[j] -= q * r[j]
-        return tuple(w)
-
-    return canon
 
 
 def _decide(mcc: MonoidalComplex, source: Cone, targets, a,
@@ -113,8 +90,8 @@ def _decide(mcc: MonoidalComplex, source: Cone, targets, a,
     if not M0.generators:
         return any(monoid_member(mcc.monoids[d.key], a) is not None
                    for d in targets)
-    canon = _coset_canon(M0.group)
-    target_rep = canon(a)
+    group = M0.group
+    target_rep = reduce_mod_lattice(group, a)
     zero = tuple([0] * len(a))
     for d_cone in targets:
         MD = mcc.monoids[d_cone.key]
@@ -130,7 +107,7 @@ def _decide(mcc: MonoidalComplex, source: Cone, targets, a,
         weight = dot(phi, a)
         pos = [(g, dot(phi, g)) for g in MD.generators if dot(phi, g) > 0]
         assert all(dot(phi, g) >= 0 for g in MD.generators)
-        start = canon(zero)
+        start = reduce_mod_lattice(group, zero)
         if weight == 0:
             if target_rep == start:
                 return True
@@ -145,7 +122,7 @@ def _decide(mcc: MonoidalComplex, source: Cone, targets, a,
                     w2 = w + wg
                     if w2 > weight:
                         continue
-                    key = (canon(vadd(rep, g)), w2)
+                    key = (reduce_mod_lattice(group, vadd(rep, g)), w2)
                     if key in seen:
                         continue
                     seen.add(key)
@@ -232,11 +209,6 @@ class CechSlice:
         return ()
 
 
-def _matmul(A, B):
-    return [[sum(A[i][k] * B[k][j] for k in range(len(B)))
-             for j in range(len(B[0]))] for i in range(len(A))]
-
-
 def cech_slice(mcc: MonoidalComplex, a,
                state_cap: Optional[int] = None) -> CechSlice:
     a = vec(a)
@@ -260,11 +232,11 @@ def cech_slice(mcc: MonoidalComplex, a,
                 if not set(small.rays) <= set(big.rays):
                     continue
                 if _decide(mcc, small, targets, a, cap):
-                    M[ri][ci] = incidence_sign(big, small)
+                    M[ri][ci] = big.facet_sign(small)
         mats[t] = M
     for t in sorted(mats):
         if t + 1 in mats:
-            square = _matmul(mats[t + 1], mats[t])
+            square = mat_mul(mats[t + 1], mats[t])
             assert all(x == 0 for row in square for x in row), \
                 f"maps at degree {a} do not compose to zero at level {t}"
     levels = tuple(sorted((t, tuple((c.key, w) for c, w in v))
@@ -409,9 +381,9 @@ def frobenius_check(mcc: MonoidalComplex, a, p: int,
         npa_up = len(keys_pa[t + 1])
         if na_t == 0 or npa_up == 0:
             continue
-        lhs = _matmul(level_map(spa, keys_pa, t), F[t])
+        lhs = mat_mul(level_map(spa, keys_pa, t), F[t])
         if na_up:
-            rhs = _matmul(F[t + 1], level_map(sa, keys_a, t))
+            rhs = mat_mul(F[t + 1], level_map(sa, keys_a, t))
         else:
             rhs = [[0] * na_t for _ in range(npa_up)]
         assert all((x - y) % p == 0

@@ -28,6 +28,8 @@ from typing import Optional
 from .lattice import (
     LatticeBasis,
     intersect,
+    is_prime,
+    prime_factors,
     quotient_invariants,
     snf,
     solve_in_lattice,
@@ -44,22 +46,10 @@ from .polyhedral import (
     Fan,
     face_lattice,
     fan_build,
-    incidence_sign,
     relint_contains,
     skeleton_fan,
     trivial_fan,
 )
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
 
 
 def check_characteristic(characteristic):
@@ -69,20 +59,6 @@ def check_characteristic(characteristic):
         return characteristic
     raise ValueError(f"characteristic must be 0, a prime, or 'all', "
                      f"got {characteristic!r}")
-
-
-def prime_factors(n: int):
-    n = abs(n)
-    out = set()
-    f = 2
-    while f * f <= n:
-        while n % f == 0:
-            out.add(f)
-            n //= f
-        f += 1
-    if n > 1:
-        out.add(n)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -247,18 +223,6 @@ def star(mcc: MonoidalComplex, a) -> Star:
     return Star(a, tuple(sorted(members, key=lambda c: (c.dim, c.rays))))
 
 
-_sign_memo: dict = {}
-
-
-def _sign(big: Cone, small: Cone) -> int:
-    key = (big.key, small.key)
-    s = _sign_memo.get(key)
-    if s is None:
-        s = incidence_sign(big, small)
-        _sign_memo[key] = s
-    return s
-
-
 def _star_cochain(fan: Fan, cones) -> tuple:
     """(sizes, matrices) of the quotient cochain complex on an up-closed set."""
     keys = {c.key for c in cones}
@@ -279,7 +243,7 @@ def _star_cochain(fan: Fan, cones) -> tuple:
             for small in fan.facets_of(big):
                 ci = col_index.get(small.key)
                 if ci is not None:
-                    M[r][ci] = _sign(big, small)
+                    M[r][ci] = big.facet_sign(small)
         mats[j] = M
     return sizes, mats
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .cohomology import is_prime, prime_factors
-from .lattice import intersect, lattice_from_rows, quotient_invariants
+from .lattice import (intersect, is_prime, lattice_from_rows, prime_factors,
+                      quotient_invariants)
 from .moncomplex import ComplexError, MonoidalComplex
 from .monoid import AffineMonoid, check_seminormal_normal, monoid_face_gens
 from .polyhedral import face_lattice

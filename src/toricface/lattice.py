@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Optional, Sequence
 
@@ -59,6 +60,31 @@ def primitive(a) -> Vector:
     if g == 0:
         return tuple(a)
     return tuple(x // g for x in a)
+
+
+def is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 1
+    return True
+
+
+def prime_factors(n: int):
+    n = abs(n)
+    out = set()
+    f = 2
+    while f * f <= n:
+        while n % f == 0:
+            out.add(f)
+            n //= f
+        f += 1
+    if n > 1:
+        out.add(n)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +401,13 @@ def unimodular_inverse(M: Sequence[Sequence[int]]) -> Matrix:
 
 @dataclass(frozen=True)
 class LatticeBasis:
-    """A sublattice of Z^d given by linearly independent basis rows."""
+    """A sublattice of Z^d given by linearly independent basis rows.
+
+    The Smith form of the column matrix (basis transposed) is computed and
+    verified once, at construction; it certifies independence and answers
+    every membership query.  The Hermite pivots used for coset reduction
+    are computed on first use and kept.
+    """
 
     ambient_dim: int
     basis: tuple  # tuple of int tuples
@@ -384,12 +416,23 @@ class LatticeBasis:
         for b in self.basis:
             if len(b) != self.ambient_dim:
                 raise ValueError("basis vector of wrong dimension")
-        if self.basis and rank_int([list(b) for b in self.basis]) != len(self.basis):
+        col_snf = snf(transpose(self.basis)) if self.basis else None
+        if col_snf is not None and col_snf.rank != len(self.basis):
             raise ValueError("basis rows are dependent")
+        object.__setattr__(self, "col_snf", col_snf)
 
     @property
     def rank(self) -> int:
         return len(self.basis)
+
+    @cached_property
+    def hnf_pivots(self) -> tuple:
+        """(pivot column, row) of each row of the basis's HNF, top to bottom."""
+        if not self.basis:
+            return ()
+        rows = hnf([list(b) for b in self.basis]).H
+        # basis rows are independent, so the HNF keeps them all
+        return tuple((next(j for j, x in enumerate(r) if x != 0), r) for r in rows)
 
     def contains(self, v) -> bool:
         return solve_in_lattice(self, v) is not None
@@ -416,12 +459,10 @@ def solve_in_lattice(L: LatticeBasis, v) -> Optional[list]:
         raise ValueError("vector of wrong dimension")
     if not L.basis:
         return [] if is_zero(v) else None
-    B = [list(b) for b in L.basis]        # k x d
-    res = snf(transpose(B))               # d x k
-    r = res.rank
+    res = L.col_snf                       # U * B^T * V = D
+    r = res.rank                          # = L.rank: the rows are independent
     uv = mat_vec(res.U, v)
-    k = len(B)
-    y = [0] * k
+    y = [0] * r
     for i in range(len(uv)):
         if i < r:
             if uv[i] % res.divisors[i] != 0:
@@ -430,7 +471,8 @@ def solve_in_lattice(L: LatticeBasis, v) -> Optional[list]:
         elif uv[i] != 0:
             return None
     c = mat_vec(res.V, y)
-    assert tuple(sum(c[i] * B[i][j] for i in range(k)) for j in range(L.ambient_dim)) == v
+    assert tuple(sum(c[i] * L.basis[i][j] for i in range(r))
+                 for j in range(L.ambient_dim)) == v
     return list(c)
 
 
@@ -497,17 +539,8 @@ def quotient_invariants(sub: LatticeBasis, sup: LatticeBasis) -> QuotientInvaria
 
 def reduce_mod_lattice(L: LatticeBasis, v) -> Vector:
     """Canonical representative of v + L (reduction against the HNF basis)."""
-    v = list(vec(v))
-    if not L.basis:
-        return tuple(v)
-    res = hnf([list(b) for b in L.basis])
-    rows = [list(r) for r in res.H if not is_zero(r)]
-    # basis rows are independent, so HNF keeps them all; reduce top-down
-    piv = []
-    for r in rows:
-        c = next(j for j, x in enumerate(r) if x != 0)
-        piv.append((c, r))
-    for c, r in piv:
+    v = [int(x) for x in v]
+    for c, r in L.hnf_pivots:
         q = v[c] // r[c]
         if q:
             for j in range(len(v)):

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .lattice import LatticeBasis, vadd
+from .lattice import vadd
 from .monoid import (
     AffineMonoid,
     check_seminormal_normal,
@@ -105,8 +105,7 @@ def build_complex(fan: Fan, maximal_monoid_gens: Optional[dict] = None,
     monoids = {}
     if stanley:
         for c in fan.cones:
-            lat = LatticeBasis(d, tuple(c.lin_basis.basis))
-            monoids[c.key] = monoid_build(hilbert_basis(c, lat), d)
+            monoids[c.key] = monoid_build(hilbert_basis(c, c.lin_basis), d)
     else:
         if maximal_monoid_gens is None:
             raise ComplexError("generator lists required when stanley is off")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .lattice import (
@@ -72,6 +73,11 @@ class AffineMonoid:
 
     def degree(self, v) -> int:
         return dot(self.grading, v)
+
+    @cached_property
+    def hilbert_data(self) -> tuple:
+        """(Hilbert basis of cone ∩ group, max candidate degree), computed once."""
+        return _hilbert_data(self.cone, self.group)
 
     def contains(self, v) -> bool:
         return monoid_member(self, v) is not None
@@ -373,7 +379,7 @@ class HilbertBasis:
 
 def normalization(M: AffineMonoid) -> HilbertBasis:
     """Hilbert basis of the normalization: the group points of the cone."""
-    return HilbertBasis(hilbert_basis(M.cone, M.group))
+    return HilbertBasis(M.hilbert_data[0])
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +424,7 @@ def _in_plus(M: AffineMonoid, faces, x) -> bool:
 
 def seminormalize(M: AffineMonoid, bound: Optional[int] = None) -> SeminormalizationResult:
     """Generators of the seminormalization, certified up to twice the bound."""
-    hb, maxdeg = _hilbert_data(M.cone, M.group)
+    hb, maxdeg = M.hilbert_data
     if not M.generators:
         return SeminormalizationResult((), 0, None)
     gen_deg = max(M.degree(g) for g in M.generators)
@@ -470,7 +476,7 @@ def check_seminormal_normal(M: AffineMonoid) -> NormalityCheck:
     The seminormality decision is cross-checked against the definition:
     within the search box there is no x with 2x and 3x in M but x outside.
     """
-    hb, maxdeg = _hilbert_data(M.cone, M.group)
+    hb, maxdeg = M.hilbert_data
     nwit = next((h for h in hb if monoid_member(M, h) is None), None)
     sn = seminormalize(M)
     swit = next((g for g in sn.generators if monoid_member(M, g) is None), None)

@@ -18,14 +18,13 @@ from typing import Optional, Sequence
 from .lattice import (
     LatticeBasis,
     dot,
+    identity,
     is_zero,
     kernel_basis,
     lattice_from_rows,
     primitive,
     rank_int,
     reduce_mod_lattice,
-    row_saturation,
-    snf,
     solve_in_lattice,
     vec,
 )
@@ -141,6 +140,11 @@ class Cone:
     facets: tuple          # inward facet normals, canonical, lex-sorted
     dim: int
     lin_basis: LatticeBasis  # saturated lattice Z^d ∩ lin(C)
+    equations: tuple       # rows e with lin(C) = {x : e·x = 0}
+
+    def __post_init__(self):
+        # facet key -> incidence sign, filled by facet_sign
+        object.__setattr__(self, "_signs", {})
 
     @property
     def key(self):
@@ -155,10 +159,18 @@ class Cone:
         return hash((self.ambient_dim, self.rays))
 
     def contains(self, v) -> bool:
-        v = vec(v)
-        if solve_in_lattice(self.lin_basis, v) is None:
-            return False
-        return all(dot(f, v) >= 0 for f in self.facets)
+        # the equations cut out lin(C), whose integer points are exactly
+        # the saturated lin_basis, so no lattice solve is needed
+        v = _checked(self, v)
+        return (all(dot(e, v) == 0 for e in self.equations)
+                and all(dot(f, v) >= 0 for f in self.facets))
+
+    def facet_sign(self, small: "Cone") -> int:
+        """incidence_sign(self, small), computed once per pair of cones."""
+        s = self._signs.get(small.key)
+        if s is None:
+            s = self._signs[small.key] = incidence_sign(self, small)
+        return s
 
     def interior_point(self):
         """Sum of the extreme rays; lies in the relative interior."""
@@ -171,27 +183,34 @@ class Cone:
         return tuple(out)
 
 
+def _checked(cone: Cone, v):
+    v = vec(v)
+    if len(v) != cone.ambient_dim:
+        raise ValueError("vector of wrong dimension")
+    return v
+
+
 def _restrict(f, lin_rows):
     return tuple(dot(f, b) for b in lin_rows)
 
 
 def _lift_functional(lin_basis: LatticeBasis, w):
     """Integer f with f·b_i = w_i over the saturated basis rows b_i."""
-    B = [list(b) for b in lin_basis.basis]
-    res = snf(B)
-    # B = U^{-1} D V^{-1}; with saturated rows, divisors are all 1
+    res = lin_basis.col_snf
+    # U B^T V = D; with saturated rows the divisors are all 1, so
+    # f = U^T (V^T w, 0) solves B f = w
     assert all(d == 1 for d in res.divisors)
-    k = len(B)
-    d = lin_basis.ambient_dim
-    uw = [sum(res.U[i][j] * w[j] for j in range(k)) for i in range(k)]
-    y = uw + [0] * (d - k)
-    f = tuple(sum(res.V[i][j] * y[j] for j in range(d)) for i in range(d))
+    k = lin_basis.rank
+    y = [sum(res.V[i][j] * w[i] for i in range(k)) for j in range(k)]
+    f = tuple(sum(res.U[j][i] * y[j] for j in range(k))
+              for i in range(lin_basis.ambient_dim))
     assert _restrict(f, lin_basis.basis) == tuple(w)
     return f
 
 
 def zero_cone(ambient_dim: int) -> Cone:
-    return Cone(ambient_dim, (), (), (), 0, LatticeBasis(ambient_dim, ()))
+    eqs = tuple(tuple(r) for r in identity(ambient_dim))
+    return Cone(ambient_dim, (), (), (), 0, LatticeBasis(ambient_dim, ()), eqs)
 
 
 def cone_build(generators, ambient_dim: Optional[int] = None) -> Cone:
@@ -213,11 +232,11 @@ def cone_build(generators, ambient_dim: Optional[int] = None) -> Cone:
         return zero_cone(ambient_dim)
 
     d = ambient_dim
-    lin_rows = row_saturation([list(g) for g in gens], d)
-    lin = LatticeBasis(d, tuple(lin_rows))
+    # the saturated span Z^d ∩ lin(C) is the kernel of the kernel
+    N = kernel_basis([list(g) for g in gens], d)
+    lin = LatticeBasis(d, tuple(kernel_basis(N, d)))
     dim = lin.rank
-
-    perp = lattice_from_rows(d, kernel_basis([list(g) for g in gens], d))
+    perp = lattice_from_rows(d, N)
 
     ineqs, _ = dual_description(gens, d)
     # canonical facet normals: restrict to the span, reduce, lift, reduce mod perp
@@ -274,17 +293,15 @@ def cone_build(generators, ambient_dim: Optional[int] = None) -> Cone:
             ray_coords.add(primitive(c))
         assert recovered == ray_coords, "facet/ray duality verification failed"
 
-    return Cone(d, tuple(gens), tuple(rays), tuple(facets), dim, lin)
+    return Cone(d, tuple(gens), tuple(rays), tuple(facets), dim, lin,
+                perp.basis)
 
 
 def relint_contains(cone: Cone, v) -> bool:
     """Is the integer vector v in the relative interior of the cone?"""
-    v = vec(v)
-    if cone.dim == 0:
-        return is_zero(v)
-    if solve_in_lattice(cone.lin_basis, v) is None:
-        return False
-    return all(dot(f, v) > 0 for f in cone.facets)
+    v = _checked(cone, v)
+    return (all(dot(e, v) == 0 for e in cone.equations)
+            and all(dot(f, v) > 0 for f in cone.facets))
 
 
 def facets_through(cone: Cone, face: "Cone"):
@@ -576,7 +593,7 @@ def cell_complex(fan: Fan) -> CellComplex:
         for j, ck in enumerate(cols):
             big = fan.by_key(ck)
             for small in fan.facets_of(big):
-                sgn = incidence_sign(big, small)
+                sgn = big.facet_sign(small)
                 incidence[(big.key, small.key)] = sgn
                 M[row_index[small.key]][j] = sgn
         boundary[deg] = M

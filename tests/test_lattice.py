@@ -79,6 +79,27 @@ def test_snf_contract_random():
                     assert x == 0
 
 
+def test_snf_divisors_match_sympy():
+    pytest.importorskip("sympy")
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import smith_normal_form
+
+    rng = random.Random(909)
+    for trial in range(120):
+        m = rng.randint(1, 5)
+        n = rng.randint(1, 5)
+        if trial % 3:
+            A = random_matrix(rng, m, n)
+        else:
+            # a product through k columns has rank at most k
+            k = rng.randint(1, min(m, n))
+            A = mat_mul(random_matrix(rng, m, k, -3, 3),
+                        random_matrix(rng, k, n, -3, 3))
+        S = smith_normal_form(Matrix(A), domain=ZZ)
+        theirs = [abs(int(S[i, i])) for i in range(min(m, n)) if S[i, i] != 0]
+        assert list(snf(A).divisors) == theirs, A
+
+
 def test_hnf_contract_random():
     rng = random.Random(48813)
     for trial in range(200):
@@ -281,3 +302,31 @@ def test_left_kernel():
     assert len(basis) == 1
     u = basis[0]
     assert all(sum(u[i] * A[i][j] for i in range(3)) == 0 for j in range(2))
+
+
+# --- normal forms are computed once per basis ---------------------------
+
+def test_basis_normal_forms_are_computed_once(monkeypatch):
+    import toricface.lattice as lat
+
+    counts = {"snf": 0, "hnf": 0}
+
+    def counting(name, fn):
+        def wrapped(A):
+            counts[name] += 1
+            return fn(A)
+        return wrapped
+
+    monkeypatch.setattr(lat, "snf", counting("snf", lat.snf))
+    monkeypatch.setattr(lat, "hnf", counting("hnf", lat.hnf))
+    L = LatticeBasis(3, ((2, 0, 1), (0, 3, 1)))
+    assert counts == {"snf": 1, "hnf": 0}
+    rng = random.Random(77)
+    hits = 0
+    for i in range(100):
+        a, b = rng.randint(-4, 4), rng.randint(-4, 4)
+        v = (2 * a, 3 * b, a + b + (i % 2) * rng.randint(-1, 1))
+        hits += solve_in_lattice(L, v) is not None
+        reduce_mod_lattice(L, v)
+    assert 50 <= hits < 100
+    assert counts == {"snf": 1, "hnf": 1}

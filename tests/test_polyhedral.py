@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from toricface.lattice import dot, rank_int
+from toricface.lattice import dot, rank_int, solve_in_lattice
 from toricface.polyhedral import (
     Cone,
     ConeNotPointedError,
@@ -188,6 +188,43 @@ def test_low_dimensional_cone_facets():
     zero_sets = {tuple(g for g in c.rays if dot(f, g) == 0) for f in c.facets}
     assert zero_sets == {((1, 0, 1),), ((0, 1, 1),)}
     assert c.contains((1, 1, 2)) and not c.contains((1, 1, 1))
+
+
+def random_cone_of_dim(rng, d, k, tries=50):
+    """A pointed cone spanning a random k-dimensional subspace of R^d."""
+    for _ in range(tries):
+        span = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(k)]
+        if k and rank_int([list(b) for b in span]) < k:
+            continue
+        gens = [tuple(sum(c * b[j] for c, b in zip(cs, span)) for j in range(d))
+                for cs in ([rng.randint(-1, 2) for _ in span]
+                           for _ in range(rng.randint(k, k + 2)))]
+        try:
+            cone = cone_build(gens, d)
+        except ConeNotPointedError:
+            continue
+        if cone.dim == k:
+            return cone
+    raise RuntimeError("no pointed cone found")
+
+
+@pytest.mark.parametrize("d, box", [(2, 3), (3, 2), (4, 1)])
+def test_membership_by_equations_matches_lattice_solve(d, box):
+    """Equation tests agree with the lattice solve plus the facet tests."""
+    rng = random.Random(4100 + d)
+    for trial in range(12 * (d + 1)):
+        cone = random_cone_of_dim(rng, d, trial % (d + 1))
+        # the box, plus points of the span that a small box mostly misses
+        span = [tuple(sum(c * b[j] for c, b in zip(cs, cone.lin_basis.basis))
+                      for j in range(d))
+                for cs in itertools.product(range(-2, 3), repeat=cone.dim)]
+        for v in list(itertools.product(range(-box, box + 1), repeat=d)) + span:
+            in_lin = solve_in_lattice(cone.lin_basis, v) is not None
+            assert cone.contains(v) == (
+                in_lin and all(dot(f, v) >= 0 for f in cone.facets)), (cone, v)
+            relint = (all(x == 0 for x in v) if cone.dim == 0 else
+                      in_lin and all(dot(f, v) > 0 for f in cone.facets))
+            assert relint_contains(cone, v) == relint, (cone, v)
 
 
 def test_generators_from_h():
