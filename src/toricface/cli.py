@@ -18,7 +18,7 @@ from . import __version__
 from .cech import (DEFAULT_STATE_CAP, BoundExhausted, cech_degree,
                    cech_slice, frobenius_check)
 from .cohomology import (check_characteristic, cohomology_report, depth,
-                         local_cohomology_trace)
+                         local_cohomology_trace, table_from_cochain)
 from .frobenius import excluded_primes
 from .lattice import vec
 from .moncomplex import ComplexError, build_complex, presentation
@@ -425,7 +425,7 @@ def _cmd_fpure(doc, mcc, named, options, bounds):
 
 def _oracle_one(mcc, a, ch, cap):
     sl = cech_slice(mcc, a, cap)
-    t = cech_degree(mcc, a, ch, cap)
+    t = table_from_cochain(sl.sizes(), sl.matrices(), ch)
     return {
         "degree": list(a),
         "table": _table_json(t),

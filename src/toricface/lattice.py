@@ -428,14 +428,32 @@ class LatticeBasis:
     @cached_property
     def hnf_pivots(self) -> tuple:
         """(pivot column, row) of each row of the basis's HNF, top to bottom."""
-        if not self.basis:
-            return ()
-        rows = hnf([list(b) for b in self.basis]).H
-        # basis rows are independent, so the HNF keeps them all
-        return tuple((next(j for j, x in enumerate(r) if x != 0), r) for r in rows)
+        rows = self.basis
+        cols = _hnf_pivot_columns(rows)
+        if cols is None:
+            # basis rows are independent, so the HNF keeps them all
+            rows = hnf([list(b) for b in rows]).H
+            cols = _hnf_pivot_columns(rows)
+        return tuple(zip(cols, rows))
 
     def contains(self, v) -> bool:
         return solve_in_lattice(self, v) is not None
+
+
+def _hnf_pivot_columns(rows):
+    """Pivot columns of rows in Hermite normal form, or None if they are not.
+
+    Hermite form: leading entries positive in strictly increasing columns,
+    and every entry above a leading entry reduced into [0, leading entry).
+    """
+    cols = []
+    for i, r in enumerate(rows):
+        c = next((j for j, x in enumerate(r) if x != 0), None)
+        if (c is None or r[c] < 0 or (cols and c <= cols[-1])
+                or any(not 0 <= rows[k][c] < r[c] for k in range(i))):
+            return None
+        cols.append(c)
+    return cols
 
 
 def lattice_from_rows(ambient_dim: int, rows) -> LatticeBasis:

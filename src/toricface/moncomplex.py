@@ -20,7 +20,7 @@ from .lattice import vadd
 from .monoid import (
     AffineMonoid,
     check_seminormal_normal,
-    hilbert_basis,
+    lattice_monoid,
     monoid_build,
     monoid_face_gens,
     monoid_member,
@@ -50,11 +50,6 @@ class MonoidalComplex:
         return self.monoids[key]
 
 
-def _restriction_monoid(M: AffineMonoid, face: Cone) -> AffineMonoid:
-    gens = monoid_face_gens(M, face)
-    return monoid_build(gens, M.ambient_dim)
-
-
 def _validate(fan: Fan, monoids: dict) -> None:
     for c in fan.cones:
         M = monoids.get(c.key)
@@ -70,7 +65,10 @@ def _validate(fan: Fan, monoids: dict) -> None:
             if d_.key == c.key:
                 continue
             Md = monoids[d_.key]
-            restr = _restriction_monoid(Mc, d_)
+            gens = monoid_face_gens(Mc, d_)
+            if gens == Md.generators:
+                continue  # each side's generators lie in the other trivially
+            restr = monoid_build(gens, Mc.ambient_dim, d_)
             for g in restr.generators:
                 if monoid_member(Md, g) is None:
                     raise ComplexError(
@@ -105,7 +103,7 @@ def build_complex(fan: Fan, maximal_monoid_gens: Optional[dict] = None,
     monoids = {}
     if stanley:
         for c in fan.cones:
-            monoids[c.key] = monoid_build(hilbert_basis(c, c.lin_basis), d)
+            monoids[c.key] = lattice_monoid(c)
     else:
         if maximal_monoid_gens is None:
             raise ComplexError("generator lists required when stanley is off")
@@ -116,21 +114,23 @@ def build_complex(fan: Fan, maximal_monoid_gens: Optional[dict] = None,
                 f"{sorted(fan.maximal)}, got {sorted(given)}"
             )
         for key, gens in given.items():
-            M = monoid_build(gens, d)
-            if M.cone.key != key:
+            try:
+                monoids[key] = monoid_build(gens, d, fan.by_key(key))
+            except ValueError:
+                # report the cone the generators do span
+                spanned = monoid_build(gens, d).cone
                 raise ComplexError(
-                    f"generators {tuple(gens)} span cone {M.cone.key}, "
+                    f"generators {tuple(gens)} span cone {spanned.key}, "
                     f"expected {key}"
-                )
-            monoids[key] = M
+                ) from None
         for c in fan.cones:
             if c.key in monoids:
                 continue
             parents = [k for k in fan.maximal
                        if set(c.rays) <= set(k)]
             assert parents
-            first = _restriction_monoid(monoids[min(parents)], c)
-            monoids[c.key] = first
+            gens = monoid_face_gens(monoids[min(parents)], c)
+            monoids[c.key] = monoid_build(gens, d, c)
     _validate(fan, monoids)
     return _with_flags(fan, monoids)
 
@@ -259,7 +259,9 @@ def presentation(mcc: MonoidalComplex, degree_bound: int) -> PresentationIdeal:
     variables = tuple(sorted({g for k in mcc.fan.maximal
                               for g in mcc.monoids[k].generators}))
     n = len(variables)
-    assert n <= 16, "presentation limited to small generator counts"
+    if n > 16:
+        raise ComplexError(
+            f"presentation is limited to 16 generators, the complex has {n}")
     supports = {k: frozenset(i for i in range(n)
                              if mcc.fan.by_key(k).contains(variables[i]))
                 for k in mcc.fan.maximal}

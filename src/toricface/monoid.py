@@ -24,6 +24,7 @@ from .lattice import (
     is_zero,
     kernel_basis,
     lattice_from_rows,
+    primitive,
     rank_int,
     row_saturation,
     snf,
@@ -83,7 +84,14 @@ class AffineMonoid:
         return monoid_member(self, v) is not None
 
 
-def monoid_build(generators, ambient_dim: Optional[int] = None) -> AffineMonoid:
+def monoid_build(generators, ambient_dim: Optional[int] = None,
+                 cone: Optional[Cone] = None) -> AffineMonoid:
+    """The monoid the generators span, on `cone` when the caller has it.
+
+    A given cone is checked, not rebuilt: every generator lies in it and
+    every extreme ray is a positive multiple of some generator, which holds
+    exactly when the generators span it.
+    """
     gens_in = [vec(g) for g in generators]
     if ambient_dim is None:
         if not gens_in:
@@ -92,13 +100,35 @@ def monoid_build(generators, ambient_dim: Optional[int] = None) -> AffineMonoid:
     if any(len(g) != ambient_dim for g in gens_in):
         raise ValueError("generators of mixed dimension")
     gens = tuple(sorted({g for g in gens_in if not is_zero(g)}))
-    cone = cone_build(gens, ambient_dim)  # raises if not pointed
+    if cone is None:
+        cone = cone_build(gens, ambient_dim)  # raises if not pointed
+    else:
+        outside = next((g for g in gens if not cone.contains(g)), None)
+        if outside is not None:
+            raise ValueError(f"generator {outside} lies outside the cone {cone.rays}")
+        on_rays = {primitive(g) for g in gens}
+        missed = next((r for r in cone.rays if r not in on_rays), None)
+        if missed is not None:
+            raise ValueError(f"no generator lies on the extreme ray {missed}")
     group = lattice_from_rows(ambient_dim, [list(g) for g in gens])
     ell = grading_functional(cone)
     for g in gens:
         assert dot(ell, g) >= 1
         assert group.contains(g)
     return AffineMonoid(ambient_dim, gens, cone, group, ell)
+
+
+def lattice_monoid(cone: Cone) -> AffineMonoid:
+    """The monoid of all lattice points of the cone, e.g. of a Stanley complex.
+
+    Its Hilbert data is computed once, from the cone's saturated span,
+    which is the monoid's group, and kept on the monoid.
+    """
+    data = _hilbert_data(cone, cone.lin_basis)
+    M = monoid_build(data[0], cone.ambient_dim, cone)
+    assert all(M.group.contains(b) for b in cone.lin_basis.basis)
+    M.__dict__["hilbert_data"] = data  # the cached_property's slot
+    return M
 
 
 def monoid_member(M: AffineMonoid, v) -> Optional[tuple]:
@@ -460,7 +490,7 @@ def seminormalized_monoid(M: AffineMonoid, bound: Optional[int] = None) -> Affin
     res = seminormalize(M, bound)
     if not res.generators:
         return M
-    return monoid_build(res.generators, M.ambient_dim)
+    return monoid_build(res.generators, M.ambient_dim, M.cone)
 
 
 @dataclass(frozen=True)

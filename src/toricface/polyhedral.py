@@ -145,6 +145,8 @@ class Cone:
     def __post_init__(self):
         # facet key -> incidence sign, filled by facet_sign
         object.__setattr__(self, "_signs", {})
+        # the FaceLattice, filled by face_lattice
+        object.__setattr__(self, "_lattice", None)
 
     @property
     def key(self):
@@ -324,8 +326,16 @@ class FaceLattice:
         return set(a.rays) <= set(b.rays)
 
 
-def face_lattice(cone: Cone) -> FaceLattice:
-    """All faces of a pointed cone, as intersections of facet zero-sets."""
+def face_lattice(cone: Cone, known: Optional[dict] = None) -> FaceLattice:
+    """All faces of a pointed cone, as intersections of facet zero-sets.
+
+    Computed once per cone and kept on it.  Faces whose key is in `known`
+    are taken from there instead of being rebuilt, and every proper face
+    gets its own lattice from this one: the faces lying inside it.
+    """
+    if cone._lattice is not None:
+        return cone._lattice
+    known = {} if known is None else known
     ray_idx = range(len(cone.rays))
     all_set = frozenset(ray_idx)
     zero_sets = [
@@ -345,12 +355,25 @@ def face_lattice(cone: Cone) -> FaceLattice:
         frontier = nxt
     faces = []
     for s in found:
-        sub = [cone.rays[i] for i in sorted(s)]
-        faces.append(cone_build(sub, cone.ambient_dim) if sub else zero_cone(cone.ambient_dim))
+        sub = tuple(cone.rays[i] for i in sorted(s))
+        if s == all_set:
+            faces.append(cone)
+        elif sub in known:
+            faces.append(known[sub])
+        else:
+            faces.append(cone_build(sub, cone.ambient_dim) if sub else zero_cone(cone.ambient_dim))
     faces.sort(key=lambda c: (c.dim, c.rays))
     for f in faces:
         assert set(f.rays) <= set(cone.rays)
-    return FaceLattice(cone, tuple(faces))
+    lattice = FaceLattice(cone, tuple(faces))
+    object.__setattr__(cone, "_lattice", lattice)
+    # the faces of a face are the faces of the cone lying inside it
+    for f in faces:
+        if f._lattice is None:
+            rs = set(f.rays)
+            object.__setattr__(f, "_lattice", FaceLattice(
+                f, tuple(g for g in faces if set(g.rays) <= rs)))
+    return lattice
 
 
 # ---------------------------------------------------------------------------
@@ -416,20 +439,24 @@ def _is_face(small: Cone, big: Cone) -> bool:
     return set(cut) == set(small.rays)
 
 
-def _intersection_cone(c1: Cone, c2: Cone) -> Cone:
-    d = c1.ambient_dim
-    ineqs = list(c1.facets) + list(c2.facets)
-    perp1 = kernel_basis([list(g) for g in c1.rays], d) if c1.rays else None
-    perp2 = kernel_basis([list(g) for g in c2.rays], d) if c2.rays else None
-    eqs = []
-    for perp in (perp1, perp2):
-        if perp is None:
-            return zero_cone(d)
-        eqs.extend(perp)
-    gens = generators_from_h(ineqs, eqs, d)
+def _meet_in_common_face(a: Cone, b: Cone) -> bool:
+    """Is a ∩ b a face of both cones?
+
+    With F the smallest face of a containing K = a ∩ b, K is a face of a
+    exactly when F lies in b (then F ⊆ K ⊆ F); likewise with a and b
+    swapped.
+    """
+    gens = generators_from_h(a.facets + b.facets, a.equations + b.equations,
+                             a.ambient_dim)
     for g in gens:
-        assert c1.contains(g) and c2.contains(g)
-    return cone_build(gens, d) if gens else zero_cone(d)
+        assert a.contains(g) and b.contains(g)
+    for x, y in ((a, b), (b, a)):
+        # faces are sorted by dimension, so the first one holding K is the smallest
+        f = next(f for f in face_lattice(x).faces
+                 if all(f.contains(g) for g in gens))
+        if not all(y.contains(r) for r in f.rays):
+            return False
+    return True
 
 
 def fan_build(maximal_cones: Sequence[Cone]) -> Fan:
@@ -447,17 +474,17 @@ def fan_build(maximal_cones: Sequence[Cone]) -> Fan:
             if not any(o.key != c.key and set(c.rays) <= set(o.rays)
                        for o in uniq.values())]
 
+    cones = {}
+    for c in tops:
+        # a face shared with an earlier cone is reused, not rebuilt
+        for f in face_lattice(c, cones).faces:
+            cones.setdefault(f.key, f)
+
     for a, b in itertools.combinations(tops, 2):
-        k = _intersection_cone(a, b)
-        if not (_is_face(k, a) and _is_face(k, b)):
+        if not _meet_in_common_face(a, b):
             raise ValueError(
                 f"cones with rays {a.rays} and {b.rays} do not meet in a common face"
             )
-
-    cones = {}
-    for c in tops:
-        for f in face_lattice(c).faces:
-            cones.setdefault(f.key, f)
     ordered = tuple(sorted(cones.values(), key=lambda c: (c.dim, c.rays)))
     max_keys = tuple(sorted(c.key for c in tops))
     return Fan(d, ordered, max_keys)

@@ -146,6 +146,14 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "missing.json")]) == 1
     assert "cannot read" in capsys.readouterr().err
 
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({
+        "dimension": 2, "rays": {"a": [1, 0], "b": [1, 17]},
+        "cones": [{"name": "C", "generators": ["a", "b"]}],
+        "monoids": {"stanley": True}}))
+    assert main(["presentation", str(wide)]) == 1
+    assert "limited to 16 generators" in capsys.readouterr().err
+
 
 def test_main_bound_exhausted_exit(capsys):
     code = main(["oracle", fixture_path("fix-b"),

@@ -320,13 +320,18 @@ def test_basis_normal_forms_are_computed_once(monkeypatch):
     monkeypatch.setattr(lat, "snf", counting("snf", lat.snf))
     monkeypatch.setattr(lat, "hnf", counting("hnf", lat.hnf))
     L = LatticeBasis(3, ((2, 0, 1), (0, 3, 1)))
-    assert counts == {"snf": 1, "hnf": 0}
+    # the same lattice on a basis not in Hermite form
+    L2 = LatticeBasis(3, ((2, 3, 2), (0, 3, 1)))
+    assert counts == {"snf": 2, "hnf": 0}
     rng = random.Random(77)
     hits = 0
     for i in range(100):
         a, b = rng.randint(-4, 4), rng.randint(-4, 4)
         v = (2 * a, 3 * b, a + b + (i % 2) * rng.randint(-1, 1))
         hits += solve_in_lattice(L, v) is not None
-        reduce_mod_lattice(L, v)
+        assert reduce_mod_lattice(L, v) == reduce_mod_lattice(L2, v)
     assert 50 <= hits < 100
-    assert counts == {"snf": 1, "hnf": 1}
+    # a basis already in Hermite form is read as it is; the other needs
+    # one hnf, kept for every later reduction
+    assert counts == {"snf": 2, "hnf": 1}
+    assert L.hnf_pivots == L2.hnf_pivots

@@ -5,7 +5,9 @@ variable order is the lex sort of the union of maximal-cone generators, and
 each expected generator was checked by evaluating both sides in the monoid.
 """
 
+import importlib.resources
 import itertools
+import json
 
 import pytest
 from conftest import (
@@ -27,8 +29,13 @@ from toricface.moncomplex import (
     restrict,
     seminormalize_complex,
 )
+import toricface.cli
+import toricface.monoid
+import toricface.polyhedral
+from toricface.cli import build_from_document, parse_input
 from toricface.monoid import monoid_member
-from toricface.polyhedral import cone_build, fan_build, skeleton_fan
+from toricface.polyhedral import (cone_build, face_lattice, fan_build,
+                                  skeleton_fan, zero_cone)
 
 
 def box(dim, radius):
@@ -52,6 +59,63 @@ def test_stanley_complexes_are_normal():
         for key, m in mcc.monoids.items():
             cone = mcc.fan.by_key(key)
             assert m.cone.key == cone.key
+
+
+def crosspoly_stanley_text(d):
+    """The complete fan of the 2^d coordinate orthants, Stanley monoids."""
+    rays = {f"{s}{i}": [(1 if s == "p" else -1) if j == i else 0
+                        for j in range(d)]
+            for i in range(d) for s in "pm"}
+    cones = [{"name": "".join(signs),
+              "generators": [f"{s}{i}" for i, s in enumerate(signs)]}
+             for signs in itertools.product("pm", repeat=d)]
+    return json.dumps({"dimension": d, "rays": rays, "cones": cones,
+                       "monoids": {"stanley": True}})
+
+
+def _face_description(fl):
+    return [(f.rays, f.facets, f.dim, f.equations, f.lin_basis.basis)
+            for f in fl.faces]
+
+
+def test_build_makes_each_cone_and_hilbert_basis_once(monkeypatch):
+    """Every shipped fixture and the d=3 cross-polytope, counted."""
+    counts = {"cone_build": 0, "_hilbert_data": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    cb = counting("cone_build", toricface.polyhedral.cone_build)
+    for mod in (toricface.polyhedral, toricface.monoid, toricface.cli):
+        monkeypatch.setattr(mod, "cone_build", cb)
+    monkeypatch.setattr(toricface.monoid, "_hilbert_data",
+                        counting("_hilbert_data",
+                                 toricface.monoid._hilbert_data))
+    fixdir = importlib.resources.files("toricface") / "fixtures"
+    texts = [(fixdir / f"{name}.json").read_text()
+             for name in ("fix-a", "fix-b", "fix-c", "stanley-r1",
+                          "octant-boundary")]
+    for text in texts + [crosspoly_stanley_text(3)]:
+        counts.update(cone_build=0, _hilbert_data=0)
+        mcc, _ = build_from_document(parse_input(text))
+        fan = mcc.fan
+        # the caller's maximal cones and the fan's faces, each built once;
+        # the pairwise common-face check builds none
+        built = counts["cone_build"]
+        assert built <= len(fan.cones) - 1
+        assert counts["_hilbert_data"] == len(fan.cones)
+        lattices = [face_lattice(c) for c in fan.cones]
+        assert counts["cone_build"] == built  # every lattice was cached
+        for c, fl in zip(fan.cones, lattices):
+            assert mcc.monoids[c.key].cone is c
+            assert all(fan.by_key(f.key) is f for f in fl.faces)
+            fresh = (cone_build(c.generators, fan.ambient_dim) if c.rays
+                     else zero_cone(fan.ambient_dim))
+            assert _face_description(fl) == \
+                _face_description(face_lattice(fresh))
 
 
 def test_derived_face_monoids():
@@ -303,6 +367,15 @@ def test_presentation_generators_vanish_in_ring():
             cone = maximal[home]
             for g in support(u) + support(v):
                 assert cone.contains(g)
+
+
+def test_presentation_refuses_too_many_generators():
+    # the Stanley monoid's Hilbert basis is (1, k) for 0 <= k <= 17
+    fan = fan_build([cone_build([(1, 0), (1, 17)])])
+    mcc = build_complex(fan, stanley=True)
+    assert len(mcc.monoid_at(fan.maximal[0]).generators) == 18
+    with pytest.raises(ComplexError, match="limited to 16 generators"):
+        presentation(mcc, 2)
 
 
 def test_presentation_rejects_bad_bound():

@@ -7,10 +7,12 @@ definition-based scans (group points of the cone for normality, the
 """
 
 import itertools
+import random
 
 import pytest
 
-from toricface.lattice import dot, full_lattice, solve_in_lattice, vadd, vsub
+from toricface.lattice import (dot, full_lattice, primitive, solve_in_lattice,
+                               vadd, vsub)
 from toricface.monoid import (
     BoundTooSmallError,
     check_seminormal_normal,
@@ -254,3 +256,25 @@ def test_face_restriction_exact():
 def test_generated_points_bfs():
     pts = generated_points(M3.generators, M3.grading, 3, 2)
     assert pts == {(x, y) for x in range(4) for y in range(4) if x + y <= 3}
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_monoid_build_on_a_given_cone(d):
+    """A given cone is checked exactly and gives the same monoid."""
+    rng = random.Random(6300 + d)
+    for _ in range(25):
+        # a positive last coordinate keeps the cone pointed
+        gens = [tuple(rng.randint(-3, 3) for _ in range(d - 1))
+                + (rng.randint(1, 3),) for _ in range(rng.randint(1, 5))]
+        cone = cone_build(gens, d)
+        built, given = monoid_build(gens, d), monoid_build(gens, d, cone)
+        assert given.cone is cone
+        assert (given.generators, given.group.basis, given.grading) == \
+            (built.generators, built.group.basis, built.grading)
+        assert (built.cone.rays, built.cone.facets) == (cone.rays, cone.facets)
+        ray = rng.choice(cone.rays)
+        with pytest.raises(ValueError, match="extreme ray"):
+            monoid_build([g for g in gens if primitive(g) != ray], d, cone)
+        outside = tuple(-x for x in cone.interior_point())
+        with pytest.raises(ValueError, match="outside"):
+            monoid_build(gens + [outside], d, cone)

@@ -25,6 +25,7 @@ from toricface.polyhedral import (
     skeleton_fan,
     trivial_fan,
     zero_cone,
+    _is_face,
 )
 
 
@@ -245,6 +246,30 @@ def test_fan_rejects_improper_intersection():
     b = cone_build([(1, 1), (1, -1)])
     with pytest.raises(ValueError):
         fan_build([a, b])
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_common_face_check_matches_intersection_cone(d):
+    """fan_build's face-lattice test agrees with building a ∩ b itself."""
+    rng = random.Random(5200 + d)
+    outcomes = set()
+    for _ in range(60):
+        a, _ = random_pointed_cone(rng, d)
+        b, _ = random_pointed_cone(rng, d)
+        if set(a.rays) <= set(b.rays) or set(b.rays) <= set(a.rays):
+            continue
+        gens = generators_from_h(a.facets + b.facets,
+                                 a.equations + b.equations, d)
+        k = cone_build(gens, d) if gens else zero_cone(d)
+        want = _is_face(k, a) and _is_face(k, b)
+        try:
+            fan_build([a, b])
+            got = True
+        except ValueError:
+            got = False
+        assert got == want, (a.rays, b.rays)
+        outcomes.add(want)
+    assert outcomes == {True, False}
 
 
 def test_fan_quadrants():
