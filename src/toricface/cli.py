@@ -660,6 +660,11 @@ def main(argv=None) -> int:
     except InputError as e:
         print(f"toricface: {e}", file=sys.stderr)
         return 1
+    except Exception as e:
+        # a failed certificate or a bug, not the input's fault
+        detail = " ".join(f"{type(e).__name__}: {e}".split())
+        print(f"toricface: internal error: {detail}", file=sys.stderr)
+        return 3
     sys.stdout.write(render_report(report))
     return 0 if report["status"] == "complete" else 2
 

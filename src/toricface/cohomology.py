@@ -19,7 +19,6 @@ order-complex comparison for Stanley complexes.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -27,13 +26,12 @@ from typing import Optional
 
 from .lattice import (
     LatticeBasis,
+    coset_representatives,
     intersect,
     is_prime,
     prime_factors,
     quotient_invariants,
     snf,
-    solve_in_lattice,
-    unimodular_inverse,
     vadd,
     vec,
     vneg,
@@ -382,29 +380,6 @@ class StarClass:
     class_count_within_carrier: int
 
 
-def _coset_reps(sub: LatticeBasis, sup: LatticeBasis) -> list:
-    """One ambient representative per coset of sub in sup (finite index)."""
-    d = sup.ambient_dim
-    r = len(sup.basis)
-    if r == 0:
-        return [tuple([0] * d)]
-    A = []
-    for b in sub.basis:
-        c = solve_in_lattice(sup, b)
-        assert c is not None
-        A.append(c)
-    assert len(A) == r
-    res = snf(A)
-    vinv = unimodular_inverse(res.V)
-    reps = []
-    for cvec in itertools.product(*[range(dv) for dv in res.divisors]):
-        x = [sum(cvec[i] * vinv[i][j] for i in range(r)) for j in range(r)]
-        amb = tuple(sum(x[i] * sup.basis[i][j] for i in range(r))
-                    for j in range(d))
-        reps.append(amb)
-    return reps
-
-
 def _push_into_relint(cone: Cone, v, step):
     out = vec(v)
     guard = 0
@@ -439,7 +414,7 @@ def star_classes(mcc: MonoidalComplex) -> tuple:
             w = vadd(w, r)
         m = math.lcm(*inv.divisors) if inv.divisors else 1
         step = vscale(m, w)
-        for rep in sorted(_coset_reps(K, lin)):
+        for rep in sorted(coset_representatives(K, lin)):
             b = _push_into_relint(c, rep, step)
             st = star(mcc, b)
             for _ in range(3):

@@ -6,8 +6,8 @@ used anywhere.  Matrices are sequences of rows, vectors are tuples of ints.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import gcd
 from typing import Optional, Sequence
@@ -374,26 +374,11 @@ def row_saturation(A: Sequence[Sequence[int]], ncols: Optional[int] = None) -> l
 
 
 def unimodular_inverse(M: Sequence[Sequence[int]]) -> Matrix:
-    """Exact inverse of a unimodular integer matrix."""
-    n = len(M)
-    A = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-         for i, row in enumerate(M)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if A[i][col] != 0)
-        A[col], A[piv] = A[piv], A[col]
-        inv = 1 / A[col][col]
-        A[col] = [x * inv for x in A[col]]
-        for i in range(n):
-            if i != col and A[i][col] != 0:
-                f = A[i][col]
-                A[i] = [x - f * y for x, y in zip(A[i], A[col])]
-    out = []
-    for i in range(n):
-        row = A[i][n:]
-        if any(x.denominator != 1 for x in row):
-            raise ValueError("matrix is not unimodular")
-        out.append([int(x) for x in row])
-    return out
+    """Exact inverse of a unimodular integer matrix: the U of U*M = HNF = I."""
+    res = hnf(M)
+    if [list(r) for r in res.H] != identity(len(M)):
+        raise ValueError("matrix is not unimodular")
+    return [list(r) for r in res.U]
 
 
 # ---------------------------------------------------------------------------
@@ -470,28 +455,61 @@ def full_lattice(ambient_dim: int) -> LatticeBasis:
     return LatticeBasis(ambient_dim, tuple(tuple(r) for r in identity(ambient_dim)))
 
 
-def solve_in_lattice(L: LatticeBasis, v) -> Optional[list]:
-    """Integer coefficients expressing v over L's basis, or None."""
-    v = vec(v)
+def _smith_image(L: LatticeBasis, v: Vector) -> Optional[Vector]:
+    """U*v for L's Smith form U*B^T*V = D, or None off the span of L.
+
+    With c = V*y, the system B^T*c = v reads D*y = U*v, so v lies in the
+    rational span exactly when U*v vanishes past the rank.
+    """
     if len(v) != L.ambient_dim:
         raise ValueError("vector of wrong dimension")
     if not L.basis:
-        return [] if is_zero(v) else None
-    res = L.col_snf                       # U * B^T * V = D
-    r = res.rank                          # = L.rank: the rows are independent
+        return () if is_zero(v) else None
+    res = L.col_snf
     uv = mat_vec(res.U, v)
-    y = [0] * r
-    for i in range(len(uv)):
-        if i < r:
-            if uv[i] % res.divisors[i] != 0:
-                return None
-            y[i] = uv[i] // res.divisors[i]
-        elif uv[i] != 0:
+    if any(uv[len(res.divisors):]):
+        return None
+    return uv
+
+
+def solve_in_lattice(L: LatticeBasis, v) -> Optional[list]:
+    """Integer coefficients expressing v over L's basis, or None."""
+    v = vec(v)
+    uv = _smith_image(L, v)
+    if uv is None:
+        return None
+    if not L.basis:
+        return []
+    res = L.col_snf
+    y = []
+    for u, dv in zip(uv, res.divisors):
+        if u % dv != 0:
             return None
+        y.append(u // dv)
     c = mat_vec(res.V, y)
-    assert tuple(sum(c[i] * L.basis[i][j] for i in range(r))
+    assert tuple(sum(c[i] * L.basis[i][j] for i in range(len(c)))
                  for j in range(L.ambient_dim)) == v
     return list(c)
+
+
+def rational_coords(L: LatticeBasis, v) -> Optional[tuple]:
+    """(c, den) with den*v = sum c_i*basis_i and den > 0, or None off the span.
+
+    From the same Smith form as solve_in_lattice: y_i = (U*v)_i / d_i, and
+    every d_i divides the last divisor, so den = d_r clears them all.
+    """
+    v = vec(v)
+    uv = _smith_image(L, v)
+    if uv is None:
+        return None
+    if not L.basis:
+        return [], 1
+    res = L.col_snf
+    den = res.divisors[-1]
+    c = mat_vec(res.V, [u * (den // dv) for u, dv in zip(uv, res.divisors)])
+    assert tuple(sum(c[i] * L.basis[i][j] for i in range(len(c)))
+                 for j in range(L.ambient_dim)) == tuple(den * x for x in v)
+    return list(c), den
 
 
 def lattice_equal(L1: LatticeBasis, L2: LatticeBasis) -> bool:
@@ -564,3 +582,26 @@ def reduce_mod_lattice(L: LatticeBasis, v) -> Vector:
             for j in range(len(v)):
                 v[j] -= q * r[j]
     return tuple(v)
+
+
+def coset_representatives(sub: LatticeBasis, sup: LatticeBasis) -> list:
+    """One ambient representative per coset of sub in sup (finite index)."""
+    d = sup.ambient_dim
+    r = len(sup.basis)
+    if r == 0:
+        return [tuple([0] * d)]
+    A = []
+    for b in sub.basis:
+        c = solve_in_lattice(sup, b)
+        assert c is not None
+        A.append(c)
+    assert len(A) == r
+    res = snf(A)
+    vinv = unimodular_inverse(res.V)
+    reps = []
+    for cvec in itertools.product(*[range(dv) for dv in res.divisors]):
+        x = [sum(cvec[i] * vinv[i][j] for i in range(r)) for j in range(r)]
+        amb = tuple(sum(x[i] * sup.basis[i][j] for i in range(r))
+                    for j in range(d))
+        reps.append(amb)
+    return reps

@@ -19,6 +19,7 @@ from typing import Optional
 from .lattice import vadd
 from .monoid import (
     AffineMonoid,
+    NormalityCheck,
     check_seminormal_normal,
     lattice_monoid,
     monoid_build,
@@ -83,8 +84,11 @@ def _validate(fan: Fan, monoids: dict) -> None:
                     )
 
 
-def _with_flags(fan: Fan, monoids: dict) -> MonoidalComplex:
-    flags = {k: check_seminormal_normal(m) for k, m in monoids.items()}
+def _with_flags(fan: Fan, monoids: dict,
+                flags: Optional[dict] = None) -> MonoidalComplex:
+    """The complex with its per-cone normality flags, decided unless given."""
+    if flags is None:
+        flags = {k: check_seminormal_normal(m) for k, m in monoids.items()}
     sn = all(f.seminormal for f in flags.values())
     nm = all(f.normal for f in flags.values())
     return MonoidalComplex(fan, monoids, sn, nm, flags)
@@ -132,6 +136,10 @@ def build_complex(fan: Fan, maximal_monoid_gens: Optional[dict] = None,
             gens = monoid_face_gens(monoids[min(parents)], c)
             monoids[c.key] = monoid_build(gens, d, c)
     _validate(fan, monoids)
+    if stanley:
+        # the lattice points of a cone form a normal monoid by construction
+        return _with_flags(fan, monoids,
+                           dict.fromkeys(monoids, NormalityCheck(True, True, None)))
     return _with_flags(fan, monoids)
 
 
@@ -141,10 +149,7 @@ def restrict(mcc: MonoidalComplex, subfan: Fan) -> MonoidalComplex:
         if c.key not in mcc.monoids:
             raise ComplexError(f"cone {c.key} is not part of the complex")
     monoids = {c.key: mcc.monoids[c.key] for c in subfan.cones}
-    flags = {k: mcc.cone_flags[k] for k in monoids}
-    sn = all(f.seminormal for f in flags.values())
-    nm = all(f.normal for f in flags.values())
-    return MonoidalComplex(subfan, monoids, sn, nm, flags)
+    return _with_flags(subfan, monoids, {k: mcc.cone_flags[k] for k in monoids})
 
 
 @dataclass(frozen=True)

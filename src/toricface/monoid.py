@@ -15,10 +15,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from math import gcd
 from typing import Optional
 
 from .lattice import (
     LatticeBasis,
+    content,
+    coset_representatives,
     dot,
     intersect,
     is_zero,
@@ -26,12 +29,12 @@ from .lattice import (
     lattice_from_rows,
     primitive,
     rank_int,
+    rational_coords,
     row_saturation,
-    snf,
     solve_in_lattice,
-    unimodular_inverse,
     vadd,
     vec,
+    vscale,
     vsub,
 )
 from .polyhedral import Cone, cone_build, face_lattice, zero_cone
@@ -212,14 +215,16 @@ def triangulate_cone(cone: Cone):
     if not rays:
         return []
     placed = [rays[0]]
+    placed_rank = 1
     simplices = [(rays[0],)]
     for v in rays[1:]:
-        old_rank = rank_int([list(r) for r in placed])
-        if rank_int([list(r) for r in placed] + [list(v)]) > old_rank:
+        rank = rank_int([list(r) for r in placed] + [list(v)])
+        if rank > placed_rank:
+            placed_rank = rank
             simplices = [s + (v,) for s in simplices]
         else:
             span = LatticeBasis(cone.ambient_dim,
-                                tuple(vec(r) for r in _saturate_rows(placed, cone.ambient_dim)))
+                                tuple(row_saturation(placed, cone.ambient_dim)))
             k = span.rank
             coords = {r: tuple(solve_in_lattice(span, r)) for r in placed + [v]}
             facet_count = {}
@@ -251,86 +256,37 @@ def triangulate_cone(cone: Cone):
     return simplices
 
 
-def _saturate_rows(rows, d):
-    return row_saturation([list(r) for r in rows], d)
-
-
 def minimal_ray_point(ray, lattice: LatticeBasis):
     """The smallest positive multiple of the ray lying in the lattice."""
-    d = len(ray)
-    line = lattice_from_rows(d, [list(ray)])
-    both = intersect(lattice, line)
-    assert both.rank == 1, "lattice misses the ray"
-    b = both.basis[0]
-    # b = t * ray for some nonzero integer t
-    j = next(i for i in range(d) if ray[i] != 0)
-    if b[j] * ray[j] < 0:
-        b = tuple(-x for x in b)
-    return b
+    coords = rational_coords(lattice, ray)
+    assert coords is not None, "lattice misses the ray"
+    # den * ray = sum c_i b_i, so t * ray lies in the lattice iff den | t * c_i
+    # for every i, i.e. iff den / gcd(den, content(c)) divides t
+    c, den = coords
+    return vscale(den // gcd(den, content(c)), vec(ray))
 
 
 def parallelepiped_points(simplex_points, lattice: LatticeBasis, ambient_dim):
     """Lattice points of {sum q_i s_i : 0 <= q_i < 1}, including the origin."""
-    from fractions import Fraction
-
     spts = [vec(s) for s in simplex_points]
-    k = len(spts)
-    span_lin = LatticeBasis(ambient_dim,
-                            tuple(vec(r) for r in _saturate_rows(spts, ambient_dim)))
+    span_lin = LatticeBasis(ambient_dim, tuple(row_saturation(spts, ambient_dim)))
     lat = intersect(lattice, span_lin)
-    assert lat.rank == k
-    A = []
-    sub = lattice_from_rows(ambient_dim, [list(s) for s in spts])
-    for row in sub.basis:
-        c = solve_in_lattice(lat, row)
-        assert c is not None
-        A.append(list(c))
-    res = snf(A)
-    vinv = unimodular_inverse(res.V)
-    index = 1
-    for dv in res.divisors:
-        index *= dv
-
-    def coords_in_spts(z):
-        rows = [[Fraction(spts[i][j]) for i in range(k)] + [Fraction(z[j])]
-                for j in range(ambient_dim)]
-        piv = []
-        r = 0
-        for c in range(k):
-            p = next((i for i in range(r, ambient_dim) if rows[i][c] != 0), None)
-            if p is None:
-                continue
-            rows[r], rows[p] = rows[p], rows[r]
-            inv = 1 / rows[r][c]
-            rows[r] = [x * inv for x in rows[r]]
-            for i in range(ambient_dim):
-                if i != r and rows[i][c] != 0:
-                    fq = rows[i][c]
-                    rows[i] = [x - fq * y for x, y in zip(rows[i], rows[r])]
-            piv.append(c)
-            r += 1
-        for i in range(r, ambient_dim):
-            assert rows[i][k] == 0
-        q = [Fraction(0)] * k
-        for row_i, c in enumerate(piv):
-            q[c] = rows[row_i][k]
-        return q
-
+    assert lat.rank == len(spts)
+    simplex = LatticeBasis(ambient_dim, tuple(spts))
+    # one point per coset of the simplex lattice, moved into the half-open
+    # parallelepiped by the floors of its coordinates over the simplex
+    reps = coset_representatives(simplex, lat)
     out = set()
-    for cvec in itertools.product(*[range(dv) for dv in res.divisors]):
-        x = [sum(cvec[i] * vinv[i][j] for i in range(k)) for j in range(k)]
-        z0 = tuple(sum(x[i] * lat.basis[i][j] for i in range(k))
-                   for j in range(ambient_dim))
-        q = coords_in_spts(z0)
-        z = z0
-        for i in range(k):
-            fl = q[i].numerator // q[i].denominator
+    for z in reps:
+        c, den = rational_coords(simplex, z)
+        for ci, s in zip(c, spts):
+            fl = ci // den
             if fl:
-                z = vsub(z, tuple(fl * c for c in spts[i]))
-        qz = coords_in_spts(z)
-        assert all(0 <= qi < 1 for qi in qz)
-        out.add(vec(z))
-    assert len(out) == index
+                z = vsub(z, vscale(fl, s))
+        c, den = rational_coords(simplex, z)
+        assert all(0 <= ci < den for ci in c)
+        out.add(z)
+    assert len(out) == len(reps)  # one point per coset: the index
     return out
 
 

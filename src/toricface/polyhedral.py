@@ -12,20 +12,22 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .lattice import (
     LatticeBasis,
+    det_int,
     dot,
     identity,
     is_zero,
     kernel_basis,
     lattice_from_rows,
+    mat_mul,
     primitive,
     rank_int,
     reduce_mod_lattice,
     solve_in_lattice,
+    transpose,
     vec,
 )
 
@@ -511,56 +513,6 @@ def skeleton_fan(fan: Fan, i: int) -> Fan:
 # ---------------------------------------------------------------------------
 # the cellular chain complex of a fan
 
-def _solve_coords(basis_rows, v):
-    """Rational coordinates of v in the span of the basis rows."""
-    k = len(basis_rows)
-    d = len(v)
-    # solve x * B = v by Gaussian elimination on B^T | v
-    A = [[Fraction(basis_rows[i][j]) for i in range(k)] + [Fraction(v[j])] for j in range(d)]
-    piv_cols = []
-    r = 0
-    for c in range(k):
-        p = next((i for i in range(r, d) if A[i][c] != 0), None)
-        if p is None:
-            continue
-        A[r], A[p] = A[p], A[r]
-        inv = 1 / A[r][c]
-        A[r] = [x * inv for x in A[r]]
-        for i in range(d):
-            if i != r and A[i][c] != 0:
-                f = A[i][c]
-                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
-        piv_cols.append(c)
-        r += 1
-    for i in range(r, d):
-        if A[i][k] != 0:
-            raise ValueError("vector outside the span")
-    x = [Fraction(0)] * k
-    for row, c in enumerate(piv_cols):
-        x[c] = A[row][k]
-    return x
-
-
-def _det_fraction(M):
-    n = len(M)
-    A = [row[:] for row in M]
-    det = Fraction(1)
-    for c in range(n):
-        p = next((i for i in range(c, n) if A[i][c] != 0), None)
-        if p is None:
-            return Fraction(0)
-        if p != c:
-            A[c], A[p] = A[p], A[c]
-            det = -det
-        det *= A[c][c]
-        inv = 1 / A[c][c]
-        for i in range(c + 1, n):
-            if A[i][c] != 0:
-                f = A[i][c] * inv
-                A[i] = [x - f * y for x, y in zip(A[i], A[c])]
-    return det
-
-
 def orientation_basis(cone: Cone):
     """First dim(C) linearly independent rays in canonical order."""
     rows = []
@@ -580,8 +532,9 @@ def incidence_sign(big: Cone, small: Cone) -> int:
     w = next(r for r in big.rays if r not in set(small.rays))
     rows = [w] + orientation_basis(small)
     basis = orientation_basis(big)
-    M = [_solve_coords(basis, r) for r in rows]
-    det = _det_fraction(M)
+    # rows = M * basis, so det(rows * basis^T) = det(M) * det(basis * basis^T)
+    # has the sign of det(M): a Gram determinant of independent rows is > 0
+    det = det_int(mat_mul(rows, transpose(basis)))
     assert det != 0
     return 1 if det > 0 else -1
 

@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+import toricface.cli
 from toricface.cli import (InputError, build_from_document, main,
                            parse_input, render_document, render_report,
                            run_command)
@@ -153,6 +154,19 @@ def test_main_exit_codes(tmp_path, capsys):
         "monoids": {"stanley": True}}))
     assert main(["presentation", str(wide)]) == 1
     assert "limited to 16 generators" in capsys.readouterr().err
+
+
+def test_main_internal_error_exit(monkeypatch, capsys):
+    """Anything but bad input exits 3 with one line on stderr."""
+    def failing(doc, command, options):
+        raise AssertionError("certificate failed\nsecond line")
+
+    monkeypatch.setattr(toricface.cli, "run_command", failing)
+    assert main(["validate", fixture_path("fix-c")]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("toricface: internal error: AssertionError: "
+                   "certificate failed second line\n")
 
 
 def test_main_bound_exhausted_exit(capsys):

@@ -7,6 +7,7 @@ import pytest
 
 from toricface.lattice import (
     LatticeBasis,
+    coset_representatives,
     det_int,
     full_lattice,
     hnf,
@@ -19,6 +20,7 @@ from toricface.lattice import (
     mat_vec,
     quotient_invariants,
     rank_int,
+    rational_coords,
     reduce_mod_lattice,
     row_saturation,
     snf,
@@ -162,6 +164,12 @@ def test_unimodular_inverse():
         assert mat_mul([list(r) for r in U], inv) == eye
 
 
+def test_unimodular_inverse_rejects_other_matrices():
+    for M in ([[2, 0], [0, 1]], [[1, 2], [2, 4]], [[3]], [[0]]):
+        with pytest.raises(ValueError, match="not unimodular"):
+            unimodular_inverse(M)
+
+
 # --- membership / solving ----------------------------------------------
 
 def test_solve_in_lattice_vs_enumeration():
@@ -207,6 +215,8 @@ def test_zero_lattice():
     L = LatticeBasis(3, ())
     assert solve_in_lattice(L, (0, 0, 0)) == []
     assert solve_in_lattice(L, (1, 0, 0)) is None
+    assert rational_coords(L, (0, 0, 0)) == ([], 1)
+    assert rational_coords(L, (1, 0, 0)) is None
     assert L.rank == 0
 
 
@@ -277,6 +287,30 @@ def test_quotient_rejects_non_sublattice():
         quotient_invariants(sub, sup)
 
 
+def test_coset_representatives():
+    """One representative per coset: as many as the index, pairwise
+    inequivalent mod sub, each in sup."""
+    rng = random.Random(2718)
+    assert coset_representatives(LatticeBasis(2, ()), LatticeBasis(2, ())) \
+        == [(0, 0)]
+    for trial in range(60):
+        d = rng.randint(1, 3)
+        sup = lattice_from_rows(d, random_matrix(rng, rng.randint(1, d), d, -3, 3))
+        if not sup.basis:
+            continue
+        while True:
+            T = random_matrix(rng, sup.rank, sup.rank, -3, 3)
+            if det_int(T) != 0:
+                break
+        # a sublattice of full rank, not saturated unless |det T| = 1
+        sub = lattice_from_rows(d, mat_mul(T, [list(b) for b in sup.basis]))
+        reps = coset_representatives(sub, sup)
+        assert len(reps) == abs(det_int(T)) == quotient_invariants(sub, sup).index
+        assert all(sup.contains(r) for r in reps)
+        for a, b in itertools.combinations(reps, 2):
+            assert not sub.contains(tuple(x - y for x, y in zip(a, b)))
+
+
 # --- canonical coset reduction ------------------------------------------
 
 def test_reduce_mod_lattice_is_canonical():
@@ -329,9 +363,11 @@ def test_basis_normal_forms_are_computed_once(monkeypatch):
         a, b = rng.randint(-4, 4), rng.randint(-4, 4)
         v = (2 * a, 3 * b, a + b + (i % 2) * rng.randint(-1, 1))
         hits += solve_in_lattice(L, v) is not None
+        assert (rational_coords(L, v) is not None) == (v[2] * 6 == 3 * v[0] + 2 * v[1])
         assert reduce_mod_lattice(L, v) == reduce_mod_lattice(L2, v)
     assert 50 <= hits < 100
     # a basis already in Hermite form is read as it is; the other needs
-    # one hnf, kept for every later reduction
+    # one hnf, kept for every later reduction; every solve, rational or
+    # integral, reuses the Smith form
     assert counts == {"snf": 2, "hnf": 1}
     assert L.hnf_pivots == L2.hnf_pivots

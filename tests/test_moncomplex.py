@@ -33,7 +33,8 @@ import toricface.cli
 import toricface.monoid
 import toricface.polyhedral
 from toricface.cli import build_from_document, parse_input
-from toricface.monoid import monoid_member
+from toricface.monoid import (NormalityCheck, check_seminormal_normal,
+                              lattice_monoid, monoid_member)
 from toricface.polyhedral import (cone_build, face_lattice, fan_build,
                                   skeleton_fan, zero_cone)
 
@@ -54,11 +55,20 @@ def test_fixture_flags():
 
 
 def test_stanley_complexes_are_normal():
-    for mcc in (stanley_r1(), octant_boundary()):
+    """build_complex gives Stanley cones their flags by construction; the
+    decision procedure agrees on every cone, unimodular or not."""
+    plane = fan_build([cone_build([(1, 0), (1, 3)]),
+                       cone_build([(1, 3), (-2, 1)])])
+    crosspoly = build_from_document(parse_input(crosspoly_stanley_text(3)))[0]
+    for mcc in (stanley_r1(), octant_boundary(), crosspoly,
+                build_complex(plane, stanley=True)):
         assert mcc.normal_monoids and mcc.seminormal
         for key, m in mcc.monoids.items():
             cone = mcc.fan.by_key(key)
             assert m.cone.key == cone.key
+            flags = check_seminormal_normal(lattice_monoid(cone))
+            assert flags == NormalityCheck(True, True, None), key
+            assert mcc.cone_flags[key] == flags
 
 
 def crosspoly_stanley_text(d):

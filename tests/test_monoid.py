@@ -10,9 +10,10 @@ import itertools
 import random
 
 import pytest
+from test_polyhedral import solve_exact
 
-from toricface.lattice import (dot, full_lattice, primitive, solve_in_lattice,
-                               vadd, vsub)
+from toricface.lattice import (dot, full_lattice, lattice_from_rows, primitive,
+                               rank_int, solve_in_lattice, vadd, vsub)
 from toricface.monoid import (
     BoundTooSmallError,
     check_seminormal_normal,
@@ -138,11 +139,54 @@ def test_normalization_idempotent():
         assert set(again) == set(hb)
 
 
+def random_lattice_and_points(rng, d, k):
+    """A random lattice of rank r >= k in Z^d, mostly not saturated, and k
+    independent points of it."""
+    while True:
+        rows = [[rng.randint(-2, 2) for _ in range(d)]
+                for _ in range(rng.randint(k, d))]
+        L = lattice_from_rows(d, rows)
+        if L.rank < k:
+            continue
+        coeffs = [[rng.randint(-2, 2) for _ in rows] for _ in range(k)]
+        pts = [tuple(sum(c * b[j] for c, b in zip(cs, rows)) for j in range(d))
+               for cs in coeffs]
+        if rank_int([list(p) for p in pts]) == k:
+            return L, pts
+
+
 def test_minimal_ray_point():
     zm = M1.group
     assert minimal_ray_point((1, 0), zm) == (3, 0)
     assert minimal_ray_point((1, 1), zm) == (3, 3)
     assert minimal_ray_point((1, 2), full_lattice(2)) == (1, 2)
+    # against the first multiple found by a scan, on random lattices
+    rng = random.Random(1410)
+    for d in (1, 2, 3):
+        for _ in range(25):
+            L, (p,) = random_lattice_and_points(rng, d, 1)
+            ray = primitive(p)
+            t = next(t for t in itertools.count(1)
+                     if solve_in_lattice(L, [t * x for x in ray]) is not None)
+            assert minimal_ray_point(ray, L) == tuple(t * x for x in ray), (L, ray)
+
+
+def brute_parallelepiped(spts, L, d):
+    """Points of L in the bounding box of the parallelepiped whose Fraction
+    coordinates over the simplex points lie in [0, 1)."""
+    corners = [tuple(sum(s[j] for s in sub) for j in range(d))
+               for n in range(len(spts) + 1)
+               for sub in itertools.combinations(spts, n)]
+    box = [range(min(c[j] for c in corners), max(c[j] for c in corners) + 1)
+           for j in range(d)]
+    out = set()
+    for z in itertools.product(*box):
+        if solve_in_lattice(L, z) is None:
+            continue
+        q = solve_exact(spts, z)
+        if q is not None and all(0 <= x < 1 for x in q):
+            out.add(z)
+    return out
 
 
 def test_parallelepiped_points():
@@ -150,6 +194,16 @@ def test_parallelepiped_points():
     assert pts == {(0, 0), (1, 1)}
     pts1 = parallelepiped_points([(3, 0), (3, 3)], M1.group, 2)
     assert pts1 == {(0, 0), (3, 1), (3, 2)}
+    # against a box scan, on random lattices and simplices of every dimension
+    rng = random.Random(2207)
+    sizes = set()
+    for d in (1, 2, 3):
+        for trial in range(12):
+            L, spts = random_lattice_and_points(rng, d, 1 + trial % d)
+            got = parallelepiped_points(spts, L, d)
+            assert got == brute_parallelepiped(spts, L, d), (L, spts)
+            sizes.add(len(got))
+    assert max(sizes) > 2
 
 
 def test_triangulation_covers_cone():

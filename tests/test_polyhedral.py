@@ -6,12 +6,15 @@ Both oracles avoid the library's Fourier-Motzkin path entirely.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from conftest import ALL_FIXTURES
 
-from toricface.lattice import dot, rank_int, solve_in_lattice
+from toricface.lattice import (LatticeBasis, dot, rank_int, rational_coords,
+                               solve_in_lattice)
 from toricface.polyhedral import (
     Cone,
     ConeNotPointedError,
@@ -21,6 +24,8 @@ from toricface.polyhedral import (
     facets_through,
     fan_build,
     generators_from_h,
+    incidence_sign,
+    orientation_basis,
     relint_contains,
     skeleton_fan,
     trivial_fan,
@@ -56,6 +61,24 @@ def solve_exact(cols, x):
     for row, c in enumerate(piv):
         lam[c] = A[row][k]
     return lam
+
+
+def fraction_det(M):
+    """Determinant of a square matrix of Fractions by Gaussian elimination."""
+    A = [list(r) for r in M]
+    det = Fraction(1)
+    for c in range(len(A)):
+        p = next((i for i in range(c, len(A)) if A[i][c] != 0), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            A[c], A[p] = A[p], A[c]
+            det = -det
+        det *= A[c][c]
+        for i in range(c + 1, len(A)):
+            f = A[i][c] / A[c][c]
+            A[i] = [x - f * y for x, y in zip(A[i], A[c])]
+    return det
 
 
 def oracle_in_cone(gens, x):
@@ -226,6 +249,71 @@ def test_membership_by_equations_matches_lattice_solve(d, box):
             relint = (all(x == 0 for x in v) if cone.dim == 0 else
                       in_lin and all(dot(f, v) > 0 for f in cone.facets))
             assert relint_contains(cone, v) == relint, (cone, v)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_rational_coords_matches_fraction_solve(d):
+    """Smith-form coordinates equal the Fraction solve; None off the span."""
+    rng = random.Random(5200 + d)
+    seen = {"off": 0, "fractional": 0}
+    for trial in range(30):
+        k = rng.randint(1, d)
+        basis = [tuple(rng.randint(-4, 4) for _ in range(d)) for _ in range(k)]
+        if rank_int([list(b) for b in basis]) < k:
+            continue
+        L = LatticeBasis(d, tuple(basis))
+        # box points (off the span when k < d), and primitive span points,
+        # which have fractional coordinates when L is not saturated
+        vs = [tuple(rng.randint(-5, 5) for _ in range(d)) for _ in range(10)]
+        for _ in range(10):
+            cs = [rng.randint(-3, 3) for _ in basis]
+            w = [sum(c * b[j] for c, b in zip(cs, basis)) for j in range(d)]
+            g = math.gcd(*w)
+            vs.append(tuple(x // g for x in w) if g else tuple(w))
+        for v in vs:
+            want = solve_exact(basis, v)
+            got = rational_coords(L, v)
+            if want is None:
+                assert got is None, (basis, v)
+                seen["off"] += 1
+                continue
+            c, den = got
+            assert den > 0 and [Fraction(x, den) for x in c] == want, (basis, v)
+            seen["fractional"] += any(q.denominator > 1 for q in want)
+    assert seen["fractional"] and (d == 1 or seen["off"])
+
+
+def crosspoly_fan(d):
+    """The complete fan of the 2^d coordinate orthants."""
+    return fan_build([
+        cone_build([tuple(s if j == i else 0 for j in range(d))
+                    for i, s in enumerate(signs)], d)
+        for signs in itertools.product((1, -1), repeat=d)])
+
+
+def test_incidence_sign_matches_fraction_determinant():
+    """Every (cone, facet) pair of the fixtures, the d=3 cross-polytope and
+    random 3-cones, against the determinant of Fraction coordinates."""
+    rng = random.Random(808)
+    fans = ([build().fan for build in ALL_FIXTURES.values()] + [crosspoly_fan(3)]
+            + [fan_build([random_pointed_cone(rng)[0]]) for _ in range(15)])
+    signs = set()
+    for fan in fans:
+        for big in fan.cones:
+            for small in fan.facets_of(big):
+                if small.dim == 0:
+                    want = 1
+                else:
+                    w = next(r for r in big.rays if r not in small.rays)
+                    basis = orientation_basis(big)
+                    M = [solve_exact(basis, r)
+                         for r in [w] + orientation_basis(small)]
+                    det = fraction_det(M)
+                    assert det != 0
+                    want = 1 if det > 0 else -1
+                    signs.add(want)
+                assert incidence_sign(big, small) == want, (big.key, small.key)
+    assert signs == {1, -1}
 
 
 def test_generators_from_h():
