@@ -26,7 +26,10 @@ from .cohomology import CohomologyTable, check_characteristic, \
 from .lattice import (
     dot,
     is_prime,
+    kernel_mod,
     mat_mul,
+    mat_vec,
+    rank_mod,
     reduce_mod_lattice,
     solve_in_lattice,
     vadd,
@@ -36,7 +39,7 @@ from .lattice import (
 )
 from .moncomplex import MonoidalComplex
 from .monoid import monoid_member
-from .polyhedral import Cone, facets_through
+from .polyhedral import Cone, cochain, facets_through
 
 DEFAULT_STATE_CAP = 200_000
 WITNESS_HARD_CAP = 10_000
@@ -213,35 +216,30 @@ def cech_slice(mcc: MonoidalComplex, a,
                state_cap: Optional[int] = None) -> CechSlice:
     a = vec(a)
     fan = mcc.fan
-    by_dim: dict = {}
+    cap = DEFAULT_STATE_CAP if state_cap is None else state_cap
+    pieces = []
     for c in fan.cones:
         pr = localization_piece(mcc, c, a, state_cap)
         if pr.value:
-            by_dim.setdefault(c.dim, []).append((c, pr.witness))
-    mats = {}
-    for t in sorted(by_dim):
-        if t + 1 not in by_dim:
-            continue
-        rows = by_dim[t + 1]
-        cols = by_dim[t]
-        M = [[0] * len(cols) for _ in rows]
-        for ri, (big, _) in enumerate(rows):
-            targets = fan.up_set(big)
-            cap = DEFAULT_STATE_CAP if state_cap is None else state_cap
-            for ci, (small, _) in enumerate(cols):
-                if not set(small.rays) <= set(big.rays):
-                    continue
-                if _decide(mcc, small, targets, a, cap):
-                    M[ri][ci] = big.facet_sign(small)
-        mats[t] = M
+            pieces.append((c, pr.witness))
+    ups: dict = {}
+
+    def linked(small, big):
+        # nonzero where a = z - y, y in small's monoid, z in one above big
+        if big.key not in ups:
+            ups[big.key] = fan.up_set(big)
+        return _decide(mcc, small, ups[big.key], a, cap)
+
+    _, mats = cochain([c for c, _ in pieces], linked)
     for t in sorted(mats):
         if t + 1 in mats:
             square = mat_mul(mats[t + 1], mats[t])
             assert all(x == 0 for row in square for x in row), \
                 f"maps at degree {a} do not compose to zero at level {t}"
-    levels = tuple(sorted((t, tuple((c.key, w) for c, w in v))
-                          for t, v in by_dim.items()))
-    return CechSlice(a, levels,
+    by_dim: dict = {}
+    for c, w in pieces:
+        by_dim.setdefault(c.dim, []).append((c.key, w))
+    return CechSlice(a, tuple((t, tuple(v)) for t, v in sorted(by_dim.items())),
                      tuple(sorted((t, tuple(tuple(r) for r in M))
                                   for t, M in mats.items())))
 
@@ -252,64 +250,6 @@ def cech_degree(mcc: MonoidalComplex, a, characteristic,
     check_characteristic(characteristic)
     sl = cech_slice(mcc, a, state_cap)
     return table_from_cochain(sl.sizes(), sl.matrices(), characteristic)
-
-
-# ---------------------------------------------------------------------------
-# linear algebra over a prime field
-
-def _modp(M, p):
-    return [[x % p for x in row] for row in M]
-
-
-def _rref(M, p):
-    """Row-reduced form over F_p; returns (rows, pivot column list)."""
-    R = [row[:] for row in M]
-    pivots = []
-    r = 0
-    ncols = len(R[0]) if R else 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(R)) if R[i][c] % p), None)
-        if pr is None:
-            continue
-        R[r], R[pr] = R[pr], R[r]
-        inv = pow(R[r][c], p - 2, p)
-        R[r] = [(x * inv) % p for x in R[r]]
-        for i in range(len(R)):
-            if i != r and R[i][c] % p:
-                f = R[i][c] % p
-                R[i] = [(x - f * y) % p for x, y in zip(R[i], R[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(R):
-            break
-    return R, pivots
-
-
-def _rank_p(M, p) -> int:
-    if not M or not M[0]:
-        return 0
-    return len(_rref(M, p)[1])
-
-
-def _nullspace_p(M, p, ncols) -> list:
-    """Basis of the kernel over F_p, as column vectors of length ncols."""
-    if not M or not M[0]:
-        return [[1 if i == j else 0 for i in range(ncols)]
-                for j in range(ncols)]
-    R, pivots = _rref(M, p)
-    free = [c for c in range(ncols) if c not in pivots]
-    out = []
-    for fc in free:
-        v = [0] * ncols
-        v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = (-R[r][fc]) % p
-        out.append(v)
-    return out
-
-
-def _stack_columns(cols, nrows):
-    return [[col[i] for col in cols] for i in range(nrows)]
 
 
 # ---------------------------------------------------------------------------
@@ -332,12 +272,6 @@ class FrobeniusCheck:
     degree: tuple
     prime: int
     steps: tuple   # FrobeniusStep for every i where either side is nonzero
-
-
-def _columns_mod(M, p):
-    if not M or not M[0]:
-        return []
-    return [[row[j] % p for row in M] for j in range(len(M[0]))]
 
 
 def frobenius_check(mcc: MonoidalComplex, a, p: int,
@@ -393,19 +327,18 @@ def frobenius_check(mcc: MonoidalComplex, a, p: int,
     steps = []
     for i in range(top + 1):
         na, npa = len(keys_a[i]), len(keys_pa[i])
-        Za = _nullspace_p(_modp(level_map(sa, keys_a, i), p), p, na)
-        Zpa = _nullspace_p(_modp(level_map(spa, keys_pa, i), p), p, npa)
-        Ba = _columns_mod(level_map(sa, keys_a, i - 1), p)
-        Bpa = _columns_mod(level_map(spa, keys_pa, i - 1), p)
-
-        h_a = len(Za) - _rank_p(_stack_columns(Ba, na), p)
-        h_pa = len(Zpa) - _rank_p(_stack_columns(Bpa, npa), p)
+        Ba = level_map(sa, keys_a, i - 1)
+        Bpa = level_map(spa, keys_pa, i - 1)
+        Za = kernel_mod(level_map(sa, keys_a, i), p, na)
+        rank_b = rank_mod(Bpa, p)
+        h_a = len(Za) - rank_mod(Ba, p)
+        h_pa = npa - rank_mod(level_map(spa, keys_pa, i), p) - rank_b
         if h_a == 0 and h_pa == 0:
             continue
-        fz = [[sum(F[i][r][k] * z[k] for k in range(na)) % p
-               for r in range(npa)] for z in Za]
-        rank_b = _rank_p(_stack_columns(Bpa, npa), p)
-        rank_all = _rank_p(_stack_columns(Bpa + fz, npa), p)
+        # the cycles at a pushed to pa, counted modulo the boundaries there
+        fz = [mat_vec(F[i], z) for z in Za]
+        rank_all = rank_mod([list(row) + [v[r] for v in fz]
+                             for r, row in enumerate(Bpa)], p)
         induced = rank_all - rank_b
         steps.append(FrobeniusStep(
             i, h_a, h_pa, induced,

@@ -3,7 +3,7 @@
 The degree-a piece of local cohomology is read off combinatorially: the
 star of -a (the cones whose normalized monoid contains -a) carries a
 quotient of the augmented cellular cochain complex of the fan, and for
-seminormal complexes its reduced cohomology, shifted by one, is the answer.
+seminormal complexes its cohomology, graded by cone dimension, is the answer.
 Non-seminormal complexes are handled by splitting off the star summand and
 recursing into the subcomplex away from the star, falling back to the
 brute-force Cech oracle when the splitting is uninformative.
@@ -42,6 +42,7 @@ from .monoid import AffineMonoid, check_seminormal_normal, monoid_face_gens
 from .polyhedral import (
     Cone,
     Fan,
+    cochain,
     face_lattice,
     fan_build,
     relint_contains,
@@ -221,36 +222,9 @@ def star(mcc: MonoidalComplex, a) -> Star:
     return Star(a, tuple(sorted(members, key=lambda c: (c.dim, c.rays))))
 
 
-def _star_cochain(fan: Fan, cones) -> tuple:
-    """(sizes, matrices) of the quotient cochain complex on an up-closed set."""
-    keys = {c.key for c in cones}
-    by_deg: dict = {}
-    for c in sorted(cones, key=lambda c: (c.dim, c.rays)):
-        by_deg.setdefault(c.dim - 1, []).append(c.key)
-    sizes = {j: len(v) for j, v in by_deg.items()}
-    mats = {}
-    for j in sorted(by_deg):
-        if j + 1 not in by_deg:
-            continue
-        rows = by_deg[j + 1]
-        cols = by_deg[j]
-        col_index = {k: i for i, k in enumerate(cols)}
-        M = [[0] * len(cols) for _ in rows]
-        for r, big_key in enumerate(rows):
-            big = fan.by_key(big_key)
-            for small in fan.facets_of(big):
-                ci = col_index.get(small.key)
-                if ci is not None:
-                    M[r][ci] = big.facet_sign(small)
-        mats[j] = M
-    return sizes, mats
-
-
 def star_cohomology(mcc: MonoidalComplex, a, characteristic) -> CohomologyTable:
-    """Reduced cohomology of the star complex of a, all cell degrees."""
-    st = star(mcc, a)
-    sizes, mats = _star_cochain(mcc.fan, st.cones)
-    return table_from_cochain(sizes, mats, characteristic)
+    """Cohomology of the star complex of a, graded by cone dimension."""
+    return table_from_cochain(*cochain(star(mcc, a).cones), characteristic)
 
 
 # ---------------------------------------------------------------------------
@@ -261,13 +235,10 @@ def _complement_fan(fan: Fan, star_keys) -> Optional[Fan]:
     if not rest:
         return None
     keep = {c.key for c in rest}
-    max_keys = [c.key for c in rest
-                if not any(o.key != c.key and set(c.rays) < set(o.rays)
-                           for o in rest)]
     for c in rest:
         for f in fan.faces_of(c):
             assert f.key in keep
-    return Fan(fan.ambient_dim, tuple(rest), tuple(sorted(max_keys)))
+    return Fan(fan.ambient_dim, tuple(rest))
 
 
 def complex_avoiding(mcc: MonoidalComplex, b) -> Optional[MonoidalComplex]:
@@ -310,10 +281,10 @@ def local_cohomology_trace(mcc: MonoidalComplex, a,
                            characteristic) -> DegreeComputation:
     """Dimensions of H^i_m(R)_a, keeping every step of the splitting.
 
-    A seminormal complex is one star step.  Otherwise the star summand at
-    -a splits off and the subcomplex away from the star continues; when a
-    non-seminormal complex has empty star the formula is uninformative
-    and the Cech oracle finishes, labeled as such.
+    Each step splits off the summand carried by the star of -a; a
+    seminormal complex stops there, any other continues on the subcomplex
+    away from the star.  When a non-seminormal complex has empty star the
+    formula is uninformative and the Cech oracle finishes, labeled as such.
     """
     characteristic = check_characteristic(characteristic)
     a = vec(a)
@@ -323,14 +294,7 @@ def local_cohomology_trace(mcc: MonoidalComplex, a,
     oracle_tail = None
     while True:
         st = star(current, vneg(a))
-        if current.seminormal:
-            sizes, mats = _star_cochain(current.fan, st.cones)
-            summand = table_shift(
-                table_from_cochain(sizes, mats, characteristic), 1)
-            steps.append(DegreeStep(st.keys, summand, ()))
-            parts.append(summand)
-            break
-        if not st.cones:
+        if not (current.seminormal or st.cones):
             from .cech import cech_degree
             t = cech_degree(current, a, characteristic)
             oracle_tail = CohomologyTable(
@@ -338,10 +302,9 @@ def local_cohomology_trace(mcc: MonoidalComplex, a,
                 "oracle-computed")
             parts.append(oracle_tail)
             break
-        sizes, mats = _star_cochain(current.fan, st.cones)
-        summand = table_shift(
-            table_from_cochain(sizes, mats, characteristic), 1)
-        subfan = _complement_fan(current.fan, set(st.keys))
+        summand = table_from_cochain(*cochain(st.cones), characteristic)
+        subfan = (None if current.seminormal
+                  else _complement_fan(current.fan, set(st.keys)))
         remaining = tuple(c.key for c in subfan.cones) if subfan else ()
         steps.append(DegreeStep(st.keys, summand, remaining))
         parts.append(summand)
@@ -460,10 +423,8 @@ def cohomology_report(mcc: MonoidalComplex, characteristic) -> CohomologyReport:
                 sc, zero_table(characteristic),
                 "vanishes: -a outside the support of the complex"))
             continue
-        sizes, mats = _star_cochain(mcc.fan, sc.star.cones)
-        table = table_shift(
-            table_from_cochain(sizes, mats, characteristic), 1)
-        entries.append(ClassReport(sc, table))
+        entries.append(ClassReport(
+            sc, table_from_cochain(*cochain(sc.star.cones), characteristic)))
     return CohomologyReport(characteristic, mcc.fan.dim, tuple(entries))
 
 
@@ -625,9 +586,7 @@ def bbr_formula(mcc: MonoidalComplex, characteristic) -> BbrReport:
     entries = []
     for c in mcc.fan.cones:
         ups = mcc.fan.up_set(c)
-        sizes, mats = _star_cochain(mcc.fan, ups)
-        cellular = table_shift(
-            table_from_cochain(sizes, mats, characteristic), 1)
+        cellular = table_from_cochain(*cochain(ups), characteristic)
         verts = [d_ for d_ in ups if d_.key != c.key]
         ssizes, smats = _order_complex_cochain(mcc.fan, verts)
         simplicial = table_shift(

@@ -278,6 +278,42 @@ def rank_int(A) -> int:
     return snf(A).rank
 
 
+def _units_mod(divisors, p: int) -> int:
+    # the divisors prime to p come first in the chain d_1 | d_2 | ...
+    return next((i for i, x in enumerate(divisors) if x % p == 0), len(divisors))
+
+
+def rank_mod(A, p: int) -> int:
+    """Rank of an integer matrix over F_p: its divisors prime to p."""
+    if not A or not A[0]:
+        return 0
+    return _units_mod(snf(A).divisors, p)
+
+
+def kernel_mod(A, p: int, n: int) -> list:
+    """Basis of {x in F_p^n : A x = 0}, entries reduced into [0, p).
+
+    With U*A*V = D and x = V*y, A*x = 0 mod p reads D*y = 0 mod p, which
+    frees exactly the y_j past the divisors prime to p; V is invertible
+    mod p, so its columns from there on are a basis.
+    """
+    if not A or not A[0]:
+        return [tuple(r) for r in identity(n)]
+    res = snf(A)
+    return [tuple(res.V[i][j] % p for i in range(n))
+            for j in range(_units_mod(res.divisors, p), n)]
+
+
+def independent_rows(rows) -> list:
+    """Indices of the rows outside the rational span of the rows before them.
+
+    They are the pivot columns of the Hermite form of the transposed rows.
+    """
+    if not rows:
+        return []
+    return [c for _, c in hnf(transpose(rows)).pivots]
+
+
 # ---------------------------------------------------------------------------
 # Hermite normal form (row style)
 

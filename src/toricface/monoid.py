@@ -23,6 +23,7 @@ from .lattice import (
     content,
     coset_representatives,
     dot,
+    independent_rows,
     intersect,
     is_zero,
     kernel_basis,
@@ -37,7 +38,7 @@ from .lattice import (
     vscale,
     vsub,
 )
-from .polyhedral import Cone, cone_build, face_lattice, zero_cone
+from .polyhedral import Cone, cone_build, face_lattice
 
 
 class BoundTooSmallError(ValueError):
@@ -214,13 +215,12 @@ def triangulate_cone(cone: Cone):
     rays = list(cone.rays)
     if not rays:
         return []
+    # a ray outside the span of the placed ones extends every simplex
+    independent = set(independent_rows(rays))
     placed = [rays[0]]
-    placed_rank = 1
     simplices = [(rays[0],)]
-    for v in rays[1:]:
-        rank = rank_int([list(r) for r in placed] + [list(v)])
-        if rank > placed_rank:
-            placed_rank = rank
+    for i, v in enumerate(rays[1:], 1):
+        if i in independent:
             simplices = [s + (v,) for s in simplices]
         else:
             span = LatticeBasis(cone.ambient_dim,

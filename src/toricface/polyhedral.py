@@ -5,13 +5,15 @@ carry both descriptions (extreme rays and inward facet normals); the
 generator/facet duality is re-verified by a second elimination round.  Fans
 check face-closure and the common-face condition pairwise.  The chain
 complex assigns incidence signs through per-cone orientation bases and
-verifies that consecutive boundaries compose to zero.
+verifies that consecutive boundaries compose to zero; one builder makes
+the cochain matrices of every cone-indexed complex in the package.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .lattice import (
@@ -19,6 +21,7 @@ from .lattice import (
     det_int,
     dot,
     identity,
+    independent_rows,
     is_zero,
     kernel_basis,
     lattice_from_rows,
@@ -149,6 +152,8 @@ class Cone:
         object.__setattr__(self, "_signs", {})
         # the FaceLattice, filled by face_lattice
         object.__setattr__(self, "_lattice", None)
+        # the rays orienting the cone, filled by orientation_basis
+        object.__setattr__(self, "_basis", None)
 
     @property
     def key(self):
@@ -324,9 +329,6 @@ class FaceLattice:
     def dims(self):
         return tuple(f.dim for f in self.faces)
 
-    def leq(self, a: Cone, b: Cone) -> bool:
-        return set(a.rays) <= set(b.rays)
-
 
 def face_lattice(cone: Cone, known: Optional[dict] = None) -> FaceLattice:
     """All faces of a pointed cone, as intersections of facet zero-sets.
@@ -387,10 +389,16 @@ class Fan:
 
     ambient_dim: int
     cones: tuple          # all cones, sorted by (dim, rays)
-    maximal: tuple        # keys (ray tuples) of the inclusion-maximal cones
 
     def __post_init__(self):
         object.__setattr__(self, "_by_key", {c.key: c for c in self.cones})
+
+    @cached_property
+    def maximal(self) -> tuple:
+        """Keys (ray tuples) of the inclusion-maximal cones, sorted."""
+        ray_sets = [set(c.rays) for c in self.cones]
+        return tuple(sorted(c.key for c, rs in zip(self.cones, ray_sets)
+                            if not any(rs < o for o in ray_sets)))
 
     @property
     def dim(self) -> int:
@@ -398,9 +406,6 @@ class Fan:
 
     def by_key(self, key) -> Cone:
         return self._by_key[key]
-
-    def contains_cone(self, cone: Cone) -> bool:
-        return cone.key in self._by_key
 
     def cones_of_dim(self, k: int):
         return [c for c in self.cones if c.dim == k]
@@ -410,8 +415,10 @@ class Fan:
         return [c for c in self.cones if set(c.rays) <= rs]
 
     def up_set(self, cone: Cone):
+        # fan_build checked the common-face condition, so a cone whose rays
+        # contain those of another has it as a face
         rs = set(cone.rays)
-        return [c for c in self.cones if rs <= set(c.rays) and _is_face(cone, c)]
+        return [c for c in self.cones if rs <= set(c.rays)]
 
     def facets_of(self, cone: Cone):
         return [c for c in self.faces_of(cone) if c.dim == cone.dim - 1]
@@ -428,17 +435,6 @@ class Fan:
             if relint_contains(c, v):
                 return c
         return None
-
-
-def _is_face(small: Cone, big: Cone) -> bool:
-    if not set(small.rays) <= set(big.rays):
-        return False
-    if small.dim == 0:
-        return True
-    # a face is cut out by facet normals of the big cone
-    zf = [f for f in big.facets if all(dot(f, r) == 0 for r in small.rays)]
-    cut = [r for r in big.rays if all(dot(f, r) == 0 for f in zf)]
-    return set(cut) == set(small.rays)
 
 
 def _meet_in_common_face(a: Cone, b: Cone) -> bool:
@@ -487,42 +483,30 @@ def fan_build(maximal_cones: Sequence[Cone]) -> Fan:
             raise ValueError(
                 f"cones with rays {a.rays} and {b.rays} do not meet in a common face"
             )
-    ordered = tuple(sorted(cones.values(), key=lambda c: (c.dim, c.rays)))
-    max_keys = tuple(sorted(c.key for c in tops))
-    return Fan(d, ordered, max_keys)
+    return Fan(d, tuple(sorted(cones.values(), key=lambda c: (c.dim, c.rays))))
 
 
 def trivial_fan(ambient_dim: int) -> Fan:
-    z = zero_cone(ambient_dim)
-    return Fan(ambient_dim, (z,), (z.key,))
+    return Fan(ambient_dim, (zero_cone(ambient_dim),))
 
 
 def skeleton_fan(fan: Fan, i: int) -> Fan:
     """Subfan of all cones of dimension at most i."""
     if i < 0:
         raise ValueError("skeleton index must be >= 0")
-    kept = [c for c in fan.cones if c.dim <= i]
-    keys = {c.key for c in kept}
-    max_keys = []
-    for c in kept:
-        if not any(o.key != c.key and set(c.rays) < set(o.rays) for o in kept):
-            max_keys.append(c.key)
-    return Fan(fan.ambient_dim, tuple(kept), tuple(sorted(set(max_keys))))
+    return Fan(fan.ambient_dim, tuple(c for c in fan.cones if c.dim <= i))
 
 
 # ---------------------------------------------------------------------------
 # the cellular chain complex of a fan
 
-def orientation_basis(cone: Cone):
-    """First dim(C) linearly independent rays in canonical order."""
-    rows = []
-    for r in cone.rays:
-        if rank_int([list(x) for x in rows] + [list(r)]) > len(rows):
-            rows.append(r)
-        if len(rows) == cone.dim:
-            break
-    assert len(rows) == cone.dim
-    return rows
+def orientation_basis(cone: Cone) -> tuple:
+    """First dim(C) linearly independent rays in canonical order, kept on C."""
+    if cone._basis is None:
+        rows = tuple(cone.rays[i] for i in independent_rows(cone.rays))
+        assert len(rows) == cone.dim
+        object.__setattr__(cone, "_basis", rows)
+    return cone._basis
 
 
 def incidence_sign(big: Cone, small: Cone) -> int:
@@ -530,7 +514,7 @@ def incidence_sign(big: Cone, small: Cone) -> int:
     if big.dim == small.dim + 1 and small.dim == 0:
         return 1  # augmentation: every ray meets the empty cell once
     w = next(r for r in big.rays if r not in set(small.rays))
-    rows = [w] + orientation_basis(small)
+    rows = [w, *orientation_basis(small)]
     basis = orientation_basis(big)
     # rows = M * basis, so det(rows * basis^T) = det(M) * det(basis * basis^T)
     # has the sign of det(M): a Gram determinant of independent rows is > 0
@@ -539,63 +523,63 @@ def incidence_sign(big: Cone, small: Cone) -> int:
     return 1 if det > 0 else -1
 
 
+def cochain(cones, linked=None) -> tuple:
+    """(sizes, mats) of the cochain complex on cones of a fan, by dimension.
+
+    sizes[t] counts the t-cones; mats[t] maps level t to level t+1, with
+    one row per (t+1)-cone and one column per t-cone in the given order.
+    A facet pair gets big.facet_sign(small), or 0 where linked(small, big)
+    is false.  Inside a fan, rays(small) in rays(big) one dimension up is
+    the facet relation.
+    """
+    by_dim: dict = {}
+    for c in cones:
+        by_dim.setdefault(c.dim, []).append(c)
+    mats = {}
+    for t, cols in by_dim.items():
+        M = []
+        for big in by_dim.get(t + 1, ()):
+            rs = set(big.rays)
+            M.append([big.facet_sign(small)
+                      if rs.issuperset(small.rays)
+                      and (linked is None or linked(small, big)) else 0
+                      for small in cols])
+        if M:
+            mats[t] = M
+    return {t: len(v) for t, v in by_dim.items()}, mats
+
+
 @dataclass(frozen=True)
 class CellComplex:
     """Augmented cellular chain complex of a fan.
 
     Cells in degree i are the (i+1)-dimensional cones; the zero cone is the
     empty cell in degree -1.  boundary[i] maps degree-i chains to degree
-    (i-1)-chains (rows indexed by the lower cells).
+    (i-1)-chains (rows indexed by the lower cells): the transpose of the
+    cochain map from the i-cones to the (i+1)-cones.
     """
 
     fan: Fan
     cells: dict     # degree -> list of cone keys
     boundary: dict  # degree -> integer matrix (rows: cells[deg-1], cols: cells[deg])
-    incidence: dict  # (big key, small key) -> ±1
-
-    def degree_range(self):
-        return range(0, self.fan.dim)
 
 
 def cell_complex(fan: Fan) -> CellComplex:
-    cells = {-1: [()]}
     top = fan.dim
-    for deg in range(0, top):
-        cells[deg] = [c.key for c in fan.cones_of_dim(deg + 1)]
+    cells = {t - 1: [c.key for c in fan.cones_of_dim(t)] for t in range(top + 1)}
+    _, mats = cochain(fan.cones)
+    boundary = {t: transpose(mats[t]) for t in range(top)}
 
-    incidence = {}
-    boundary = {}
-    for deg in range(0, top):
-        rows = cells[deg - 1]
-        cols = cells[deg]
-        row_index = {k: i for i, k in enumerate(rows)}
-        M = [[0] * len(cols) for _ in rows]
-        for j, ck in enumerate(cols):
-            big = fan.by_key(ck)
-            for small in fan.facets_of(big):
-                sgn = big.facet_sign(small)
-                incidence[(big.key, small.key)] = sgn
-                M[row_index[small.key]][j] = sgn
-        boundary[deg] = M
+    # boundary-squared, and the diamond: between two cones two dimensions
+    # apart lie exactly two cones, each giving one nonzero term
+    for t in range(1, top):
+        A, B = boundary[t - 1], boundary[t]
+        for small, row in zip(fan.cones_of_dim(t - 1), A):
+            rs = set(small.rays)
+            for j, big in enumerate(fan.cones_of_dim(t + 1)):
+                terms = [x * B[k][j] for k, x in enumerate(row) if x and B[k][j]]
+                assert sum(terms) == 0, "boundary composition is nonzero"
+                assert len(terms) == (2 if rs <= set(big.rays) else 0), \
+                    "face interval is not a diamond"
 
-    # boundary-squared and the diamond identity
-    for deg in range(1, top):
-        A = boundary[deg - 1]
-        B = boundary[deg]
-        for i in range(len(A)):
-            for j in range(len(B[0]) if B else 0):
-                s = sum(A[i][k] * B[k][j] for k in range(len(B)))
-                assert s == 0, "boundary composition is nonzero"
-    for big in fan.cones:
-        if big.dim < 2:
-            continue
-        for small in fan.faces_of(big):
-            if small.dim != big.dim - 2:
-                continue
-            mids = [m for m in fan.cones
-                    if m.dim == big.dim - 1
-                    and set(small.rays) <= set(m.rays) <= set(big.rays)
-                    and _is_face(small, m) and _is_face(m, big)]
-            assert len(mids) == 2, "face interval is not a diamond"
-
-    return CellComplex(fan, cells, boundary, incidence)
+    return CellComplex(fan, cells, boundary)

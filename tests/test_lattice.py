@@ -11,8 +11,10 @@ from toricface.lattice import (
     det_int,
     full_lattice,
     hnf,
+    independent_rows,
     intersect,
     kernel_basis,
+    kernel_mod,
     lattice_equal,
     lattice_from_rows,
     left_kernel_basis,
@@ -20,6 +22,7 @@ from toricface.lattice import (
     mat_vec,
     quotient_invariants,
     rank_int,
+    rank_mod,
     rational_coords,
     reduce_mod_lattice,
     row_saturation,
@@ -54,6 +57,33 @@ def oracle_coset_count(sub_rows, box):
         for y in range(-box, box + 1):
             seen.add(reduce_mod_lattice(L, (x, y)))
     return len(seen)
+
+
+def rank_mod_oracle(M, p):
+    """Rank over F_p by Gauss-Jordan elimination."""
+    R = [[x % p for x in row] for row in M]
+    rank = 0
+    for c in range(len(R[0]) if R else 0):
+        pr = next((i for i in range(rank, len(R)) if R[i][c]), None)
+        if pr is None:
+            continue
+        R[rank], R[pr] = R[pr], R[rank]
+        inv = pow(R[rank][c], p - 2, p)
+        R[rank] = [x * inv % p for x in R[rank]]
+        for i in range(len(R)):
+            if i != rank and R[i][c]:
+                f = R[i][c]
+                R[i] = [(x - f * y) % p for x, y in zip(R[i], R[rank])]
+        rank += 1
+    return rank
+
+
+def random_product(rng, m, n, k):
+    """An m x n matrix of rank at most k, with scaled factors for torsion."""
+    A = random_matrix(rng, m, k, -3, 3)
+    B = random_matrix(rng, k, n, -3, 3)
+    B = [[rng.choice((1, 1, 2, 3, 5, 6)) * x for x in row] for row in B]
+    return mat_mul(A, B) if k else [[0] * n for _ in range(m)]
 
 
 # --- SNF / HNF contracts ----------------------------------------------
@@ -371,3 +401,46 @@ def test_basis_normal_forms_are_computed_once(monkeypatch):
     # integral, reuses the Smith form
     assert counts == {"snf": 2, "hnf": 1}
     assert L.hnf_pivots == L2.hnf_pivots
+
+
+# --- ranks and kernels over F_p, from the Smith form -------------------
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_rank_and_kernel_mod_p_match_elimination(p):
+    rng = random.Random(4100 + p)
+    drops = 0
+    for _ in range(80):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        A = random_product(rng, m, n, rng.randint(0, min(m, n)))
+        r = rank_mod(A, p)
+        assert r == rank_mod_oracle(A, p), A
+        drops += r < rank_int(A)
+        Z = kernel_mod(A, p, n)
+        assert len(Z) == n - r
+        for z in Z:
+            assert len(z) == n and all(0 <= x < p for x in z)
+            assert all(x % p == 0 for x in mat_vec(A, z))
+        assert rank_mod_oracle(Z, p) == len(Z)
+    assert drops
+    # no rows, or no columns: everything is a cycle, nothing a boundary
+    assert rank_mod([], p) == 0 and rank_mod([[], []], p) == 0
+    assert kernel_mod([], p, 2) == [(1, 0), (0, 1)]
+    assert kernel_mod([[], []], p, 0) == []
+
+
+def test_independent_rows_match_rank_scan():
+    """The greedy scan: keep a row when it raises the rank of the kept ones."""
+    rng = random.Random(4200)
+    for _ in range(120):
+        d, n = rng.randint(1, 4), rng.randint(1, 7)
+        base = random_matrix(rng, rng.randint(1, d), d, -3, 3)
+        rows = [tuple(mat_vec(transpose(base), random_matrix(rng, 1, len(base), -2, 2)[0]))
+                if rng.random() < 0.5 else tuple(rng.randint(-3, 3) for _ in range(d))
+                for _ in range(n)]
+        want, kept = [], []
+        for i, r in enumerate(rows):
+            if rank_int(kept + [list(r)]) > len(kept):
+                want.append(i)
+                kept.append(list(r))
+        assert independent_rows(rows) == want, rows
+    assert independent_rows([]) == []

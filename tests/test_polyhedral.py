@@ -18,7 +18,9 @@ from toricface.lattice import (LatticeBasis, dot, rank_int, rational_coords,
 from toricface.polyhedral import (
     Cone,
     ConeNotPointedError,
+    Fan,
     cell_complex,
+    cochain,
     cone_build,
     face_lattice,
     facets_through,
@@ -30,7 +32,6 @@ from toricface.polyhedral import (
     skeleton_fan,
     trivial_fan,
     zero_cone,
-    _is_face,
 )
 
 
@@ -61,6 +62,15 @@ def solve_exact(cols, x):
     for row, c in enumerate(piv):
         lam[c] = A[row][k]
     return lam
+
+
+def is_face(small, big):
+    """Is small the face of big cut out by big's facet normals vanishing on it?"""
+    if not set(small.rays) <= set(big.rays):
+        return False
+    zf = [f for f in big.facets if all(dot(f, r) == 0 for r in small.rays)]
+    cut = [r for r in big.rays if all(dot(f, r) == 0 for f in zf)]
+    return set(cut) == set(small.rays)
 
 
 def fraction_det(M):
@@ -307,7 +317,7 @@ def test_incidence_sign_matches_fraction_determinant():
                     w = next(r for r in big.rays if r not in small.rays)
                     basis = orientation_basis(big)
                     M = [solve_exact(basis, r)
-                         for r in [w] + orientation_basis(small)]
+                         for r in [w, *orientation_basis(small)]]
                     det = fraction_det(M)
                     assert det != 0
                     want = 1 if det > 0 else -1
@@ -349,7 +359,7 @@ def test_common_face_check_matches_intersection_cone(d):
         gens = generators_from_h(a.facets + b.facets,
                                  a.equations + b.equations, d)
         k = cone_build(gens, d) if gens else zero_cone(d)
-        want = _is_face(k, a) and _is_face(k, b)
+        want = is_face(k, a) and is_face(k, b)
         try:
             fan_build([a, b])
             got = True
@@ -428,3 +438,54 @@ def test_up_set_and_facets_of():
     assert {u.key for u in ups} == {((0, 1),), ((0, 1), (1, 0)), ((-1, 0), (0, 1))}
     top = fan.by_key(((0, 1), (1, 0)))
     assert {f.key for f in fan.facets_of(top)} == {((1, 0),), ((0, 1),)}
+
+
+def test_up_set_matches_face_lattices():
+    """Ray containment inside a fan is the face relation of the cached
+    face lattices, on every fixture and the d=3 cross-polytope."""
+    for fan in [build().fan for build in ALL_FIXTURES.values()] + [crosspoly_fan(3)]:
+        for c in fan.cones:
+            want = {d.key for d in fan.cones if c in face_lattice(d).faces}
+            assert {d.key for d in fan.up_set(c)} == want, c.key
+
+
+def test_maximal_cones_of_subfans():
+    """fan.maximal lists the cones lying in no other cone's face lattice,
+    for fans, their skeleta and the subfans away from a star."""
+    for fan in [build().fan for build in ALL_FIXTURES.values()] + [crosspoly_fan(3)]:
+        subfans = [fan] + [skeleton_fan(fan, i) for i in range(fan.dim + 1)]
+        ray = fan.cones_of_dim(1)[0]
+        subfans.append(Fan(fan.ambient_dim, tuple(
+            c for c in fan.cones if c not in fan.up_set(ray))))
+        for sub in subfans:
+            want = sorted(c.key for c in sub.cones
+                          if not any(o != c and c in face_lattice(o).faces
+                                     for o in sub.cones))
+            assert list(sub.maximal) == want
+
+
+def test_cochain_asks_linked_only_on_facet_pairs():
+    fan = crosspoly_fan(3)
+    asked = []
+
+    def linked(small, big):
+        asked.append((small.key, big.key))
+        return sum(small.rays[0]) > 0 if small.rays else True
+
+    sizes, mats = cochain(fan.cones, linked)
+    assert sizes == {0: 1, 1: 6, 2: 12, 3: 8}
+    pairs = {(s.key, b.key) for b in fan.cones for s in fan.facets_of(b)}
+    assert sorted(asked) == sorted(pairs)
+    plain = cochain(fan.cones)[1]
+    for t, M in mats.items():
+        for big, row, full in zip(fan.cones_of_dim(t + 1), M, plain[t]):
+            for small, x, y in zip(fan.cones_of_dim(t), row, full):
+                if (small.key, big.key) not in pairs:
+                    assert x == y == 0
+                else:
+                    assert y == big.facet_sign(small)
+                    assert x == (y if linked(small, big) else 0)
+    assert any(x == 0 and y for t in mats
+               for row, full in zip(mats[t], plain[t])
+               for x, y in zip(row, full))
+
