@@ -222,13 +222,10 @@ def cech_slice(mcc: MonoidalComplex, a,
         pr = localization_piece(mcc, c, a, state_cap)
         if pr.value:
             pieces.append((c, pr.witness))
-    ups: dict = {}
 
     def linked(small, big):
         # nonzero where a = z - y, y in small's monoid, z in one above big
-        if big.key not in ups:
-            ups[big.key] = fan.up_set(big)
-        return _decide(mcc, small, ups[big.key], a, cap)
+        return _decide(mcc, small, fan.up_set(big), a, cap)
 
     _, mats = cochain([c for c, _ in pieces], linked)
     for t in sorted(mats):

@@ -46,7 +46,6 @@ from .polyhedral import (
     face_lattice,
     fan_build,
     relint_contains,
-    skeleton_fan,
     trivial_fan,
 )
 
@@ -207,19 +206,17 @@ class Star:
 
 
 def star(mcc: MonoidalComplex, a) -> Star:
+    # a cone holds a exactly when a's carrier is one of its faces
     a = vec(a)
-    members = [c for c in mcc.fan.cones
-               if c.contains(a) and mcc.monoids[c.key].group.contains(a)]
+    fan = mcc.fan
+    carrier = fan.carrier(a)
+    members = () if carrier is None else tuple(
+        d_ for d_ in fan.up_set(carrier) if mcc.monoids[d_.key].group.contains(a))
     keys = {c.key for c in members}
-    carrier = mcc.fan.carrier(a)
-    if carrier is None:
-        assert not members
-    else:
-        for d_ in members:
-            assert set(carrier.rays) <= set(d_.rays)
-            for e in mcc.fan.up_set(d_):
-                assert e.key in keys
-    return Star(a, tuple(sorted(members, key=lambda c: (c.dim, c.rays))))
+    for d_ in members:
+        for e in fan.up_set(d_):
+            assert e.key in keys
+    return Star(a, members)
 
 
 def star_cohomology(mcc: MonoidalComplex, a, characteristic) -> CohomologyTable:
@@ -358,25 +355,28 @@ def star_classes(mcc: MonoidalComplex) -> tuple:
 
     For each cone C the lattice K_C is the intersection of the monoid
     groups of all cones above C, cut to lin C; degrees of Z^d inside
-    relint C have equal stars exactly when they agree mod K_C.  Each
-    class's star is spot-checked on three perturbed representatives.
+    relint C have equal stars exactly when they agree mod K_C.  Top down,
+    K_C is group(C) cut to lin C, met with K_D for each cone D covering C.
+    Each class's star is spot-checked on three perturbed representatives.
     """
     fan = mcc.fan
     rng = random.Random(7)
+    lattices = {}
+    for c in reversed(fan.cones):
+        K = intersect(c.lin_basis, mcc.monoids[c.key].group)
+        for d_ in fan.up_set(c):
+            if d_.dim == c.dim + 1:
+                K = intersect(K, lattices[d_.key])
+        lattices[c.key] = K
     out = []
     for c in fan.cones:
         lin = c.lin_basis
-        K = lin
-        for d_ in fan.up_set(c):
-            K = intersect(K, mcc.monoids[d_.key].group)
+        K = lattices[c.key]
         inv = quotient_invariants(K, lin)
         assert inv.free_rank == 0
         index = inv.index
-        w = tuple([0] * fan.ambient_dim)
-        for r in c.rays:
-            w = vadd(w, r)
         m = math.lcm(*inv.divisors) if inv.divisors else 1
-        step = vscale(m, w)
+        step = vscale(m, c.interior_point())
         for rep in sorted(coset_representatives(K, lin)):
             b = _push_into_relint(c, rep, step)
             st = star(mcc, b)
@@ -428,20 +428,15 @@ def cohomology_report(mcc: MonoidalComplex, characteristic) -> CohomologyReport:
     return CohomologyReport(characteristic, mcc.fan.dim, tuple(entries))
 
 
-def _report_vanishes_below(report: CohomologyReport, top: int) -> bool:
-    for e in report.entries:
-        if any(i < top and d for i, d in e.table.entries):
-            return False
-        for _, ent in e.table.corrections:
-            if any(i < top and d for i, d in ent):
-                return False
-    return True
+def _vanishes_below(table: CohomologyTable, top: int) -> bool:
+    rows = [table.entries] + [ent for _, ent in table.corrections]
+    return not any(i < top and d for ent in rows for i, d in ent)
 
 
 def is_cohen_macaulay(mcc: MonoidalComplex, characteristic) -> bool:
     """CM over the field(s): H^i_m vanishes below the fan dimension."""
     report = cohomology_report(mcc, characteristic)
-    return _report_vanishes_below(report, mcc.fan.dim)
+    return all(_vanishes_below(e.table, mcc.fan.dim) for e in report.entries)
 
 
 @dataclass(frozen=True)
@@ -453,19 +448,24 @@ class DepthResult:
 
 
 def depth(mcc: MonoidalComplex, characteristic) -> DepthResult:
-    """Depth by rank selection: the largest t with all skeleta up to t CM."""
+    """Depth by rank selection: the largest t with all skeleta up to t CM.
+
+    The t-skeleton's stars are the stars of the classes whose carrier has
+    dimension <= t, with the cones of dimension > t cut away.  The cut
+    leaves H^i for i < t unchanged, and a class whose carrier has
+    dimension > t has no cones, so no cohomology, below t.  So the
+    t-skeleton is CM exactly when no table of one report has cohomology
+    below t.
+    """
     characteristic = check_characteristic(characteristic)
     if not mcc.seminormal:
         raise ComplexError("depth requires a seminormal complex")
     top = mcc.fan.dim
-    flags = []
-    for t in range(top + 1):
-        sk = restrict(mcc, skeleton_fan(mcc.fan, t))
-        flags.append(is_cohen_macaulay(sk, characteristic))
-    m_k = 0
-    while m_k + 1 <= top and all(flags[:m_k + 2]):
-        m_k += 1
+    report = cohomology_report(mcc, characteristic)
+    flags = [all(_vanishes_below(e.table, t) for e in report.entries)
+             for t in range(top + 1)]
     assert flags[0]
+    m_k = flags.index(False) - 1 if False in flags else top
     return DepthResult(m_k, m_k == top, m_k, tuple(flags))
 
 
@@ -499,9 +499,7 @@ def c_k_monoid(M: AffineMonoid, characteristic) -> FaceDepthResult:
     top = M.cone.dim
     all_cm = [all(cm_by_dim.get(t, [True])) for t in range(top + 1)]
     assert all_cm[0]
-    c_k = 0
-    while c_k + 1 <= top and all_cm[c_k + 1]:
-        c_k += 1
+    c_k = all_cm.index(False) - 1 if False in all_cm else top
     m_k = depth(_one_cone_complex(M, M.cone), characteristic).m_k
     assert m_k >= c_k
     return FaceDepthResult(c_k, m_k)
@@ -538,15 +536,14 @@ def _is_stanley(mcc: MonoidalComplex) -> bool:
 def _order_complex_cochain(fan: Fan, verts) -> tuple:
     """Reduced simplicial cochain data of the chain complex of a poset."""
     verts = sorted(verts, key=lambda c: (c.dim, c.rays))
-    below = {(a.key, b.key): set(a.rays) < set(b.rays)
-             for a in verts for b in verts}
     chains = {-1: [()]}
 
     def grow(prefix, start):
         q = len(prefix) - 1
         chains.setdefault(q, []).append(tuple(v.key for v in prefix))
         for i in range(start, len(verts)):
-            if not prefix or below[(prefix[-1].key, verts[i].key)]:
+            # verts[i] comes after prefix[-1], so in its up-set means above it
+            if not prefix or verts[i] in fan.up_set(prefix[-1]):
                 grow(prefix + [verts[i]], i + 1)
 
     for i in range(len(verts)):

@@ -130,10 +130,8 @@ def build_complex(fan: Fan, maximal_monoid_gens: Optional[dict] = None,
         for c in fan.cones:
             if c.key in monoids:
                 continue
-            parents = [k for k in fan.maximal
-                       if set(c.rays) <= set(k)]
-            assert parents
-            gens = monoid_face_gens(monoids[min(parents)], c)
+            parent = min(d_.key for d_ in fan.up_set(c) if d_.key in given)
+            gens = monoid_face_gens(monoids[parent], c)
             monoids[c.key] = monoid_build(gens, d, c)
     _validate(fan, monoids)
     if stanley:

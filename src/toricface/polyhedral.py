@@ -183,13 +183,7 @@ class Cone:
 
     def interior_point(self):
         """Sum of the extreme rays; lies in the relative interior."""
-        if not self.rays:
-            return (0,) * self.ambient_dim
-        out = [0] * self.ambient_dim
-        for r in self.rays:
-            for j in range(self.ambient_dim):
-                out[j] += r[j]
-        return tuple(out)
+        return tuple(sum(r[j] for r in self.rays) for j in range(self.ambient_dim))
 
 
 def _checked(cone: Cone, v):
@@ -394,11 +388,21 @@ class Fan:
         object.__setattr__(self, "_by_key", {c.key: c for c in self.cones})
 
     @cached_property
+    def _index(self) -> tuple:
+        """(faces, up-sets) by cone key from the face lattices, in (dim, rays)
+        order; faces outside this fan are left out, so subfans work too."""
+        faces = {c.key: tuple(self._by_key[f.key] for f in face_lattice(c).faces
+                              if f.key in self._by_key) for c in self.cones}
+        ups: dict = {c.key: [] for c in self.cones}
+        for c in self.cones:
+            for f in faces[c.key]:
+                ups[f.key].append(c)
+        return faces, {k: tuple(v) for k, v in ups.items()}
+
+    @cached_property
     def maximal(self) -> tuple:
         """Keys (ray tuples) of the inclusion-maximal cones, sorted."""
-        ray_sets = [set(c.rays) for c in self.cones]
-        return tuple(sorted(c.key for c, rs in zip(self.cones, ray_sets)
-                            if not any(rs < o for o in ray_sets)))
+        return tuple(sorted(k for k, up in self._index[1].items() if len(up) == 1))
 
     @property
     def dim(self) -> int:
@@ -410,15 +414,11 @@ class Fan:
     def cones_of_dim(self, k: int):
         return [c for c in self.cones if c.dim == k]
 
-    def faces_of(self, cone: Cone):
-        rs = set(cone.rays)
-        return [c for c in self.cones if set(c.rays) <= rs]
+    def faces_of(self, cone: Cone) -> tuple:
+        return self._index[0][cone.key]
 
-    def up_set(self, cone: Cone):
-        # fan_build checked the common-face condition, so a cone whose rays
-        # contain those of another has it as a face
-        rs = set(cone.rays)
-        return [c for c in self.cones if rs <= set(c.rays)]
+    def up_set(self, cone: Cone) -> tuple:
+        return self._index[1][cone.key]
 
     def facets_of(self, cone: Cone):
         return [c for c in self.faces_of(cone) if c.dim == cone.dim - 1]
@@ -430,11 +430,19 @@ class Fan:
         return any(c.contains(v) for c in self.maximal_cones())
 
     def carrier(self, v) -> Optional[Cone]:
-        """The unique cone with v in its relative interior, if any."""
-        for c in self.cones:
-            if relint_contains(c, v):
-                return c
-        return None
+        """The unique cone with v in its relative interior, if any.
+
+        In a maximal cone holding v, the rays on every facet tight at v
+        span the smallest face holding v.
+        """
+        top = next((c for c in self.maximal_cones() if c.contains(v)), None)
+        if top is None:
+            return None
+        tight = [f for f in top.facets if dot(f, v) == 0]
+        c = self._by_key[tuple(r for r in top.rays
+                               if all(dot(f, r) == 0 for f in tight))]
+        assert relint_contains(c, v)
+        return c
 
 
 def _meet_in_common_face(a: Cone, b: Cone) -> bool:

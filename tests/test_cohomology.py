@@ -1,14 +1,22 @@
 """Star formula, star classes, depth, and the order-complex comparison."""
 
+import collections
+import importlib.util
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from conftest import fix_a, fix_b, fix_c, octant_boundary, stanley_r1
+import toricface.cohomology as cohomology_module
+import toricface.moncomplex as moncomplex_module
+import toricface.polyhedral as polyhedral_module
+from conftest import ALL_FIXTURES, fix_a, fix_b, fix_c, octant_boundary, stanley_r1
+from toricface.cli import build_from_document, parse_input
 from toricface.cohomology import (
     CohomologyTable,
+    DepthResult,
     bbr_formula,
     c_k_monoid,
     check_characteristic,
@@ -29,13 +37,42 @@ from toricface.cohomology import (
     zero_table,
 )
 from toricface.lattice import vneg
-from toricface.moncomplex import ComplexError, build_complex, seminormalize_complex
+from toricface.moncomplex import (ComplexError, build_complex, restrict,
+                                  seminormalize_complex)
 from toricface.monoid import monoid_build
-from toricface.polyhedral import cone_build, fan_build, trivial_fan
+from toricface.polyhedral import (cone_build, fan_build, relint_contains,
+                                  skeleton_fan, trivial_fan)
 
 
 def box(dim, radius):
     return itertools.product(range(-radius, radius + 1), repeat=dim)
+
+
+def crosspoly(d, multiples=None):
+    """The benchmark's cross-polytope complex, from bench/inputs.py."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return build_from_document(parse_input(
+        inputs.crosspoly_document(d, multiples)))[0]
+
+
+def two_planes_at_a_point():
+    """Two 2-cones in R^3 meeting only at the origin: not CM, depth 1."""
+    fan = fan_build([cone_build([(1, 0, 0), (0, 1, 0)]),
+                     cone_build([(0, 0, 1), (-1, -1, 0)])])
+    return build_complex(fan, stanley=True)
+
+
+def projective_plane():
+    """Stanley complex of the 6-vertex RP^2 on coordinate cones of R^6:
+    CM exactly when the characteristic is not 2."""
+    triangles = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+                 (1, 2, 4), (1, 3, 4), (1, 3, 5), (2, 3, 5), (2, 4, 5)]
+    unit = [tuple(int(i == j) for j in range(6)) for i in range(6)]
+    fan = fan_build([cone_build([unit[i] for i in t]) for t in triangles])
+    return build_complex(fan, stanley=True)
 
 
 FIX_C_BIG = cone_build([(1, 0), (0, 2), (1, 1)]).key       # C
@@ -189,6 +226,46 @@ def test_star_membership_definition_on_box():
             assert (cone.key in keys) == member
 
 
+def _check_index_against_scans(mcc, degrees):
+    fan = mcc.fan
+    for c in fan.cones:
+        rs = set(c.rays)
+        ups = fan.up_set(c)
+        faces = fan.faces_of(c)
+        assert ups == tuple(d for d in fan.cones if rs <= set(d.rays)), c.key
+        assert faces == tuple(d for d in fan.cones if set(d.rays) <= rs), c.key
+        assert all(d is fan.by_key(d.key) for d in ups + faces)
+    for a in degrees:
+        want = next((c for c in fan.cones if relint_contains(c, a)), None)
+        got = fan.carrier(a)
+        assert (got is None and want is None) or got is want, a
+        assert star(mcc, a).keys == tuple(
+            c.key for c in fan.cones
+            if c.contains(a) and mcc.monoids[c.key].group.contains(a)), a
+
+
+def test_star_index_matches_scans():
+    """star, carrier, up_set and faces_of read from the index equal their
+    scan definitions on [-3,3]^d, for every shipped fixture, the d=2 and
+    d=3 cross-polytopes, the d=2 cusp, and the subcomplexes away from a
+    star (one per distinct star of the box)."""
+    inputs = ([build() for build in ALL_FIXTURES.values()]
+              + [crosspoly(2), crosspoly(3), crosspoly(2, (2, 3))])
+    subcomplexes = 0
+    for mcc in inputs:
+        degrees = list(box(mcc.ambient_dim, 3))
+        _check_index_against_scans(mcc, degrees)
+        by_star = {}
+        for b in degrees:
+            by_star.setdefault(star(mcc, b).keys, b)
+        for b in by_star.values():
+            sub = complex_avoiding(mcc, b)
+            if sub is not None:
+                _check_index_against_scans(sub, degrees)
+                subcomplexes += 1
+    assert subcomplexes > 50
+
+
 def test_star_classes_fix_c_frozen():
     """Eleven interior classes plus the exterior one, all values pinned."""
     scs = star_classes(fix_c())
@@ -215,7 +292,8 @@ def test_star_classes_fix_c_frozen():
 
 def test_star_classes_partition_matches_box_scan():
     """Every box point's star equals the star of its class representative."""
-    for mcc in (fix_c(), fix_a(), stanley_r1()):
+    for mcc in (fix_c(), fix_a(), stanley_r1(), octant_boundary(),
+                crosspoly(3)):
         scs = star_classes(mcc)
         for a in box(mcc.ambient_dim, 3):
             carrier = mcc.fan.carrier(a)
@@ -434,6 +512,69 @@ def test_depth_requires_seminormal():
 def test_is_cm_agrees_with_depth():
     for mcc in (fix_a(), fix_c(), stanley_r1(), octant_boundary()):
         assert is_cohen_macaulay(mcc, "all") == depth(mcc, "all").is_CM
+
+
+def _depth_by_skeleta(mcc, characteristic):
+    """Depth the long way: one complex and one full report per skeleton."""
+    top = mcc.fan.dim
+    flags = [is_cohen_macaulay(restrict(mcc, skeleton_fan(mcc.fan, t)),
+                               characteristic) for t in range(top + 1)]
+    m_k = 0
+    while m_k + 1 <= top and all(flags[:m_k + 2]):
+        m_k += 1
+    return DepthResult(m_k, m_k == top, m_k, tuple(flags))
+
+
+def test_one_pass_depth_matches_skeleta():
+    inputs = [fix_a(), fix_c(), stanley_r1(), octant_boundary(),
+              crosspoly(2), crosspoly(3), two_planes_at_a_point(),
+              projective_plane(), seminormalize_complex(fix_b()),
+              seminormalize_complex(crosspoly(2, (2, 3)))]
+    for mcc in inputs:
+        for ch in ("all", 0, 2, 3):
+            got = depth(mcc, ch)
+            want = _depth_by_skeleta(mcc, ch)
+            assert (got.depth, got.is_CM, got.m_k, got.skeleton_CM_flags) == (
+                want.depth, want.is_CM, want.m_k, want.skeleton_CM_flags)
+    assert depth(two_planes_at_a_point(), "all").skeleton_CM_flags == (
+        True, True, False)
+    rp2 = projective_plane()
+    for ch in ("all", 2):
+        assert depth(rp2, ch) == DepthResult(2, False, 2, (True, True, True, False))
+    for ch in (0, 3):
+        assert depth(rp2, ch) == DepthResult(3, True, 3, (True,) * 4)
+
+
+def test_star_index_call_counts(monkeypatch):
+    """On the d=4 cross-polytope: one intersect per cone and per cover
+    pair in star_classes; one star_classes and no skeleton rebuild in
+    depth."""
+    mcc = crosspoly(4)
+    fan = mcc.fan
+    assert len(fan.cones) == 81
+    calls = collections.Counter()
+
+    def count(module, name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        # raising=False: depth once imported skeleton_fan into cohomology
+        monkeypatch.setattr(module, name, counted, raising=False)
+
+    count(cohomology_module, "intersect", cohomology_module.intersect)
+    star_classes(mcc)
+    covers = sum(1 for c in fan.cones for d in fan.cones
+                 if d.dim == c.dim + 1 and set(c.rays) < set(d.rays))
+    assert calls["intersect"] == len(fan.cones) + covers
+    calls.clear()
+    count(cohomology_module, "star_classes", star_classes)
+    for module in (cohomology_module, moncomplex_module):
+        count(module, "restrict", restrict)
+    for module in (cohomology_module, polyhedral_module):
+        count(module, "skeleton_fan", skeleton_fan)
+    cohomology_module.depth(mcc, "all")
+    assert calls["star_classes"] == 1
+    assert calls["restrict"] == 0 and calls["skeleton_fan"] == 0
 
 
 def test_seminormalized_fix_b_depth_has_consistent_flags():
