@@ -18,8 +18,9 @@ a cap on the state count, reported by exception, never as a silent 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable, Optional
 
 from .cohomology import CohomologyTable, check_characteristic, \
     table_from_cochain
@@ -59,18 +60,22 @@ class BoundExhausted(Exception):
 
 @dataclass(frozen=True)
 class PieceResult:
-    """Dimension (0 or 1) of one localized piece, with a witness when 1."""
+    """Dimension (0 or 1) of one localized piece; a nonzero piece finds and
+    checks its witness (z, y), z - y = the degree, when first asked."""
 
     value: int
-    witness: Optional[tuple]   # (z, y) with z - y = the requested degree
-    steps: int                 # multiples of the denominator sum consumed
+    _find: Optional[Callable] = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def witness(self) -> Optional[tuple]:
+        return self._find() if self._find else None
 
 
-def _decide(mcc: MonoidalComplex, source: Cone, targets, a,
-            state_cap: int) -> bool:
-    """Is a = z - y solvable with y in the source monoid, z in a target's?
+def _decide_one(mcc: MonoidalComplex, source: Cone, target: Cone, a,
+                state_cap: int, memo: dict) -> bool:
+    """Is a = z - y solvable with y in the source monoid, z in the target's?
 
-    Write C for the source cone, M0 for its monoid, and fix a target D
+    Write C for the source cone, M0 for its monoid, and D for the target
     with monoid MD.  phi sums the facet normals of D through C, so
     phi >= 0 on MD and phi = 0 exactly on the generators lying in C,
     because a face of a pointed cone is the intersection of the facets
@@ -88,99 +93,113 @@ def _decide(mcc: MonoidalComplex, source: Cone, targets, a,
     deduplicate because extending two equal states by the same
     generators keeps them equal.
     """
-    a = vec(a)
-    M0 = mcc.monoids[source.key]
+    M0, MD = mcc.monoids[source.key], mcc.monoids[target.key]
     if not M0.generators:
-        return any(monoid_member(mcc.monoids[d.key], a) is not None
-                   for d in targets)
+        return monoid_member(MD, a) is not None
+    in_group = (None, target.key)   # a in Z MD, asked once per D
+    if in_group not in memo:
+        memo[in_group] = solve_in_lattice(MD.group, a) is not None
+    if not memo[in_group]:
+        return False
+    through = facets_through(target, source)
+    if any(dot(f, a) < 0 for f in through):
+        return False
+    if not through:
+        # the source is the target itself; the group test was the test
+        return True
     group = M0.group
+    phi = tuple(sum(f[j] for f in through) for j in range(len(a)))
+    weight = dot(phi, a)
+    pos = [(g, dot(phi, g)) for g in MD.generators if dot(phi, g) > 0]
+    assert all(dot(phi, g) >= 0 for g in MD.generators)
     target_rep = reduce_mod_lattice(group, a)
-    zero = tuple([0] * len(a))
-    for d_cone in targets:
-        MD = mcc.monoids[d_cone.key]
-        if solve_in_lattice(MD.group, a) is None:
-            continue
-        through = facets_through(d_cone, source)
-        if any(dot(f, a) < 0 for f in through):
-            continue
-        if not through:
-            # the source is the target itself; the group test was the test
-            return True
-        phi = tuple(sum(f[j] for f in through) for j in range(len(a)))
-        weight = dot(phi, a)
-        pos = [(g, dot(phi, g)) for g in MD.generators if dot(phi, g) > 0]
-        assert all(dot(phi, g) >= 0 for g in MD.generators)
-        start = reduce_mod_lattice(group, zero)
-        if weight == 0:
-            if target_rep == start:
-                return True
-            continue
-        seen = {(start, 0)}
-        frontier = [(start, 0)]
-        found = False
-        while frontier and not found:
-            nxt = []
-            for rep, w in frontier:
-                for g, wg in pos:
-                    w2 = w + wg
-                    if w2 > weight:
-                        continue
-                    key = (reduce_mod_lattice(group, vadd(rep, g)), w2)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    if len(seen) > state_cap:
-                        raise BoundExhausted(d_cone.key, a, state_cap)
-                    if w2 == weight and key[0] == target_rep:
-                        found = True
-                        break
-                    nxt.append(key)
-                if found:
-                    break
-            frontier = nxt
-        if found:
-            return True
+    start = reduce_mod_lattice(group, tuple([0] * len(a)))
+    if weight == 0:
+        return target_rep == start
+    seen = {(start, 0)}
+    frontier = [(start, 0)]
+    while frontier:
+        nxt = []
+        for rep, w in frontier:
+            for g, wg in pos:
+                w2 = w + wg
+                if w2 > weight:
+                    continue
+                key = (reduce_mod_lattice(group, vadd(rep, g)), w2)
+                if key in seen:
+                    continue
+                seen.add(key)
+                if len(seen) > state_cap:
+                    raise BoundExhausted(target.key, a, state_cap)
+                if w2 == weight and key[0] == target_rep:
+                    return True
+                nxt.append(key)
+        frontier = nxt
     return False
 
 
-def _witness(mcc: MonoidalComplex, source: Cone, targets, a):
-    """Explicit (z, y, steps) once the piece is known to be nonzero.
+def _decide(mcc: MonoidalComplex, source: Cone, targets, a, state_cap: int,
+            memo: dict) -> bool:
+    """Does _decide_one hold for some target?  memo keeps each (source key,
+    target key) answer in degree a, so no pair is searched twice."""
+    pairs = [((source.key, d.key), d) for d in targets]
+    if any(memo.get(k) for k, _ in pairs):
+        return True
+    for k, d in pairs:
+        if k not in memo:
+            memo[k] = _decide_one(mcc, source, d, a, state_cap, memo)
+            if memo[k]:
+                return True
+    return False
 
-    Adding the sum of the source generators to the numerator is monotone,
-    so scanning steps upward finds the least witness.
+
+def _sums_to(gens, coeffs, v) -> bool:
+    """Is v the combination of gens with these nonnegative coefficients?"""
+    return len(coeffs) == len(gens) and min(coeffs, default=0) >= 0 and all(
+        sum(c * g[j] for c, g in zip(coeffs, gens)) == x for j, x in enumerate(v))
+
+
+def _witness(mcc: MonoidalComplex, source: Cone, targets, a, memo: dict):
+    """The least witness (z, y) of a nonzero piece, checked.
+
+    Adding the sum sigma of the source generators to the numerator is
+    monotone, so scanning t upward finds the least z = a + t*sigma in a
+    target monoid.  No such z lies in a target that memo holds as
+    decided empty, so those are skipped.  The witness is returned only
+    once z re-sums from the coefficients monoid_member gave and y = t*sigma
+    from t times each source generator.
     """
-    a = vec(a)
-    M0 = mcc.monoids[source.key]
-    sigma = tuple([0] * len(a))
-    for g in M0.generators:
-        sigma = vadd(sigma, g)
-    t = 0
-    while True:
-        z = vadd(a, vscale(t, sigma))
-        for d_cone in targets:
-            if monoid_member(mcc.monoids[d_cone.key], z) is not None:
-                return z, vscale(t, sigma), t
-        t += 1
-        assert t <= WITNESS_HARD_CAP, \
-            "witness scan exceeded its cap despite a positive certificate"
+    gens = mcc.monoids[source.key].generators
+    sigma = tuple(sum(g[j] for g in gens) for j in range(len(a)))
+    live = [d for d in targets if memo.get((source.key, d.key)) is not False]
+    for t in range(WITNESS_HARD_CAP + 1):
+        y = vscale(t, sigma)
+        z = vadd(a, y)
+        for d in live:
+            coeffs = monoid_member(mcc.monoids[d.key], z)
+            if coeffs is None:
+                continue
+            if not (vsub(z, y) == a and _sums_to(gens, [t] * len(gens), y)
+                    and _sums_to(mcc.monoids[d.key].generators, coeffs, z)):
+                raise RuntimeError(f"witness {z}, {y} of {a} fails its check")
+            return z, y
+    raise RuntimeError("witness scan passed its cap after a positive decision")
 
 
 def localization_piece(mcc: MonoidalComplex, cone, a,
-                       state_cap: Optional[int] = None) -> PieceResult:
-    """The degree-a piece of the ring localized at a cone of the complex."""
+                       state_cap: Optional[int] = None,
+                       memo: Optional[dict] = None) -> PieceResult:
+    """The degree-a piece of the ring localized at a cone of the complex;
+    cech_slice passes one memo of _decide's answers in degree a to all."""
     cap = DEFAULT_STATE_CAP if state_cap is None else state_cap
     if not isinstance(cone, Cone):
         cone = mcc.fan.by_key(tuple(cone))
     a = vec(a)
+    memo = {} if memo is None else memo
     targets = mcc.fan.up_set(cone)
-    if not _decide(mcc, cone, targets, a, cap):
-        return PieceResult(0, None, 0)
-    z, y, t = _witness(mcc, cone, targets, a)
-    assert vsub(z, y) == a
-    assert monoid_member(mcc.monoids[cone.key], y) is not None
-    assert any(monoid_member(mcc.monoids[d.key], z) is not None
-               for d in targets)
-    return PieceResult(1, (z, y), t)
+    if not _decide(mcc, cone, targets, a, cap, memo):
+        return PieceResult(0)
+    return PieceResult(1, lambda: _witness(mcc, cone, targets, a, memo))
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +210,7 @@ class CechSlice:
     """All nonzero localized pieces in one degree, with the maps between them.
 
     levels[(t, pieces)] lists the nonzero pieces among cones of dimension t
-    as (cone_key, witness) pairs; mats pairs t with the matrix of the map
+    as (cone_key, PieceResult) pairs; mats pairs t with the matrix of the map
     from level t to level t+1, rows indexed by the t+1 pieces.
     """
 
@@ -217,15 +236,16 @@ def cech_slice(mcc: MonoidalComplex, a,
     a = vec(a)
     fan = mcc.fan
     cap = DEFAULT_STATE_CAP if state_cap is None else state_cap
+    memo: dict = {}
     pieces = []
     for c in fan.cones:
-        pr = localization_piece(mcc, c, a, state_cap)
+        pr = localization_piece(mcc, c, a, state_cap, memo)
         if pr.value:
-            pieces.append((c, pr.witness))
+            pieces.append((c, pr))
 
     def linked(small, big):
         # nonzero where a = z - y, y in small's monoid, z in one above big
-        return _decide(mcc, small, fan.up_set(big), a, cap)
+        return _decide(mcc, small, fan.up_set(big), a, cap, memo)
 
     _, mats = cochain([c for c, _ in pieces], linked)
     for t in sorted(mats):
@@ -234,8 +254,8 @@ def cech_slice(mcc: MonoidalComplex, a,
             assert all(x == 0 for row in square for x in row), \
                 f"maps at degree {a} do not compose to zero at level {t}"
     by_dim: dict = {}
-    for c, w in pieces:
-        by_dim.setdefault(c.dim, []).append((c.key, w))
+    for c, pr in pieces:
+        by_dim.setdefault(c.dim, []).append((c.key, pr))
     return CechSlice(a, tuple((t, tuple(v)) for t, v in sorted(by_dim.items())),
                      tuple(sorted((t, tuple(tuple(r) for r in M))
                                   for t, M in mats.items())))

@@ -431,8 +431,8 @@ def _oracle_one(mcc, a, ch, cap):
         "table": _table_json(t),
         "levels": [{
             "dim": lt,
-            "pieces": [{"cone": _key_json(k), "witness": [list(w[0]), list(w[1])]}
-                       for k, w in pieces],
+            "pieces": [{"cone": _key_json(k), "witness": list(map(list, pr.witness))}
+                       for k, pr in pieces],
         } for lt, pieces in sl.levels],
     }
 

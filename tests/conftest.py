@@ -4,6 +4,10 @@ Builders return fresh objects so per-test mutation of memo caches cannot
 leak expectations between tests.
 """
 
+import importlib.util
+from pathlib import Path
+
+from toricface.cli import build_from_document, parse_input
 from toricface.moncomplex import build_complex
 from toricface.polyhedral import cone_build, fan_build
 
@@ -82,6 +86,16 @@ def octant_boundary():
         cone_build([(0, 1, 0), (0, 0, 1)]),
     ])
     return build_complex(fan, stanley=True)
+
+
+def crosspoly(d, multiples=None):
+    """The benchmark's cross-polytope complex, from bench/inputs.py."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return build_from_document(parse_input(
+        inputs.crosspoly_document(d, multiples)))[0]
 
 
 ALL_FIXTURES = {

@@ -10,11 +10,13 @@ import itertools
 
 import pytest
 
-from conftest import ALL_FIXTURES, fix_b, fix_c, stanley_r1
+import toricface.cech as cech_module
+from conftest import ALL_FIXTURES, crosspoly, fix_b, fix_c, stanley_r1
 from toricface.cech import (BoundExhausted, cech_degree, cech_slice,
                             frobenius_check, localization_piece)
 from toricface.cohomology import (complex_avoiding, local_cohomology_degree,
                                   zero_table)
+from toricface.frobenius import excluded_primes
 from toricface.lattice import vadd
 from toricface.monoid import monoid_member
 
@@ -82,13 +84,73 @@ def test_piece_accepts_raw_key():
 
 
 def test_piece_witnesses_over_box():
-    mcc = fix_c()
-    for a in box(2, 2):
-        for cone in mcc.fan.cones:
-            r = localization_piece(mcc, cone, a)
-            assert r.value in (0, 1)
-            if r.value:
-                check_witness(mcc, cone.key, a, r.witness)
+    # slices build no witness, so check here that every piece a slice
+    # lists has one, the same from the slice as from a direct call, and
+    # that every piece it leaves out is zero
+    inputs = ([build() for build in ALL_FIXTURES.values()]
+              + [crosspoly(2), crosspoly(2, (2, 3))])
+    for mcc in inputs:
+        for a in box(mcc.ambient_dim, 2):
+            listed = {k: pr for _, pieces in cech_slice(mcc, a).levels
+                      for k, pr in pieces}
+            for cone in mcc.fan.cones:
+                r = localization_piece(mcc, cone, a)
+                if cone.key in listed:
+                    check_witness(mcc, cone.key, a, listed[cone.key].witness)
+                    assert r.value == 1
+                    assert r.witness == listed[cone.key].witness
+                else:
+                    assert r.value == 0 and r.witness is None
+
+
+def test_witness_scan_stops_at_its_cap(monkeypatch):
+    # a wrong positive decision must end in an error, also under python -O
+    monkeypatch.setattr(cech_module, "WITNESS_HARD_CAP", 3)
+    monkeypatch.setattr(cech_module, "_decide_one", lambda *args: True)
+    r = localization_piece(fix_b(), RAY_X, (0, -1))
+    assert r.value == 1
+    with pytest.raises(RuntimeError, match="passed its cap"):
+        r.witness
+
+
+def test_witness_check_rejects_wrong_coefficients(monkeypatch):
+    monkeypatch.setattr(cech_module, "monoid_member",
+                        lambda M, v: (1,) * len(M.generators))
+    r = localization_piece(fix_b(), RAY_T, (0, -1))
+    assert r.value == 1
+    with pytest.raises(RuntimeError, match="fails its check"):
+        r.witness
+
+
+def test_slice_searches_each_pair_once(monkeypatch):
+    mcc = crosspoly(3, (2, 3))
+    asked = []
+    decide_one = cech_module._decide_one
+
+    def counted(mcc, source, target, *rest):
+        asked.append((source.key, target.key))
+        return decide_one(mcc, source, target, *rest)
+
+    monkeypatch.setattr(cech_module, "_decide_one", counted)
+    linked = 0
+    for a in [(-1, -1, -1), (1, -2, 0), (0, -1, -2), (2, 2, -1)]:
+        asked.clear()
+        linked += len(cech_slice(mcc, a).mats)
+        assert asked and len(asked) == len(set(asked)), a
+    assert linked
+
+
+def test_slice_state_cap_stops_the_first_long_search():
+    # pinned from the slice that searched every pair afresh: sharing the
+    # answers reorders no search, so the same one hits the cap
+    cases = [(fix_b(), (3, 1), CONE_BP),
+             (crosspoly(3, (2, 3)), (-1, -1, -1),
+              ((-1, 0, 0), (0, -1, 0), (0, 0, -1)))]
+    for mcc, a, key in cases:
+        with pytest.raises(BoundExhausted) as exc:
+            cech_slice(mcc, a, state_cap=1)
+        assert (exc.value.cone_key, exc.value.degree, exc.value.cap) \
+            == (key, a, 1)
 
 
 def test_state_cap_exhaustion_is_loud():
@@ -208,6 +270,23 @@ def test_power_map_injective_on_line_pair():
     for a in box(1, 2):
         fc = frobenius_check(mcc, a, 2)
         assert all(s.injective for s in fc.steps), (a, fc.steps)
+
+
+def test_f_pure_primes_give_injective_power_maps():
+    # F-pure at p implies F-injective at p, so away from the excluded
+    # primes the oracle's power map is injective on every nonzero H^i;
+    # the two sides share no code above the lattice kernel
+    for name, build in sorted(ALL_FIXTURES.items()):
+        mcc = build()
+        if not mcc.seminormal:
+            continue
+        excluded = excluded_primes(mcc).excluded_set
+        for p in (2, 3, 5):
+            if p in excluded:
+                continue
+            for a in box(mcc.ambient_dim, 1):
+                for s in frobenius_check(mcc, a, p).steps:
+                    assert s.injective or s.dim_source == 0, (name, p, a, s)
 
 
 def test_power_map_rejects_composite_exponent():

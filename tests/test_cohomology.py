@@ -1,19 +1,17 @@
 """Star formula, star classes, depth, and the order-complex comparison."""
 
 import collections
-import importlib.util
 import itertools
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
 import toricface.cohomology as cohomology_module
 import toricface.moncomplex as moncomplex_module
 import toricface.polyhedral as polyhedral_module
-from conftest import ALL_FIXTURES, fix_a, fix_b, fix_c, octant_boundary, stanley_r1
-from toricface.cli import build_from_document, parse_input
+from conftest import (ALL_FIXTURES, crosspoly, fix_a, fix_b, fix_c,
+                      octant_boundary, stanley_r1)
 from toricface.cohomology import (
     CohomologyTable,
     DepthResult,
@@ -46,16 +44,6 @@ from toricface.polyhedral import (cone_build, fan_build, relint_contains,
 
 def box(dim, radius):
     return itertools.product(range(-radius, radius + 1), repeat=dim)
-
-
-def crosspoly(d, multiples=None):
-    """The benchmark's cross-polytope complex, from bench/inputs.py."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("bench_inputs", path)
-    inputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(inputs)
-    return build_from_document(parse_input(
-        inputs.crosspoly_document(d, multiples)))[0]
 
 
 def two_planes_at_a_point():
