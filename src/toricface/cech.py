@@ -101,17 +101,20 @@ def _decide_one(mcc: MonoidalComplex, source: Cone, target: Cone, a,
         memo[in_group] = solve_in_lattice(MD.group, a) is not None
     if not memo[in_group]:
         return False
-    through = facets_through(target, source)
+    if source.key not in MD._face_weights:   # none depends on a
+        through = facets_through(target, source)
+        phi = tuple(sum(f[j] for f in through) for j in range(len(a)))
+        assert all(dot(phi, g) >= 0 for g in MD.generators)
+        MD._face_weights[source.key] = (through, phi, [
+            (g, dot(phi, g)) for g in MD.generators if dot(phi, g) > 0])
+    through, phi, pos = MD._face_weights[source.key]
     if any(dot(f, a) < 0 for f in through):
         return False
     if not through:
         # the source is the target itself; the group test was the test
         return True
     group = M0.group
-    phi = tuple(sum(f[j] for f in through) for j in range(len(a)))
     weight = dot(phi, a)
-    pos = [(g, dot(phi, g)) for g in MD.generators if dot(phi, g) > 0]
-    assert all(dot(phi, g) >= 0 for g in MD.generators)
     target_rep = reduce_mod_lattice(group, a)
     start = reduce_mod_lattice(group, tuple([0] * len(a)))
     if weight == 0:

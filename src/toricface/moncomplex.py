@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import comb
 from typing import Optional
 
 from .lattice import vadd
@@ -161,10 +162,13 @@ class SupportPoint:
 
 
 def graded_dim(mcc: MonoidalComplex, a) -> SupportPoint:
+    """a lies in M_C exactly when C contains the carrier of a and a lies in
+    the carrier's monoid, the restriction of M_C to that face."""
     a = tuple(int(x) for x in a)
-    carrier = tuple(c.key for c in mcc.fan.cones
-                    if monoid_member(mcc.monoids[c.key], a) is not None)
-    return SupportPoint(a, carrier)
+    home = mcc.fan.carrier(a)
+    if home is None or monoid_member(mcc.monoids[home.key], a) is None:
+        return SupportPoint(a, ())
+    return SupportPoint(a, tuple(c.key for c in mcc.fan.up_set(home)))
 
 
 def seminormalize_complex(mcc: MonoidalComplex) -> MonoidalComplex:
@@ -210,40 +214,35 @@ def _find(parent, x):
     return root
 
 
-def _union(parent, a, b) -> bool:
+def _union(parent, a, b):
+    """Join two classes under the smaller root; zero is smallest of all."""
     ra, rb = _find(parent, a), _find(parent, b)
     if ra == rb:
-        return False
+        return
     if rb == _ZERO or (ra != _ZERO and ra > rb):
         parent[ra] = rb
     else:
         parent[rb] = ra
-    return True
 
 
-def _divides(g, m):
-    return all(gi <= mi for gi, mi in zip(g, m))
+def _link(parent, monomials, u, v=None):
+    """Join w+u to w+v, or to zero when v is None, for every w keeping both
+    in the truncation.  monomials holds every exponent tuple of total degree
+    at most the bound, sorted by total degree, so those w are a prefix."""
+    room = sum(monomials[-1]) - max(sum(u), sum(v or ()))
+    for w in monomials[:comb(len(u) + room, room) if room >= 0 else 0]:
+        _union(parent, vadd(w, u), _ZERO if v is None else vadd(w, v))
 
 
-def _closure(monomials, mono_set, mono_gens, bino_gens):
-    """Congruence closure of the generator relations on the truncated set."""
+def _closure(monomials, mono_gens, bino_gens):
+    """Congruence closure of the generator relations on the truncated set:
+    its edges are fixed, so one union-find pass over them gives the classes,
+    each rooted at its least monomial or at zero."""
     parent = {}
-    changed = True
-    while changed:
-        changed = False
-        for m in monomials:
-            for g in mono_gens:
-                if _divides(g, m):
-                    changed |= _union(parent, m, _ZERO)
-            for u, v in bino_gens:
-                if _divides(u, m):
-                    t = tuple(mi - ui + vi for mi, ui, vi in zip(m, u, v))
-                    if t in mono_set:
-                        changed |= _union(parent, m, t)
-                if _divides(v, m):
-                    t = tuple(mi - vi + ui for mi, ui, vi in zip(m, u, v))
-                    if t in mono_set:
-                        changed |= _union(parent, m, t)
+    for g in mono_gens:
+        _link(parent, monomials, g)
+    for u, v in bino_gens:
+        _link(parent, monomials, u, v)
     return parent
 
 
@@ -288,7 +287,6 @@ def presentation(mcc: MonoidalComplex, degree_bound: int) -> PresentationIdeal:
 
     monomials = sorted(_exponent_tuples(n, degree_bound),
                        key=lambda e: (sum(e), e))
-    mono_set = set(monomials)
 
     def evaluate(e):
         acc = (0,) * mcc.ambient_dim
@@ -308,14 +306,14 @@ def presentation(mcc: MonoidalComplex, degree_bound: int) -> PresentationIdeal:
         groups.setdefault(evaluate(m), []).append(m)
 
     chosen = []
-    parent = _closure(monomials, mono_set, mono_gens, chosen)
+    parent = _closure(monomials, mono_gens, ())
     for ev in sorted(groups, key=lambda ev: (sum(groups[ev][0]), groups[ev][0])):
         members = groups[ev]
         rep = members[0]
         for m in members[1:]:
             if _find(parent, m) != _find(parent, rep):
                 chosen.append((m, rep))
-                parent = _closure(monomials, mono_set, mono_gens, chosen)
+                _link(parent, monomials, m, rep)
 
     # interreduce: drop any generator whose relation the others still derive
     kept_m = list(mono_gens)
@@ -332,7 +330,7 @@ def presentation(mcc: MonoidalComplex, degree_bound: int) -> PresentationIdeal:
     for kind, g in removable:
         trial_m = [x for x in kept_m if not (kind == "m" and x == g)]
         trial_b = [x for x in kept_b if not (kind == "b" and x == g)]
-        par = _closure(monomials, mono_set, trial_m, trial_b)
+        par = _closure(monomials, trial_m, trial_b)
         if kind == "m":
             implied = _find(par, g) == _ZERO
         else:
@@ -341,29 +339,21 @@ def presentation(mcc: MonoidalComplex, degree_bound: int) -> PresentationIdeal:
             kept_m, kept_b = trial_m, trial_b
 
     # verification against the graded dimension
-    parent = _closure(monomials, mono_set, kept_m, kept_b)
+    parent = _closure(monomials, kept_m, kept_b)
     class_of = {}
-    for m in monomials:
-        if sum(m) == 0:
-            continue
-        root = _find(parent, m)
-        if truly_zero(m):
-            if root != _ZERO:
-                raise ComplexError(
-                    f"presentation verification failed: zero monomial {m} "
-                    f"not derived to zero"
-                )
-        else:
-            if root == _ZERO:
-                raise ComplexError(
-                    f"presentation verification failed: nonzero monomial {m} "
-                    f"derived to zero"
-                )
+    for m in monomials[1:]:   # past the constant monomial
+        root, zero = _find(parent, m), truly_zero(m)
+        if (root == _ZERO) != zero:
+            raise RuntimeError(
+                f"presentation verification failed: "
+                f"{'zero' if zero else 'nonzero'} monomial {m} "
+                f"{'not ' if zero else ''}derived to zero")
+        if not zero:
             class_of.setdefault(evaluate(m), set()).add(root)
     for ev, roots in sorted(class_of.items()):
         want = graded_dim(mcc, ev).value
         if len(roots) != want:
-            raise ComplexError(
+            raise RuntimeError(
                 f"presentation verification failed at multidegree {ev}: "
                 f"{len(roots)} classes, graded dimension {want}"
             )

@@ -18,7 +18,9 @@ from toricface.cohomology import (complex_avoiding, local_cohomology_degree,
                                   zero_table)
 from toricface.frobenius import excluded_primes
 from toricface.lattice import vadd
+from toricface.moncomplex import restrict
 from toricface.monoid import monoid_member
+from toricface.polyhedral import skeleton_fan
 
 RAY_T = ((0, 1),)
 RAY_X = ((1, 0),)
@@ -138,6 +140,27 @@ def test_slice_searches_each_pair_once(monkeypatch):
         linked += len(cech_slice(mcc, a).mats)
         assert asked and len(asked) == len(set(asked)), a
     assert linked
+
+
+def test_face_weights_are_computed_once_per_pair(monkeypatch):
+    """facets_through, phi and the phi-positive generators do not depend on
+    the degree; they are kept on the target monoid, which restrict shares,
+    so no (target, source) pair computes them twice across degrees or
+    across restricted complexes."""
+    mcc = crosspoly(3, (2, 3))
+    asked = []
+    through = cech_module.facets_through
+
+    def counted(target, source):
+        asked.append((target.key, source.key))
+        return through(target, source)
+
+    monkeypatch.setattr(cech_module, "facets_through", counted)
+    sub = restrict(mcc, skeleton_fan(mcc.fan, 2))
+    for a in [(-1, -1, -1), (1, -2, 0), (0, -1, -2), (2, 2, -1)]:
+        cech_slice(mcc, a)
+        cech_slice(sub, a)
+    assert asked and len(asked) == len(set(asked))
 
 
 def test_slice_state_cap_stops_the_first_long_search():

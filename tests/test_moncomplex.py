@@ -11,9 +11,11 @@ import json
 
 import pytest
 from conftest import (
+    ALL_FIXTURES,
     FIX_A_GENS,
     FIX_B_GENS,
     FIX_C_GENS,
+    crosspoly,
     fix_a,
     fix_b,
     fix_c,
@@ -21,8 +23,14 @@ from conftest import (
     stanley_r1,
 )
 
+from toricface import moncomplex
 from toricface.moncomplex import (
+    _ZERO,
     ComplexError,
+    _closure,
+    _exponent_tuples,
+    _find,
+    _link,
     build_complex,
     graded_dim,
     presentation,
@@ -32,7 +40,7 @@ from toricface.moncomplex import (
 import toricface.cli
 import toricface.monoid
 import toricface.polyhedral
-from toricface.cli import build_from_document, parse_input
+from toricface.cli import build_from_document, main, parse_input
 from toricface.monoid import (NormalityCheck, check_seminormal_normal,
                               lattice_monoid, monoid_member)
 from toricface.polyhedral import (cone_build, face_lattice, fan_build,
@@ -254,12 +262,17 @@ def test_graded_dim_examples():
 
 
 def test_graded_dim_agrees_with_maximal_cover():
-    # the support is the union of the maximal monoids
-    for build in (fix_a, fix_c):
-        mcc = build()
+    # the support is the union of the maximal monoids, and the carrier is
+    # every cone whose monoid holds the point, in fan order
+    for mcc in [b() for b in ALL_FIXTURES.values()] + [
+            crosspoly(2, (2, 3)), crosspoly(2)]:
         radius = 3 if mcc.ambient_dim == 3 else 4
         for x in box(mcc.ambient_dim, radius):
             sp = graded_dim(mcc, x)
+            assert sp.point == x
+            assert sp.carrier == tuple(
+                c.key for c in mcc.fan.cones
+                if monoid_member(mcc.monoids[c.key], x) is not None)
             covered = any(
                 monoid_member(mcc.monoids[k], x) is not None
                 for k in mcc.fan.maximal)
@@ -386,6 +399,86 @@ def test_presentation_refuses_too_many_generators():
     assert len(mcc.monoid_at(fan.maximal[0]).generators) == 18
     with pytest.raises(ComplexError, match="limited to 16 generators"):
         presentation(mcc, 2)
+
+
+def _fixpoint_closure(monomials, mono_gens, bino_gens):
+    """The congruence closure as a fixpoint over every (monomial, generator)
+    pair, kept as the reference for the one-pass closure."""
+    def divides(g, m):
+        return all(gi <= mi for gi, mi in zip(g, m))
+
+    def union(parent, a, b):
+        ra, rb = _find(parent, a), _find(parent, b)
+        if ra == rb:
+            return False
+        if rb == _ZERO or (ra != _ZERO and ra > rb):
+            parent[ra] = rb
+        else:
+            parent[rb] = ra
+        return True
+
+    mono_set = set(monomials)
+    parent = {}
+    changed = True
+    while changed:
+        changed = False
+        for m in monomials:
+            for g in mono_gens:
+                if divides(g, m):
+                    changed |= union(parent, m, _ZERO)
+            for u, v in bino_gens:
+                for x, y in ((u, v), (v, u)):
+                    if divides(x, m):
+                        t = tuple(mi - xi + yi for mi, xi, yi in zip(m, x, y))
+                        if t in mono_set:
+                            changed |= union(parent, m, t)
+    return parent
+
+
+def _closure_cases():
+    for build in ALL_FIXTURES.values():
+        for bound in range(1, 7):
+            yield build(), bound
+    for mcc in (crosspoly(2, (2, 3)), crosspoly(2)):
+        for bound in range(1, 5):
+            yield mcc, bound
+
+
+def test_one_pass_closure_matches_fixpoint():
+    """On the generators presentation keeps, the one-pass closure gives
+    every monomial the root the fixpoint gives it, and growing it one
+    binomial at a time gives the closure built from scratch."""
+    for mcc, bound in _closure_cases():
+        pres = presentation(mcc, bound)
+        monomials = sorted(_exponent_tuples(len(pres.variables), bound),
+                           key=lambda e: (sum(e), e))
+        mono = list(pres.monomial_gens)
+        bino = [(u, v) for u, v, _ in pres.binomial_gens]
+        fast = _closure(monomials, mono, bino)
+        slow = _fixpoint_closure(monomials, mono, bino)
+        roots = [_find(fast, m) for m in monomials]
+        assert roots == [_find(slow, m) for m in monomials]
+        # each class is rooted at zero or at its least monomial
+        assert all(r == _ZERO or r <= m for m, r in zip(monomials, roots))
+        grown = _closure(monomials, mono, ())
+        for i, (u, v) in enumerate(bino):
+            _link(grown, monomials, u, v)
+            fresh = _closure(monomials, mono, bino[:i + 1])
+            assert [_find(grown, m) for m in monomials] == \
+                [_find(fresh, m) for m in monomials]
+
+
+def test_failed_presentation_certificate_is_not_bad_input(monkeypatch, capsys):
+    """A closure that loses the binomials fails the graded-dimension check:
+    the library raises RuntimeError and the CLI exits 3, not 1."""
+    real = moncomplex._closure
+    monkeypatch.setattr(moncomplex, "_closure",
+                        lambda monomials, mono, bino: real(monomials, mono, ()))
+    with pytest.raises(RuntimeError, match="verification failed"):
+        presentation(fix_a(), 6)
+    path = importlib.resources.files("toricface") / "fixtures" / "fix-a.json"
+    assert main(["presentation", str(path)]) == 3
+    assert "verification failed" in capsys.readouterr().err
 
 
 def test_presentation_rejects_bad_bound():
