@@ -212,26 +212,23 @@ def localization_piece(mcc: MonoidalComplex, cone, a,
 class CechSlice:
     """All nonzero localized pieces in one degree, with the maps between them.
 
-    levels[(t, pieces)] lists the nonzero pieces among cones of dimension t
-    as (cone_key, PieceResult) pairs; mats pairs t with the matrix of the map
-    from level t to level t+1, rows indexed by the t+1 pieces.
+    pieces maps each cone with a nonzero piece to its PieceResult, in fan
+    order; sizes and mats are the cochain data of those cones: sizes[t]
+    counts the pieces on t-cones and mats[t] maps level t to level t+1.
     """
 
     degree: tuple
-    levels: tuple
-    mats: tuple
-
-    def sizes(self) -> dict:
-        return {t: len(p) for t, p in self.levels}
-
-    def matrices(self) -> dict:
-        return {t: [list(r) for r in rows] for t, rows in self.mats}
+    pieces: dict
+    sizes: dict
+    mats: dict
 
     def keys_at(self, t: int) -> tuple:
-        for lt, pieces in self.levels:
-            if lt == t:
-                return tuple(k for k, _ in pieces)
-        return ()
+        return tuple(c.key for c in self.pieces if c.dim == t)
+
+    def level_map(self, t: int) -> list:
+        """The map out of level t, zero where the slice has none."""
+        return self.mats.get(t) or [[0] * self.sizes.get(t, 0)
+                                    for _ in range(self.sizes.get(t + 1, 0))]
 
 
 def cech_slice(mcc: MonoidalComplex, a,
@@ -240,28 +237,23 @@ def cech_slice(mcc: MonoidalComplex, a,
     fan = mcc.fan
     cap = DEFAULT_STATE_CAP if state_cap is None else state_cap
     memo: dict = {}
-    pieces = []
+    pieces = {}
     for c in fan.cones:
         pr = localization_piece(mcc, c, a, state_cap, memo)
         if pr.value:
-            pieces.append((c, pr))
+            pieces[c] = pr
 
     def linked(small, big):
         # nonzero where a = z - y, y in small's monoid, z in one above big
         return _decide(mcc, small, fan.up_set(big), a, cap, memo)
 
-    _, mats = cochain([c for c, _ in pieces], linked)
+    sizes, mats = cochain(pieces, linked)
     for t in sorted(mats):
-        if t + 1 in mats:
-            square = mat_mul(mats[t + 1], mats[t])
-            assert all(x == 0 for row in square for x in row), \
-                f"maps at degree {a} do not compose to zero at level {t}"
-    by_dim: dict = {}
-    for c, pr in pieces:
-        by_dim.setdefault(c.dim, []).append((c.key, pr))
-    return CechSlice(a, tuple((t, tuple(v)) for t, v in sorted(by_dim.items())),
-                     tuple(sorted((t, tuple(tuple(r) for r in M))
-                                  for t, M in mats.items())))
+        if t + 1 in mats and any(
+                x for row in mat_mul(mats[t + 1], mats[t]) for x in row):
+            raise RuntimeError(
+                f"maps at degree {a} do not compose to zero at level {t}")
+    return CechSlice(a, pieces, sizes, mats)
 
 
 def cech_degree(mcc: MonoidalComplex, a, characteristic,
@@ -269,7 +261,7 @@ def cech_degree(mcc: MonoidalComplex, a, characteristic,
     """H^i_m(R)_a from the localized pieces; no seminormality needed."""
     check_characteristic(characteristic)
     sl = cech_slice(mcc, a, state_cap)
-    return table_from_cochain(sl.sizes(), sl.matrices(), characteristic)
+    return table_from_cochain(sl.sizes, sl.mats, characteristic)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +292,7 @@ def frobenius_check(mcc: MonoidalComplex, a, p: int,
 
     The p-th power map sends the degree-a piece at each cone into the
     degree-pa piece, with matrix 1 on matching cones; it commutes with the
-    localization maps, which is asserted, and the induced maps on
+    localization maps, which is checked, and the induced maps on
     cohomology over F_p are measured level by level.
     """
     if not is_prime(p):
@@ -315,44 +307,36 @@ def frobenius_check(mcc: MonoidalComplex, a, p: int,
     keys_pa = {t: spa.keys_at(t) for t in range(top + 1)}
     for t in range(top + 1):
         missing = set(keys_a[t]) - set(keys_pa[t])
-        assert not missing, \
-            f"pieces {missing} vanish at degree {tuple(pa)} but not {tuple(a)}"
+        if missing:
+            raise RuntimeError(f"pieces {missing} vanish at degree "
+                               f"{tuple(pa)} but not {tuple(a)}")
 
     F = {t: [[1 if ka == kp else 0 for ka in keys_a[t]]
              for kp in keys_pa[t]] for t in range(top + 1)}
-
-    def level_map(slice_, keys, t):
-        """Matrix of the map out of level t, keys[t+1] rows x keys[t] cols."""
-        if t < 0 or t >= top:
-            return [[0] * len(keys.get(t, ())) for _ in keys.get(t + 1, ())]
-        for lt, rows in slice_.mats:
-            if lt == t:
-                return [list(r) for r in rows]
-        return [[0] * len(keys[t]) for _ in keys[t + 1]]
 
     for t in range(top):
         na_t, na_up = len(keys_a[t]), len(keys_a[t + 1])
         npa_up = len(keys_pa[t + 1])
         if na_t == 0 or npa_up == 0:
             continue
-        lhs = mat_mul(level_map(spa, keys_pa, t), F[t])
+        lhs = mat_mul(spa.level_map(t), F[t])
         if na_up:
-            rhs = mat_mul(F[t + 1], level_map(sa, keys_a, t))
+            rhs = mat_mul(F[t + 1], sa.level_map(t))
         else:
             rhs = [[0] * na_t for _ in range(npa_up)]
-        assert all((x - y) % p == 0
-                   for lr, rr in zip(lhs, rhs) for x, y in zip(lr, rr)), \
-            f"power map fails to commute with the maps at level {t}"
+        if any((x - y) % p for lr, rr in zip(lhs, rhs)
+               for x, y in zip(lr, rr)):
+            raise RuntimeError(
+                f"power map fails to commute with the maps at level {t}")
 
     steps = []
     for i in range(top + 1):
         na, npa = len(keys_a[i]), len(keys_pa[i])
-        Ba = level_map(sa, keys_a, i - 1)
-        Bpa = level_map(spa, keys_pa, i - 1)
-        Za = kernel_mod(level_map(sa, keys_a, i), p, na)
+        Ba, Bpa = sa.level_map(i - 1), spa.level_map(i - 1)
+        Za = kernel_mod(sa.level_map(i), p, na)
         rank_b = rank_mod(Bpa, p)
         h_a = len(Za) - rank_mod(Ba, p)
-        h_pa = npa - rank_mod(level_map(spa, keys_pa, i), p) - rank_b
+        h_pa = npa - rank_mod(spa.level_map(i), p) - rank_b
         if h_a == 0 and h_pa == 0:
             continue
         # the cycles at a pushed to pa, counted modulo the boundaries there

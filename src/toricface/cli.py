@@ -282,7 +282,7 @@ def _cmd_check(doc, mcc, named, options, bounds):
     out = []
     for name, key in named:
         M = mcc.monoids[key]
-        flags = mcc.cone_flags[key]
+        flags = M.flags
         hb = normalization(M).elements
         pts = generated_points(hb, M.grading, bounds["gap_degree"],
                                doc.dimension)
@@ -308,7 +308,7 @@ def _cmd_normalize(doc, mcc, named, options, bounds):
             "name": name,
             "cone": _key_json(key),
             "hilbert_basis": [list(v) for v in hb],
-            "is_normal": mcc.cone_flags[key].normal,
+            "is_normal": M.flags.normal,
         })
     return {"cones": out}
 
@@ -425,15 +425,16 @@ def _cmd_fpure(doc, mcc, named, options, bounds):
 
 def _oracle_one(mcc, a, ch, cap):
     sl = cech_slice(mcc, a, cap)
-    t = table_from_cochain(sl.sizes(), sl.matrices(), ch)
+    t = table_from_cochain(sl.sizes, sl.mats, ch)
     return {
         "degree": list(a),
         "table": _table_json(t),
         "levels": [{
             "dim": lt,
-            "pieces": [{"cone": _key_json(k), "witness": list(map(list, pr.witness))}
-                       for k, pr in pieces],
-        } for lt, pieces in sl.levels],
+            "pieces": [{"cone": _key_json(c.key),
+                        "witness": list(map(list, pr.witness))}
+                       for c, pr in sl.pieces.items() if c.dim == lt],
+        } for lt in sl.sizes],
     }
 
 

@@ -29,6 +29,7 @@ from .lattice import (
     coset_representatives,
     intersect,
     is_prime,
+    lattice_equal,
     prime_factors,
     quotient_invariants,
     snf,
@@ -38,7 +39,7 @@ from .lattice import (
     vscale,
 )
 from .moncomplex import ComplexError, MonoidalComplex, build_complex, restrict
-from .monoid import AffineMonoid, check_seminormal_normal, monoid_face_gens
+from .monoid import AffineMonoid, monoid_face_gens
 from .polyhedral import (
     Cone,
     Fan,
@@ -107,12 +108,12 @@ class CohomologyTable:
                 and self.corrections == other.corrections)
 
 
-def zero_table(characteristic, label: str = "") -> CohomologyTable:
-    return CohomologyTable(check_characteristic(characteristic), (), (), label)
+def zero_table(characteristic) -> CohomologyTable:
+    return CohomologyTable(check_characteristic(characteristic), (), ())
 
 
-def table_from_cochain(sizes: dict, mats: dict, characteristic,
-                       label: str = "") -> CohomologyTable:
+def table_from_cochain(sizes: dict, mats: dict,
+                       characteristic) -> CohomologyTable:
     """Cohomology dimensions of an integer cochain complex.
 
     sizes[j] is the rank of the degree-j term; mats[j] is the matrix of
@@ -156,10 +157,10 @@ def table_from_cochain(sizes: dict, mats: dict, characteristic,
             ent = entries_in(p)
             if ent != main:
                 corr.append((p, ent))
-        return CohomologyTable("all", main, tuple(corr), label)
+        return CohomologyTable("all", main, tuple(corr))
     if characteristic == 0:
-        return CohomologyTable(0, entries_in(0), (), label)
-    return CohomologyTable(characteristic, entries_in(characteristic), (), label)
+        return CohomologyTable(0, entries_in(0), ())
+    return CohomologyTable(characteristic, entries_in(characteristic), ())
 
 
 def table_shift(table: CohomologyTable, k: int) -> CohomologyTable:
@@ -489,7 +490,7 @@ def _one_cone_complex(M: AffineMonoid, face: Cone) -> MonoidalComplex:
 def c_k_monoid(M: AffineMonoid, characteristic) -> FaceDepthResult:
     """Largest face dimension below which all face rings are CM."""
     characteristic = check_characteristic(characteristic)
-    if not check_seminormal_normal(M).seminormal:
+    if not M.flags.seminormal:
         raise ValueError("c_k is defined here for seminormal monoids only")
     faces = face_lattice(M.cone).faces
     cm_by_dim: dict = {}
@@ -522,15 +523,9 @@ class BbrReport:
 
 
 def _is_stanley(mcc: MonoidalComplex) -> bool:
-    for c in mcc.fan.cones:
-        m = mcc.monoids[c.key]
-        if not mcc.cone_flags[c.key].normal:
-            return False
-        lin = c.lin_basis
-        if not (all(lin.contains(b) for b in m.group.basis)
-                and all(m.group.contains(b) for b in lin.basis)):
-            return False
-    return True
+    return all(mcc.monoids[c.key].flags.normal
+               and lattice_equal(mcc.monoids[c.key].group, c.lin_basis)
+               for c in mcc.fan.cones)
 
 
 def _order_complex_cochain(fan: Fan, verts) -> tuple:

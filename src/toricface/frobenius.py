@@ -17,7 +17,7 @@ from typing import Optional
 from .lattice import (intersect, is_prime, lattice_from_rows, prime_factors,
                       quotient_invariants)
 from .moncomplex import ComplexError, MonoidalComplex
-from .monoid import AffineMonoid, check_seminormal_normal, monoid_face_gens
+from .monoid import AffineMonoid, monoid_face_gens
 from .polyhedral import face_lattice
 
 
@@ -89,7 +89,7 @@ def monoid_F_injective(M: AffineMonoid, p: int) -> MonoidFInjectivity:
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not a prime")
-    if not check_seminormal_normal(M).seminormal:
+    if not M.flags.seminormal:
         raise ValueError("the F-injectivity criterion requires a "
                          "seminormal monoid")
     for f in face_lattice(M.cone).faces:
@@ -119,7 +119,7 @@ def weak_F_regular(mcc: MonoidalComplex) -> WeakFRegularity:
             False, f"the fan has {len(mcc.fan.maximal)} maximal cones; "
                    "it must be the face poset of a single cone")
     key = mcc.fan.maximal[0]
-    flags = mcc.cone_flags[key]
+    flags = mcc.monoids[key].flags
     if not flags.normal:
         return WeakFRegularity(
             False, f"the monoid on the maximal cone is not normal "

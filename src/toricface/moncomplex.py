@@ -12,16 +12,13 @@ verified by congruence closure against the graded dimension.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
 from typing import Optional
 
 from .lattice import vadd
 from .monoid import (
     AffineMonoid,
-    NormalityCheck,
-    check_seminormal_normal,
     lattice_monoid,
     monoid_build,
     monoid_face_gens,
@@ -39,9 +36,14 @@ class ComplexError(ValueError):
 class MonoidalComplex:
     fan: Fan
     monoids: dict          # cone key -> AffineMonoid
-    seminormal: bool       # every cone monoid is seminormal
-    normal_monoids: bool   # every cone monoid is normal
-    cone_flags: dict       # cone key -> NormalityCheck
+    seminormal: bool = field(init=False)      # every cone monoid is seminormal
+    normal_monoids: bool = field(init=False)  # every cone monoid is normal
+
+    def __post_init__(self):
+        # read from the monoids once, so no query pays for a decision
+        flags = [m.flags for m in self.monoids.values()]
+        self.seminormal = all(f.seminormal for f in flags)
+        self.normal_monoids = all(f.normal for f in flags)
 
     @property
     def ambient_dim(self) -> int:
@@ -85,30 +87,21 @@ def _validate(fan: Fan, monoids: dict) -> None:
                     )
 
 
-def _with_flags(fan: Fan, monoids: dict,
-                flags: Optional[dict] = None) -> MonoidalComplex:
-    """The complex with its per-cone normality flags, decided unless given."""
-    if flags is None:
-        flags = {k: check_seminormal_normal(m) for k, m in monoids.items()}
-    sn = all(f.seminormal for f in flags.values())
-    nm = all(f.normal for f in flags.values())
-    return MonoidalComplex(fan, monoids, sn, nm, flags)
-
-
 def build_complex(fan: Fan, maximal_monoid_gens: Optional[dict] = None,
                   stanley: bool = False) -> MonoidalComplex:
     """Assemble and fully validate a monoidal complex.
 
-    Without stanley, one generator list per maximal cone is required (keyed
-    by the cone's ray tuple); face monoids are derived by restriction and
-    cross-checked between all parents.  With stanley, every monoid is the
-    full lattice part of its cone.
+    Each maximal cone gets one monoid: with stanley, the full lattice part
+    of the cone; without, the monoid of its generator list (keyed by the
+    cone's ray tuple).  Every face monoid is the restriction of its least
+    maximal parent's and is cross-checked against all parents.  A face of
+    a normal monoid is normal, so it takes its parent's flags unchecked.
     """
     d = fan.ambient_dim
     monoids = {}
     if stanley:
-        for c in fan.cones:
-            monoids[c.key] = lattice_monoid(c)
+        for key in fan.maximal:
+            monoids[key] = lattice_monoid(fan.by_key(key))
     else:
         if maximal_monoid_gens is None:
             raise ComplexError("generator lists required when stanley is off")
@@ -128,18 +121,19 @@ def build_complex(fan: Fan, maximal_monoid_gens: Optional[dict] = None,
                     f"generators {tuple(gens)} span cone {spanned.key}, "
                     f"expected {key}"
                 ) from None
-        for c in fan.cones:
-            if c.key in monoids:
-                continue
-            parent = min(d_.key for d_ in fan.up_set(c) if d_.key in given)
-            gens = monoid_face_gens(monoids[parent], c)
-            monoids[c.key] = monoid_build(gens, d, c)
+    tops = set(fan.maximal)
+    parents = {}
+    for c in fan.cones:
+        if c.key in tops:
+            continue
+        parent = monoids[min(d_.key for d_ in fan.up_set(c) if d_.key in tops)]
+        monoids[c.key] = monoid_build(monoid_face_gens(parent, c), d, c)
+        parents[c.key] = parent
     _validate(fan, monoids)
-    if stanley:
-        # the lattice points of a cone form a normal monoid by construction
-        return _with_flags(fan, monoids,
-                           dict.fromkeys(monoids, NormalityCheck(True, True, None)))
-    return _with_flags(fan, monoids)
+    for key, parent in parents.items():
+        if parent.flags.normal:
+            monoids[key].__dict__["flags"] = parent.flags  # the cached slot
+    return MonoidalComplex(fan, monoids)
 
 
 def restrict(mcc: MonoidalComplex, subfan: Fan) -> MonoidalComplex:
@@ -147,8 +141,8 @@ def restrict(mcc: MonoidalComplex, subfan: Fan) -> MonoidalComplex:
     for c in subfan.cones:
         if c.key not in mcc.monoids:
             raise ComplexError(f"cone {c.key} is not part of the complex")
-    monoids = {c.key: mcc.monoids[c.key] for c in subfan.cones}
-    return _with_flags(subfan, monoids, {k: mcc.cone_flags[k] for k in monoids})
+    return MonoidalComplex(subfan, {c.key: mcc.monoids[c.key]
+                                    for c in subfan.cones})
 
 
 @dataclass(frozen=True)
@@ -175,7 +169,7 @@ def seminormalize_complex(mcc: MonoidalComplex) -> MonoidalComplex:
     """Cone-wise seminormalization, re-validated as a complex."""
     monoids = {k: seminormalized_monoid(m) for k, m in mcc.monoids.items()}
     _validate(mcc.fan, monoids)
-    out = _with_flags(mcc.fan, monoids)
+    out = MonoidalComplex(mcc.fan, monoids)
     assert out.seminormal
     return out
 
@@ -268,40 +262,34 @@ def presentation(mcc: MonoidalComplex, degree_bound: int) -> PresentationIdeal:
                              if mcc.fan.by_key(k).contains(variables[i]))
                 for k in mcc.fan.maximal}
 
-    def support_in_one_cone(idx_set):
-        return any(idx_set <= v for v in supports.values())
+    def in_one_cone(e):
+        supp = {i for i, t in enumerate(e) if t}
+        return any(supp <= s for s in supports.values())
 
     for i in range(n):
-        assert support_in_one_cone(frozenset([i]))
+        assert in_one_cone(tuple(int(j == i) for j in range(n)))
 
-    nonfaces = []
-    for size in range(2, n + 1):
-        for comb in itertools.combinations(range(n), size):
-            s = frozenset(comb)
-            if support_in_one_cone(s):
-                continue
-            if any(set(kept) <= s for kept in nonfaces):
-                continue
-            nonfaces.append(comb)
-    mono_gens = [tuple(1 if i in s else 0 for i in range(n)) for s in nonfaces]
+    # the minimal nonfaces are the minimal sets meeting the complement of
+    # every support, grown one maximal cone at a time (Berge's step)
+    nonfaces = {frozenset()}
+    for s in supports.values():
+        out = set(range(n)) - s
+        grown = {t for t in nonfaces if t & out}
+        grown |= {t | {i} for t in nonfaces - grown for i in out}
+        nonfaces = {t for t in grown if not any(u < t for u in grown)}
+    mono_gens = [tuple(int(i in t) for i in range(n))
+                 for t in sorted(nonfaces, key=lambda t: (len(t), sorted(t)))]
 
     monomials = sorted(_exponent_tuples(n, degree_bound),
                        key=lambda e: (sum(e), e))
 
     def evaluate(e):
-        acc = (0,) * mcc.ambient_dim
-        for i, t in enumerate(e):
-            for _ in range(t):
-                acc = vadd(acc, variables[i])
-        return acc
-
-    def truly_zero(e):
-        supp = frozenset(i for i, t in enumerate(e) if t > 0)
-        return not support_in_one_cone(supp)
+        return tuple(sum(t * v[j] for t, v in zip(e, variables))
+                     for j in range(mcc.ambient_dim))
 
     groups = {}
     for m in monomials:
-        if sum(m) == 0 or truly_zero(m):
+        if sum(m) == 0 or not in_one_cone(m):
             continue
         groups.setdefault(evaluate(m), []).append(m)
 
@@ -342,7 +330,7 @@ def presentation(mcc: MonoidalComplex, degree_bound: int) -> PresentationIdeal:
     parent = _closure(monomials, kept_m, kept_b)
     class_of = {}
     for m in monomials[1:]:   # past the constant monomial
-        root, zero = _find(parent, m), truly_zero(m)
+        root, zero = _find(parent, m), not in_one_cone(m)
         if (root == _ZERO) != zero:
             raise RuntimeError(
                 f"presentation verification failed: "
@@ -360,9 +348,9 @@ def presentation(mcc: MonoidalComplex, degree_bound: int) -> PresentationIdeal:
 
     bino_out = []
     for u, v in kept_b:
-        supp = frozenset(i for i in range(n) if u[i] > 0 or v[i] > 0)
-        home = next(k for k in sorted(supports) if supp <= supports[k])
-        bino_out.append((u, v, home))
+        supp = {i for i in range(n) if u[i] or v[i]}
+        bino_out.append((u, v, next(k for k, s in supports.items()
+                                    if supp <= s)))
     bino_out.sort(key=lambda t: (sum(t[0]), t[0], t[1]))
     return PresentationIdeal(variables,
                              tuple(sorted(kept_m, key=lambda e: (sum(e), e))),

@@ -38,7 +38,7 @@ from .lattice import (
     vscale,
     vsub,
 )
-from .polyhedral import Cone, cone_build, face_lattice
+from .polyhedral import Cone, cone_build, face_at, face_lattice
 
 
 class BoundTooSmallError(ValueError):
@@ -86,6 +86,11 @@ class AffineMonoid:
         """(Hilbert basis of cone ∩ group, max candidate degree), computed once."""
         return _hilbert_data(self.cone, self.group)
 
+    @cached_property
+    def flags(self) -> NormalityCheck:
+        """Seminormality and normality of the monoid, decided once."""
+        return check_seminormal_normal(self)
+
     def contains(self, v) -> bool:
         return monoid_member(self, v) is not None
 
@@ -128,12 +133,14 @@ def lattice_monoid(cone: Cone) -> AffineMonoid:
     """The monoid of all lattice points of the cone, e.g. of a Stanley complex.
 
     Its Hilbert data is computed once, from the cone's saturated span,
-    which is the monoid's group, and kept on the monoid.
+    which is the monoid's group, and kept on the monoid; it is normal by
+    construction.
     """
     data = _hilbert_data(cone, cone.lin_basis)
     M = monoid_build(data[0], cone.ambient_dim, cone)
     assert all(M.group.contains(b) for b in cone.lin_basis.basis)
-    M.__dict__["hilbert_data"] = data  # the cached_property's slot
+    M.__dict__["hilbert_data"] = data  # the cached_properties' slots
+    M.__dict__["flags"] = NormalityCheck(True, True, None)
     return M
 
 
@@ -385,31 +392,6 @@ def monoid_face_gens(M: AffineMonoid, face: Cone):
     return tuple(g for g in M.generators if face.contains(g))
 
 
-def _face_data(M: AffineMonoid):
-    """(ray-set, group lattice of the face restriction) per face."""
-    out = []
-    for f in face_lattice(M.cone).faces:
-        gens_f = monoid_face_gens(M, f)
-        lat = lattice_from_rows(M.ambient_dim, [list(g) for g in gens_f])
-        out.append((frozenset(f.rays), lat))
-    return out
-
-
-def _in_plus(M: AffineMonoid, faces, x) -> bool:
-    """Is x in the face-lattice union defining the seminormalization?
-
-    x must already lie in the cone; its carrier face is cut out by the
-    facet normals vanishing at x.
-    """
-    vanish = [f for f in M.cone.facets if dot(f, x) == 0]
-    carrier = frozenset(r for r in M.cone.rays
-                        if all(dot(f, r) == 0 for f in vanish))
-    for rays, lat in faces:
-        if rays == carrier:
-            return solve_in_lattice(lat, x) is not None
-    raise AssertionError("carrier face not found")
-
-
 def seminormalize(M: AffineMonoid, bound: Optional[int] = None) -> SeminormalizationResult:
     """Generators of the seminormalization, certified up to twice the bound."""
     hb, maxdeg = M.hilbert_data
@@ -419,10 +401,15 @@ def seminormalize(M: AffineMonoid, bound: Optional[int] = None) -> Seminormaliza
     if bound is None:
         bound = max(2 * maxdeg, gen_deg)
     ell = M.grading
-    faces = _face_data(M)
+    # x lies in the face-lattice union when it lies in the group of the
+    # generators on its carrier, the smallest face of the cone holding it
+    groups = {f.key: lattice_from_rows(M.ambient_dim,
+                                       [list(g) for g in monoid_face_gens(M, f)])
+              for f in face_lattice(M.cone).faces}
 
     big = generated_points(hb, ell, 2 * bound, M.ambient_dim)
-    plus2 = sorted(x for x in big if not is_zero(x) and _in_plus(M, faces, x))
+    plus2 = sorted(x for x in big if not is_zero(x) and solve_in_lattice(
+        groups[face_at(M.cone, x)], x) is not None)
     plus1 = [x for x in plus2 if dot(ell, x) <= bound]
 
     pset = set(plus1)

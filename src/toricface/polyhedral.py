@@ -307,6 +307,13 @@ def relint_contains(cone: Cone, v) -> bool:
             and all(dot(f, v) > 0 for f in cone.facets))
 
 
+def face_at(cone: Cone, v) -> tuple:
+    """Key of the smallest face of the cone holding v, a point of the cone:
+    the rays lying on every facet tight at v."""
+    tight = [f for f in cone.facets if dot(f, v) == 0]
+    return tuple(r for r in cone.rays if all(dot(f, r) == 0 for f in tight))
+
+
 def facets_through(cone: Cone, face: "Cone"):
     """Facet normals of `cone` that vanish on `face`."""
     return [f for f in cone.facets if all(dot(f, r) == 0 for r in face.rays)]
@@ -430,17 +437,12 @@ class Fan:
         return any(c.contains(v) for c in self.maximal_cones())
 
     def carrier(self, v) -> Optional[Cone]:
-        """The unique cone with v in its relative interior, if any.
-
-        In a maximal cone holding v, the rays on every facet tight at v
-        span the smallest face holding v.
-        """
+        """The unique cone with v in its relative interior, if any: the
+        smallest face holding v of a maximal cone holding v."""
         top = next((c for c in self.maximal_cones() if c.contains(v)), None)
         if top is None:
             return None
-        tight = [f for f in top.facets if dot(f, v) == 0]
-        c = self._by_key[tuple(r for r in top.rays
-                               if all(dot(f, r) == 0 for f in tight))]
+        c = self._by_key[face_at(top, v)]
         assert relint_contains(c, v)
         return c
 

@@ -6,7 +6,16 @@ point count) and frozen here; the box scans then cross-check the direct
 cochain computation against the recursive formula on every fixture.
 """
 
+import contextlib
+import importlib.resources
+import io
 import itertools
+import json
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +23,7 @@ import toricface.cech as cech_module
 from conftest import ALL_FIXTURES, crosspoly, fix_b, fix_c, stanley_r1
 from toricface.cech import (BoundExhausted, cech_degree, cech_slice,
                             frobenius_check, localization_piece)
+from toricface.cli import main
 from toricface.cohomology import (complex_avoiding, local_cohomology_degree,
                                   zero_table)
 from toricface.frobenius import excluded_primes
@@ -93,8 +103,8 @@ def test_piece_witnesses_over_box():
               + [crosspoly(2), crosspoly(2, (2, 3))])
     for mcc in inputs:
         for a in box(mcc.ambient_dim, 2):
-            listed = {k: pr for _, pieces in cech_slice(mcc, a).levels
-                      for k, pr in pieces}
+            listed = {c.key: pr
+                      for c, pr in cech_slice(mcc, a).pieces.items()}
             for cone in mcc.fan.cones:
                 r = localization_piece(mcc, cone, a)
                 if cone.key in listed:
@@ -194,13 +204,13 @@ def test_slice_structure_two_cone_glued():
     mcc = fix_b()
     sl = cech_slice(mcc, (0, -1))
     assert sl.degree == (0, -1)
-    levels = [t for t, _ in sl.levels]
+    levels = [c.dim for c in sl.pieces]
     assert levels == sorted(levels)
     assert sl.keys_at(1) == (RAY_T,)
     assert sl.keys_at(2) == (CONE_BP, CONE_B)
     assert sl.keys_at(0) == ()
-    assert sl.sizes() == {1: 1, 2: 2}
-    mats = sl.matrices()
+    assert sl.sizes == {1: 1, 2: 2}
+    mats = sl.mats
     assert list(mats) == [1]
     assert [len(r) for r in mats[1]] == [1, 1]
     assert sorted(abs(r[0]) for r in mats[1]) == [0, 1]
@@ -210,8 +220,8 @@ def test_slice_matrix_shapes_match_levels():
     mcc = fix_c()
     for a in [(0, -1), (0, -2), (-1, -1), (1, 1), (0, 0)]:
         sl = cech_slice(mcc, a)
-        sizes = sl.sizes()
-        for t, rows in sl.mats:
+        sizes = sl.sizes
+        for t, rows in sl.mats.items():
             assert len(rows) == sizes.get(t + 1, 0)
             for r in rows:
                 assert len(r) == sizes.get(t, 0)
@@ -317,3 +327,102 @@ def test_power_map_rejects_composite_exponent():
     for p in (0, 1, 4, 6):
         with pytest.raises(ValueError):
             frobenius_check(mcc, (0, -1), p)
+
+
+# ---------------------------------------------------------------------------
+# failed certificates: each breaks one check, which must raise RuntimeError
+# in the library and exit 3 from the CLI, with asserts on or off
+
+def _flip_a_sign(cochain):
+    """Cochain data with one sign of its top map flipped."""
+    def flipped(cones, linked=None):
+        sizes, mats = cochain(cones, linked)
+        row = mats[max(mats)][0]
+        j = next(j for j, x in enumerate(row) if x)
+        row[j] = -row[j]
+        return sizes, mats
+    return flipped
+
+
+def _at_second_slice(change):
+    """cech_slice with the second slice asked for, frobenius_check's slice
+    in degree p*a, passed through change."""
+    def make(cech_slice):
+        asked = []
+
+        def patched(*args):
+            sl = cech_slice(*args)
+            asked.append(sl)
+            return change(sl) if len(asked) == 2 else sl
+        return patched
+    return make
+
+
+CERTIFICATES = [
+    # (name patched in toricface.cech, its replacement given the original,
+    #  library call, CLI arguments on fix-c, message)
+    ("cochain", _flip_a_sign,
+     lambda: cech_slice(fix_c(), (0, 0)),
+     ["oracle", "--degree", "0,0"], "do not compose to zero"),
+    ("cech_slice",
+     _at_second_slice(lambda sl: replace(sl, pieces={}, sizes={}, mats={})),
+     lambda: frobenius_check(fix_c(), (0, -1), 2),
+     ["frobenius", "--degree", "0,-1", "-p", "2"], "vanish at degree"),
+    ("cech_slice", _at_second_slice(lambda sl: replace(sl, mats={})),
+     lambda: frobenius_check(fix_c(), (0, 0), 3),
+     ["frobenius", "--degree", "0,0", "-p", "3"], "fails to commute"),
+]
+
+
+def _certificate_outcome(case):
+    """(library error or None, CLI exit code, CLI stderr) with one check
+    broken.  Plain code, no asserts, so it runs the same under python -O."""
+    name, make, call, args, _ = CERTIFICATES[case]
+    original = getattr(cech_module, name)
+    path = importlib.resources.files("toricface") / "fixtures" / "fix-c.json"
+    err = io.StringIO()
+    try:
+        setattr(cech_module, name, make(original))
+        try:
+            call()
+            raised = None
+        except RuntimeError as e:
+            raised = str(e)
+        setattr(cech_module, name, make(original))
+        with contextlib.redirect_stderr(err):
+            code = main([*args, str(path)])
+    finally:
+        setattr(cech_module, name, original)
+    return raised, code, err.getvalue()
+
+
+def _check_outcome(case, outcome):
+    raised, code, err = outcome
+    message = CERTIFICATES[case][-1]
+    assert raised is not None and message in raised, (case, raised)
+    assert code == 3, (case, err)
+    assert err.startswith("toricface: internal error: RuntimeError: ")
+    assert message in err
+
+
+@pytest.mark.parametrize("case", range(len(CERTIFICATES)))
+def test_failed_cech_certificate_raises(case):
+    _check_outcome(case, _certificate_outcome(case))
+
+
+def test_failed_cech_certificates_raise_under_python_O():
+    here = Path(__file__).resolve().parent
+    src = str(Path(cech_module.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, str(here)]))
+    env.pop("PYTHONOPTIMIZE", None)
+    script = ("import json, sys, test_cech as t; print(json.dumps("
+              "[sys.flags.optimize] + [t._certificate_outcome(i) "
+              "for i in range(len(t.CERTIFICATES))]))")
+    run = subprocess.run([sys.executable, "-O", "-c", script], cwd=here,
+                         capture_output=True, text=True, env=env, check=False)
+    assert run.returncode == 0, run.stderr
+    optimize, *outcomes = json.loads(run.stdout.splitlines()[-1])
+    assert optimize == 1
+    assert len(outcomes) == len(CERTIFICATES)
+    for case, outcome in enumerate(outcomes):
+        _check_outcome(case, outcome)

@@ -42,7 +42,7 @@ import toricface.monoid
 import toricface.polyhedral
 from toricface.cli import build_from_document, main, parse_input
 from toricface.monoid import (NormalityCheck, check_seminormal_normal,
-                              lattice_monoid, monoid_member)
+                              lattice_monoid, monoid_build, monoid_member)
 from toricface.polyhedral import (cone_build, face_lattice, fan_build,
                                   skeleton_fan, zero_cone)
 
@@ -62,21 +62,79 @@ def test_fixture_flags():
     assert (c.seminormal, c.normal_monoids) == (True, False)
 
 
+def _stanley_plane():
+    """A Stanley complex on non-unimodular cones."""
+    return build_complex(fan_build([cone_build([(1, 0), (1, 3)]),
+                                   cone_build([(1, 3), (-2, 1)])]),
+                         stanley=True)
+
+
+def _least_parent(mcc, cone):
+    return min(u.key for u in mcc.fan.up_set(cone) if u.key in mcc.fan.maximal)
+
+
 def test_stanley_complexes_are_normal():
     """build_complex gives Stanley cones their flags by construction; the
     decision procedure agrees on every cone, unimodular or not."""
-    plane = fan_build([cone_build([(1, 0), (1, 3)]),
-                       cone_build([(1, 3), (-2, 1)])])
-    crosspoly = build_from_document(parse_input(crosspoly_stanley_text(3)))[0]
-    for mcc in (stanley_r1(), octant_boundary(), crosspoly,
-                build_complex(plane, stanley=True)):
+    for mcc in (stanley_r1(), octant_boundary(), crosspoly(2), crosspoly(3),
+                _stanley_plane()):
         assert mcc.normal_monoids and mcc.seminormal
         for key, m in mcc.monoids.items():
             cone = mcc.fan.by_key(key)
             assert m.cone.key == cone.key
             flags = check_seminormal_normal(lattice_monoid(cone))
             assert flags == NormalityCheck(True, True, None), key
-            assert mcc.cone_flags[key] == flags
+            assert m.flags == flags
+
+
+def test_stanley_faces_are_the_lattice_monoids_of_their_cones():
+    """Each face monoid, restricted from its least maximal parent, has the
+    generators and group of the face's own lattice monoid."""
+    for mcc in (stanley_r1(), octant_boundary(), crosspoly(2), crosspoly(3),
+                _stanley_plane()):
+        for c in mcc.fan.cones:
+            m, want = mcc.monoids[c.key], lattice_monoid(c)
+            assert m.generators == want.generators, c.key
+            assert m.group == want.group, c.key
+            assert m.hilbert_data == want.hilbert_data, c.key
+
+
+def test_flags_match_a_fresh_decision(monkeypatch):
+    """Every cone's flags equal a fresh decision on the same generators;
+    a face is decided at build exactly when its least maximal parent is
+    not normal, and otherwise inherits the parent's flags."""
+    decided = []
+    decide = toricface.monoid.check_seminormal_normal
+
+    def counted(M):
+        decided.append(M)
+        return decide(M)
+
+    builds = list(ALL_FIXTURES.values()) + [
+        lambda: crosspoly(2, (2, 3)), lambda: crosspoly(3, (2, 3)),
+        lambda: crosspoly(2), lambda: crosspoly(3), _stanley_plane]
+    inherited = checked = 0
+    for build in builds:
+        monkeypatch.setattr(toricface.monoid, "check_seminormal_normal",
+                            counted)
+        decided.clear()
+        mcc = build()
+        monkeypatch.undo()
+        for c in mcc.fan.cones:
+            m = mcc.monoids[c.key]
+            fresh = monoid_build(m.generators, mcc.ambient_dim, c)
+            assert m.flags == check_seminormal_normal(fresh), c.key
+            if c.key in mcc.fan.maximal:
+                continue
+            parent = mcc.monoids[_least_parent(mcc, c)]
+            was_decided = any(x is m for x in decided)
+            assert was_decided != parent.flags.normal, c.key
+            if was_decided:
+                checked += 1
+            else:
+                assert m.flags is parent.flags
+                inherited += 1
+    assert inherited and checked
 
 
 def crosspoly_stanley_text(d):
@@ -124,7 +182,11 @@ def test_build_makes_each_cone_and_hilbert_basis_once(monkeypatch):
         # the pairwise common-face check builds none
         built = counts["cone_build"]
         assert built <= len(fan.cones) - 1
-        assert counts["_hilbert_data"] == len(fan.cones)
+        # once per maximal cone, and once per face decided at build: one
+        # whose least maximal parent is not normal
+        assert counts["_hilbert_data"] == len(fan.maximal) + sum(
+            not mcc.monoids[_least_parent(mcc, c)].flags.normal
+            for c in fan.cones if c.key not in fan.maximal)
         lattices = [face_lattice(c) for c in fan.cones]
         assert counts["cone_build"] == built  # every lattice was cached
         for c, fl in zip(fan.cones, lattices):

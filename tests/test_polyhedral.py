@@ -22,6 +22,7 @@ from toricface.polyhedral import (
     cell_complex,
     cochain,
     cone_build,
+    face_at,
     face_lattice,
     facets_through,
     fan_build,
@@ -400,6 +401,20 @@ def test_fan_carrier():
     assert fan.carrier((0, 0)).dim == 0
     assert fan.carrier((-1, 0)) is None
     assert fan.support_contains((3, 1)) and not fan.support_contains((-1, -1))
+
+
+def test_face_at_is_the_first_face_holding_the_point():
+    checked = 0
+    for build in ALL_FIXTURES.values():
+        mcc = build()
+        for cone in mcc.fan.cones:
+            faces = face_lattice(cone).faces
+            for v in itertools.product(range(-3, 4), repeat=mcc.ambient_dim):
+                if cone.contains(v):
+                    assert face_at(cone, v) == next(
+                        f.key for f in faces if f.contains(v)), (cone.key, v)
+                    checked += 1
+    assert checked
 
 
 def test_skeleton_fan():
