@@ -25,6 +25,7 @@ from typing import Callable, Optional
 from .cohomology import CohomologyTable, check_characteristic, \
     table_from_cochain
 from .lattice import (
+    combine,
     dot,
     is_prime,
     kernel_mod,
@@ -103,7 +104,7 @@ def _decide_one(mcc: MonoidalComplex, source: Cone, target: Cone, a,
         return False
     if source.key not in MD._face_weights:   # none depends on a
         through = facets_through(target, source)
-        phi = tuple(sum(f[j] for f in through) for j in range(len(a)))
+        phi = combine([1] * len(through), through, len(a))
         assert all(dot(phi, g) >= 0 for g in MD.generators)
         MD._face_weights[source.key] = (through, phi, [
             (g, dot(phi, g)) for g in MD.generators if dot(phi, g) > 0])
@@ -158,8 +159,8 @@ def _decide(mcc: MonoidalComplex, source: Cone, targets, a, state_cap: int,
 
 def _sums_to(gens, coeffs, v) -> bool:
     """Is v the combination of gens with these nonnegative coefficients?"""
-    return len(coeffs) == len(gens) and min(coeffs, default=0) >= 0 and all(
-        sum(c * g[j] for c, g in zip(coeffs, gens)) == x for j, x in enumerate(v))
+    return (len(coeffs) == len(gens) and min(coeffs, default=0) >= 0
+            and combine(coeffs, gens, len(v)) == tuple(v))
 
 
 def _witness(mcc: MonoidalComplex, source: Cone, targets, a, memo: dict):
@@ -173,7 +174,7 @@ def _witness(mcc: MonoidalComplex, source: Cone, targets, a, memo: dict):
     from t times each source generator.
     """
     gens = mcc.monoids[source.key].generators
-    sigma = tuple(sum(g[j] for g in gens) for j in range(len(a)))
+    sigma = combine([1] * len(gens), gens, len(a))
     live = [d for d in targets if memo.get((source.key, d.key)) is not False]
     for t in range(WITNESS_HARD_CAP + 1):
         y = vscale(t, sigma)

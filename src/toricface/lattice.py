@@ -10,6 +10,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
+from operator import add, floordiv, mod, mul, neg, sub
 from typing import Optional, Sequence
 
 Vector = tuple  # tuple[int, ...]
@@ -20,19 +21,19 @@ Matrix = list   # list of row lists
 # vector helpers
 
 def vec(v) -> Vector:
-    return tuple(int(x) for x in v)
+    return tuple(map(int, v))
 
 
 def vadd(a, b) -> Vector:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def vsub(a, b) -> Vector:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def vneg(a) -> Vector:
-    return tuple(-x for x in a)
+    return tuple(map(neg, a))
 
 
 def vscale(c: int, a) -> Vector:
@@ -40,18 +41,22 @@ def vscale(c: int, a) -> Vector:
 
 
 def dot(a, b) -> int:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def is_zero(a) -> bool:
-    return all(x == 0 for x in a)
+    return not any(a)
+
+
+def combine(coeffs, rows, d: int) -> Vector:
+    """sum c_i * row_i, a vector of length d (the zero vector for no rows)."""
+    if not rows:
+        return (0,) * d
+    return tuple([sum(map(mul, coeffs, col)) for col in zip(*rows)])
 
 
 def content(a) -> int:
-    g = 0
-    for x in a:
-        g = gcd(g, x)
-    return g
+    return gcd(*a)
 
 
 def primitive(a) -> Vector:
@@ -91,21 +96,18 @@ def prime_factors(n: int):
 # matrix helpers
 
 def identity(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
 
 
 def mat_mul(A, B) -> Matrix:
     if A and B and len(A[0]) != len(B):
         raise ValueError("shape mismatch")
-    n = len(B[0]) if B else 0
-    out = []
-    for row in A:
-        out.append([sum(row[k] * B[k][j] for k in range(len(B))) for j in range(n)])
-    return out
+    cols = list(zip(*B))
+    return [[sum(map(mul, row, c)) for c in cols] for row in A]
 
 
 def mat_vec(A, x) -> Vector:
-    return tuple(dot(row, x) for row in A)
+    return tuple([sum(map(mul, row, x)) for row in A])
 
 
 def transpose(A) -> Matrix:
@@ -187,55 +189,51 @@ def snf(A: Sequence[Sequence[int]]) -> SNFResult:
     U = identity(m)
     V = identity(n)
 
-    def row_op(i, j, q):  # row_i -= q * row_j
-        D[i] = [a - q * b for a, b in zip(D[i], D[j])]
-        U[i] = [a - q * b for a, b in zip(U[i], U[j])]
-
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for r in D:
-            r[i] -= q * r[j]
-        for r in V:
-            r[i] -= q * r[j]
-
-    def swap_rows(i, j):
-        D[i], D[j] = D[j], D[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for r in D:
-            r[i], r[j] = r[j], r[i]
-        for r in V:
-            r[i], r[j] = r[j], r[i]
-
     t = 0
     while t < min(m, n):
-        # locate minimal nonzero |entry| in the trailing submatrix
-        piv = None
+        # the first entry of least nonzero |x| in the trailing block, in
+        # row-major order; nothing beats a unit, so the scan stops at one
+        piv, best = None, 0
         for i in range(t, m):
+            row = D[i]
             for j in range(t, n):
-                if D[i][j] != 0 and (piv is None or abs(D[i][j]) < abs(D[piv[0]][piv[1]])):
-                    piv = (i, j)
+                x = row[j]
+                if x and (not best or abs(x) < best):
+                    piv, best = (i, j), abs(x)
+            if best == 1:
+                break
         if piv is None:
             break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
+        i, j = piv
+        D[t], D[i] = D[i], D[t]
+        U[t], U[i] = U[i], U[t]
+        if j != t:
+            for r in D:
+                r[t], r[j] = r[j], r[t]
+            for r in V:
+                r[t], r[j] = r[j], r[t]
+        Dt, p = D[t], D[t][t]
         dirty = False
         for i in range(t + 1, m):
-            if D[i][t] != 0:
-                q = D[i][t] // D[t][t]
-                row_op(i, t, q)
+            if D[i][t] != 0:  # row_i -= q * row_t
+                q = D[i][t] // p
+                D[i] = [a - q * b for a, b in zip(D[i], Dt)]
+                U[i] = [a - q * b for a, b in zip(U[i], U[t])]
                 if D[i][t] != 0:
                     dirty = True
         for j in range(t + 1, n):
-            if D[t][j] != 0:
-                q = D[t][j] // D[t][t]
-                col_op(j, t, q)
-                if D[t][j] != 0:
+            if Dt[j] != 0:  # col_j -= q * col_t
+                q = Dt[j] // p
+                for r in D:
+                    r[j] -= q * r[t]
+                for r in V:
+                    r[j] -= q * r[t]
+                if Dt[j] != 0:
                     dirty = True
         if dirty:
             continue  # remainders left; pick a smaller pivot again
-        if D[t][t] < 0:
-            D[t] = [-a for a in D[t]]
+        if p < 0:
+            D[t] = [-a for a in Dt]
             U[t] = [-a for a in U[t]]
         t += 1
 
@@ -300,8 +298,8 @@ def kernel_mod(A, p: int, n: int) -> list:
     if not A or not A[0]:
         return [tuple(r) for r in identity(n)]
     res = snf(A)
-    return [tuple(res.V[i][j] % p for i in range(n))
-            for j in range(_units_mod(res.divisors, p), n)]
+    return [tuple(x % p for x in col)
+            for col in list(zip(*res.V))[_units_mod(res.divisors, p):]]
 
 
 def independent_rows(rows) -> list:
@@ -383,11 +381,9 @@ def kernel_basis(A: Sequence[Sequence[int]], ncols: Optional[int] = None) -> lis
     if not A:
         if ncols is None:
             raise ValueError("ncols required for an empty matrix")
-        return [tuple(1 if i == j else 0 for j in range(ncols)) for i in range(ncols)]
-    n = len(A[0])
+        return [tuple(r) for r in identity(ncols)]
     res = snf(A)
-    r = res.rank
-    return [tuple(res.V[i][j] for i in range(n)) for j in range(r, n)]
+    return list(zip(*res.V))[res.rank:]
 
 
 def left_kernel_basis(A: Sequence[Sequence[int]]) -> list:
@@ -517,14 +513,10 @@ def solve_in_lattice(L: LatticeBasis, v) -> Optional[list]:
     if not L.basis:
         return []
     res = L.col_snf
-    y = []
-    for u, dv in zip(uv, res.divisors):
-        if u % dv != 0:
-            return None
-        y.append(u // dv)
-    c = mat_vec(res.V, y)
-    assert tuple(sum(c[i] * L.basis[i][j] for i in range(len(c)))
-                 for j in range(L.ambient_dim)) == v
+    if any(map(mod, uv, res.divisors)):
+        return None
+    c = mat_vec(res.V, list(map(floordiv, uv, res.divisors)))
+    assert combine(c, L.basis, L.ambient_dim) == v
     return list(c)
 
 
@@ -543,8 +535,7 @@ def rational_coords(L: LatticeBasis, v) -> Optional[tuple]:
     res = L.col_snf
     den = res.divisors[-1]
     c = mat_vec(res.V, [u * (den // dv) for u, dv in zip(uv, res.divisors)])
-    assert tuple(sum(c[i] * L.basis[i][j] for i in range(len(c)))
-                 for j in range(L.ambient_dim)) == tuple(den * x for x in v)
+    assert combine(c, L.basis, L.ambient_dim) == vscale(den, v)
     return list(c), den
 
 
@@ -564,12 +555,8 @@ def intersect(L1: LatticeBasis, L2: LatticeBasis) -> LatticeBasis:
     if not L1.basis or not L2.basis:
         return LatticeBasis(d, ())
     stacked = [list(b) for b in L1.basis] + [list(b) for b in L2.basis]
-    k1 = len(L1.basis)
-    gens = []
-    for u in left_kernel_basis(stacked):
-        x = tuple(sum(u[i] * L1.basis[i][j] for i in range(k1)) for j in range(d))
-        if not is_zero(x):
-            gens.append(x)
+    # u*stacked = 0, so u's first len(L1.basis) entries reach L1 ∩ L2
+    gens = [combine(u, L1.basis, d) for u in left_kernel_basis(stacked)]
     out = lattice_from_rows(d, gens)
     for b in out.basis:
         assert L1.contains(b) and L2.contains(b)
@@ -611,13 +598,12 @@ def quotient_invariants(sub: LatticeBasis, sup: LatticeBasis) -> QuotientInvaria
 
 def reduce_mod_lattice(L: LatticeBasis, v) -> Vector:
     """Canonical representative of v + L (reduction against the HNF basis)."""
-    v = [int(x) for x in v]
+    v = vec(v)
     for c, r in L.hnf_pivots:
         q = v[c] // r[c]
         if q:
-            for j in range(len(v)):
-                v[j] -= q * r[j]
-    return tuple(v)
+            v = tuple([a - q * b for a, b in zip(v, r)])
+    return v
 
 
 def coset_representatives(sub: LatticeBasis, sup: LatticeBasis) -> list:
@@ -636,8 +622,5 @@ def coset_representatives(sub: LatticeBasis, sup: LatticeBasis) -> list:
     vinv = unimodular_inverse(res.V)
     reps = []
     for cvec in itertools.product(*[range(dv) for dv in res.divisors]):
-        x = [sum(cvec[i] * vinv[i][j] for i in range(r)) for j in range(r)]
-        amb = tuple(sum(x[i] * sup.basis[i][j] for i in range(r))
-                    for j in range(d))
-        reps.append(amb)
+        reps.append(combine(combine(cvec, vinv, r), sup.basis, d))
     return reps

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from math import comb
 from typing import Optional
 
-from .lattice import vadd
+from .lattice import combine, vadd
 from .monoid import (
     AffineMonoid,
     lattice_monoid,
@@ -284,8 +284,7 @@ def presentation(mcc: MonoidalComplex, degree_bound: int) -> PresentationIdeal:
                        key=lambda e: (sum(e), e))
 
     def evaluate(e):
-        return tuple(sum(t * v[j] for t, v in zip(e, variables))
-                     for j in range(mcc.ambient_dim))
+        return combine(e, variables, mcc.ambient_dim)
 
     groups = {}
     for m in monomials:

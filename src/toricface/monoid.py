@@ -20,6 +20,7 @@ from typing import Optional
 
 from .lattice import (
     LatticeBasis,
+    combine,
     content,
     coset_representatives,
     dot,
@@ -52,12 +53,7 @@ class BoundTooSmallError(ValueError):
 
 def grading_functional(cone: Cone):
     """Sum of the facet normals; strictly positive on the cone minus 0."""
-    d = cone.ambient_dim
-    out = [0] * d
-    for f in cone.facets:
-        for j in range(d):
-            out[j] += f[j]
-    ell = tuple(out)
+    ell = combine([1] * len(cone.facets), cone.facets, cone.ambient_dim)
     for r in cone.rays:
         assert dot(ell, r) > 0
     return ell
@@ -198,12 +194,13 @@ def generated_points(gens, grading, bound, ambient_dim):
     zero = (0,) * ambient_dim
     seen = {zero}
     frontier = [zero]
+    degs = [(g, dot(grading, g)) for g in gens]
     while frontier:
         nxt = []
         for x in frontier:
-            base = dot(grading, x)
-            for g in gens:
-                if base + dot(grading, g) > bound:
+            room = bound - dot(grading, x)
+            for g, dg in degs:
+                if dg > room:
                     continue
                 y = vadd(x, g)
                 if y not in seen:
@@ -435,7 +432,11 @@ def seminormalized_monoid(M: AffineMonoid, bound: Optional[int] = None) -> Affin
     res = seminormalize(M, bound)
     if not res.generators:
         return M
-    return monoid_build(res.generators, M.ambient_dim, M.cone)
+    N = monoid_build(res.generators, M.ambient_dim, M.cone)
+    if N.group.basis == M.group.basis:
+        # same cone and the same (canonical HNF) group: same Hilbert data
+        N.__dict__["hilbert_data"] = M.hilbert_data
+    return N
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 
 from .lattice import (
     LatticeBasis,
+    combine,
     det_int,
     dot,
     identity,
@@ -32,6 +33,7 @@ from .lattice import (
     solve_in_lattice,
     transpose,
     vec,
+    vneg,
 )
 
 
@@ -118,17 +120,17 @@ def generators_from_h(ineqs, eqs, ambient_dim):
     dual_gens = [vec(r) for r in ineqs]
     for e in eqs:
         dual_gens.append(vec(e))
-        dual_gens.append(tuple(-x for x in e))
+        dual_gens.append(vneg(e))
     dual_gens = _canon_rows(dual_gens)
     if not dual_gens:
         # no constraints: the whole space
-        basis = [tuple(1 if i == j else 0 for j in range(ambient_dim)) for i in range(ambient_dim)]
-        return basis + [tuple(-x for x in b) for b in basis]
+        basis = [tuple(r) for r in identity(ambient_dim)]
+        return basis + [vneg(b) for b in basis]
     out_i, out_e = dual_description(dual_gens, ambient_dim)
     gens = list(out_i)
     for e in out_e:
         gens.append(e)
-        gens.append(tuple(-x for x in e))
+        gens.append(vneg(e))
     return _canon_rows(gens)
 
 
@@ -183,7 +185,7 @@ class Cone:
 
     def interior_point(self):
         """Sum of the extreme rays; lies in the relative interior."""
-        return tuple(sum(r[j] for r in self.rays) for j in range(self.ambient_dim))
+        return combine([1] * len(self.rays), self.rays, self.ambient_dim)
 
 
 def _checked(cone: Cone, v):
@@ -204,9 +206,7 @@ def _lift_functional(lin_basis: LatticeBasis, w):
     # f = U^T (V^T w, 0) solves B f = w
     assert all(d == 1 for d in res.divisors)
     k = lin_basis.rank
-    y = [sum(res.V[i][j] * w[i] for i in range(k)) for j in range(k)]
-    f = tuple(sum(res.U[j][i] * y[j] for j in range(k))
-              for i in range(lin_basis.ambient_dim))
+    f = combine(combine(w, res.V, k), res.U[:k], lin_basis.ambient_dim)
     assert _restrict(f, lin_basis.basis) == tuple(w)
     return f
 
@@ -266,10 +266,10 @@ def cone_build(generators, ambient_dim: Optional[int] = None) -> Cone:
     # pointedness: the facet functionals must have full rank on the span
     W = [list(_restrict(f, lin.basis)) for f in facets]
     if dim > 0 and (not W or rank_int(W) < dim):
-        null = kernel_basis(W, dim) if W else [tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)]
+        null = kernel_basis(W, dim)
         y = null[0]
-        x = tuple(sum(y[i] * lin.basis[i][j] for i in range(dim)) for j in range(d))
-        raise ConeNotPointedError((x, tuple(-c for c in x)))
+        x = combine(y, lin.basis, d)
+        raise ConeNotPointedError((x, vneg(x)))
 
     rays = []
     for g in gens:

@@ -6,11 +6,16 @@ tests themselves.
 """
 
 import itertools
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 from conftest import (ALL_FIXTURES, FIX_C_GENS, fix_a, fix_b, fix_c,
                       octant_boundary, stanley_r1)
 import test_lattice
+import toricface
 from toricface.cech import cech_degree, frobenius_check
 from toricface.cli import parse_input, render_report, run_command
 from toricface.cohomology import (bbr_formula, c_k_monoid, complex_avoiding,
@@ -248,3 +253,25 @@ def test_criterion_7_reports_byte_identical():
         with open(f"tests/golden/{golden}.json") as fh:
             assert first == fh.read(), (fixture, command)
     budget(t0, 60.0, "criterion 7")
+
+
+def test_criteria_hold_under_python_O():
+    """Every criterion above, run again in a `python -O` interpreter.  The
+    library's asserts are stripped there, so no answer may rest on them;
+    pytest still checks the tests' own asserts, which it rewrites."""
+    here = Path(__file__).resolve()
+    src = str(Path(toricface.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    env.pop("PYTHONOPTIMIZE", None)
+    criteria = [name for name in globals() if name.startswith("test_criterion_")]
+    script = ("import sys, pytest; print('optimize', sys.flags.optimize); "
+              "sys.exit(pytest.main(sys.argv[1:]))")
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", script, "-q", "-p", "no:cacheprovider",
+         *[f"{here}::{name}" for name in criteria]],
+        cwd=here.parents[1], capture_output=True, text=True, env=env,
+        check=False)
+    assert run.returncode == 0, run.stdout[-3000:] + run.stderr[-3000:]
+    assert run.stdout.splitlines()[0] == "optimize 1"
+    assert f"{len(criteria)} passed" in run.stdout, run.stdout[-3000:]

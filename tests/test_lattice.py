@@ -1,18 +1,26 @@
 """Lattice arithmetic contracts, checked against brute-force oracles."""
 
+import hashlib
 import itertools
 import random
+from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from toricface.lattice import (
     LatticeBasis,
+    combine,
+    content,
     coset_representatives,
     det_int,
+    dot,
     full_lattice,
     hnf,
     independent_rows,
     intersect,
+    is_zero,
     kernel_basis,
     kernel_mod,
     lattice_equal,
@@ -30,6 +38,11 @@ from toricface.lattice import (
     solve_in_lattice,
     transpose,
     unimodular_inverse,
+    vadd,
+    vec,
+    vneg,
+    vscale,
+    vsub,
 )
 
 
@@ -151,6 +164,24 @@ def test_hnf_contract_random():
                 assert 0 <= res.H[i][col] < p
             for i in range(row + 1, m):
                 assert res.H[i][col] == 0
+
+
+def test_smith_and_hermite_transforms_are_pinned():
+    """The transforms themselves, not only the divisors, are fixed: a new
+    pivot order would change U and V and keep every divisor, which the
+    comparison with sympy cannot see.  The digest covers snf's (D, U, V)
+    and hnf's (H, U, pivots) on 500 seeded matrices up to 6 x 6, half of
+    them low-rank products with torsion."""
+    rng = random.Random(52310)
+    h = hashlib.sha256()
+    for trial in range(500):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        A = (random_matrix(rng, m, n) if trial % 2
+             else random_product(rng, m, n, rng.randint(0, min(m, n))))
+        s, t = snf(A), hnf(A)
+        h.update(repr((s.D, s.U, s.V, t.H, t.U, t.pivots)).encode())
+    assert h.hexdigest() == (
+        "cbe051cc8a26102da141e3a9466725785b212d9b1b63d5775a2d9ffe5eaaa464")
 
 
 def test_snf_known_values():
@@ -358,6 +389,102 @@ def test_reduce_mod_lattice_is_canonical():
                 for j in range(d)
             )
             assert reduce_mod_lattice(L, tuple(a + b for a, b in zip(v, shift))) == rep
+
+
+# --- the element-wise kernel against the generator forms it replaced -----
+
+BIG = 2 ** 80   # entries well past 2**64
+ints = st.integers(-BIG, BIG)
+
+
+def vectors(d):
+    return st.lists(ints, min_size=d, max_size=d).map(tuple)
+
+
+@st.composite
+def vector_pair(draw):
+    d = draw(st.integers(0, 5))
+    return draw(vectors(d)), draw(vectors(d))
+
+
+@st.composite
+def matrix_pair(draw):
+    """A (m x k), B (k x n) and x of length k, any of m, k, n possibly 0."""
+    m, k, n = (draw(st.integers(0, 4)) for _ in range(3))
+    return ([list(draw(vectors(k))) for _ in range(m)],
+            [list(draw(vectors(n))) for _ in range(k)], draw(vectors(k)))
+
+
+@st.composite
+def rows_and_coeffs(draw):
+    d, k = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    return d, [draw(vectors(d)) for _ in range(k)], list(draw(vectors(k)))
+
+
+@settings(deadline=None)
+@given(vector_pair(), ints)
+@example(((), ()), 0)
+@example(((2 ** 64,), (-(2 ** 65) - 1,)), 2 ** 64 + 3)
+@example(((0, 0, 0), (0, -BIG, 0)), -1)
+def test_vector_helpers_match_generator_forms(ab, c):
+    a, b = ab
+    assert dot(a, b) == sum(x * y for x, y in zip(a, b))
+    assert vadd(a, b) == tuple(x + y for x, y in zip(a, b))
+    assert vsub(a, b) == tuple(x - y for x, y in zip(a, b))
+    assert vneg(a) == tuple(-x for x in a)
+    assert vscale(c, a) == tuple(c * x for x in a)
+    assert is_zero(a) == all(x == 0 for x in a)
+    assert is_zero(vsub(b, b)) and is_zero((0,) * len(a))
+    assert vec(str(x) for x in a) == tuple(int(str(x)) for x in a) == a
+    g = 0
+    for x in a:
+        g = gcd(g, x)
+    assert content(a) == g
+
+
+@settings(deadline=None)
+@given(matrix_pair())
+@example(([], [[1, 2]], (3,)))              # no rows
+@example(([[1], [2]], [[]], (BIG,)))        # no columns
+@example(([[], []], [], ()))                # inner dimension 0
+def test_mat_mul_and_mat_vec_match_generator_forms(case):
+    A, B, x = case
+    n = len(B[0]) if B else 0
+    assert mat_mul(A, B) == [
+        [sum(row[k] * B[k][j] for k in range(len(B))) for j in range(n)]
+        for row in A]
+    assert mat_vec(A, x) == tuple(sum(a * b for a, b in zip(row, x))
+                                  for row in A)
+
+
+@settings(deadline=None)
+@given(rows_and_coeffs())
+@example((3, [], []))
+@example((0, [(), ()], [BIG, -BIG]))
+@example((1, [(2 ** 70,)], [2 ** 70]))
+def test_combine_matches_generator_form(case):
+    d, rows, coeffs = case
+    want = tuple(sum(coeffs[i] * rows[i][j] for i in range(len(rows)))
+                 for j in range(d))
+    assert combine(coeffs, rows, d) == want
+    assert combine([], [], d) == (0,) * d
+
+
+@settings(deadline=None)
+@given(st.integers(1, 3).flatmap(lambda d: st.tuples(
+    st.lists(st.lists(st.integers(-9, 9), min_size=d, max_size=d),
+             min_size=1, max_size=d),
+    vectors(d))))
+def test_reduce_mod_lattice_matches_entrywise_loop(case):
+    rows, v = case
+    L = lattice_from_rows(len(v), rows)
+    want = list(v)
+    for c, r in L.hnf_pivots:
+        q = want[c] // r[c]
+        if q:
+            for j in range(len(want)):
+                want[j] -= q * r[j]
+    assert reduce_mod_lattice(L, v) == tuple(want)
 
 
 def test_left_kernel():

@@ -41,8 +41,9 @@ import toricface.cli
 import toricface.monoid
 import toricface.polyhedral
 from toricface.cli import build_from_document, main, parse_input
-from toricface.monoid import (NormalityCheck, check_seminormal_normal,
-                              lattice_monoid, monoid_build, monoid_member)
+from toricface.monoid import (NormalityCheck, _hilbert_data,
+                              check_seminormal_normal, lattice_monoid,
+                              monoid_build, monoid_member)
 from toricface.polyhedral import (cone_build, face_lattice, fan_build,
                                   skeleton_fan, zero_cone)
 
@@ -369,6 +370,27 @@ def test_seminormalize_complex_idempotent():
     twice = seminormalize_complex(once)
     for k in once.monoids:
         assert twice.monoids[k].generators == once.monoids[k].generators
+
+
+def test_seminormalized_monoids_keep_the_verified_hilbert_data():
+    """A seminormalization has its monoid's cone and group, so it takes the
+    monoid's Hilbert data, which equals a fresh computation; its flags still
+    come from the full decision, as on a freshly built monoid."""
+    for mcc in (fix_b(), crosspoly(2, (2, 3)), crosspoly(3, (2, 3))):
+        out = seminormalize_complex(mcc)
+        rebuilt = 0
+        for k, M in mcc.monoids.items():
+            N = out.monoids[k]
+            if N is M:
+                continue
+            rebuilt += 1
+            assert N.group.basis == M.group.basis
+            assert N.hilbert_data is M.hilbert_data
+            assert N.hilbert_data == _hilbert_data(N.cone, N.group)
+            fresh = monoid_build(N.generators, N.ambient_dim)
+            assert N.flags == check_seminormal_normal(fresh)
+            assert N.flags.seminormal
+        assert rebuilt
 
 
 # ---------------------------------------------------------------------------
