@@ -604,7 +604,6 @@ def build_parser() -> _Parser:
     for name in _HANDLERS:
         p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("input", help="path to a JSON input document")
-        p.add_argument("--format", choices=["json"], default="json")
         if name in ("cohomology", "oracle", "frobenius"):
             p.add_argument("--degree", type=_parse_degree, default=None)
         if name == "cohomology":

@@ -20,13 +20,11 @@ order-complex comparison for Stanley complexes.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from typing import Optional
 
 from .lattice import (
     LatticeBasis,
-    coset_representatives,
     intersect,
     is_prime,
     lattice_equal,
@@ -145,22 +143,19 @@ def table_from_cochain(sizes: dict, mats: dict,
                 out.append((j, h))
         return tuple(out)
 
+    if characteristic != "all":
+        return CohomologyTable(characteristic, entries_in(characteristic), ())
     bad = set()
     for dv in divisors.values():
         for x in dv:
             bad |= prime_factors(x)
-
-    if characteristic == "all":
-        main = entries_in(0)
-        corr = []
-        for p in sorted(bad):
-            ent = entries_in(p)
-            if ent != main:
-                corr.append((p, ent))
-        return CohomologyTable("all", main, tuple(corr))
-    if characteristic == 0:
-        return CohomologyTable(0, entries_in(0), ())
-    return CohomologyTable(characteristic, entries_in(characteristic), ())
+    main = entries_in(0)
+    corr = []
+    for p in sorted(bad):
+        ent = entries_in(p)
+        if ent != main:
+            corr.append((p, ent))
+    return CohomologyTable("all", main, tuple(corr))
 
 
 def table_shift(table: CohomologyTable, k: int) -> CohomologyTable:
@@ -358,10 +353,10 @@ def star_classes(mcc: MonoidalComplex) -> tuple:
     groups of all cones above C, cut to lin C; degrees of Z^d inside
     relint C have equal stars exactly when they agree mod K_C.  Top down,
     K_C is group(C) cut to lin C, met with K_D for each cone D covering C.
-    Each class's star is spot-checked on three perturbed representatives.
+    Each coset of K_C in lin C is pushed into relint C along a multiple of
+    an interior point that lies in K_C, and its star is taken once there.
     """
     fan = mcc.fan
-    rng = random.Random(7)
     lattices = {}
     for c in reversed(fan.cones):
         K = intersect(c.lin_basis, mcc.monoids[c.key].group)
@@ -371,24 +366,12 @@ def star_classes(mcc: MonoidalComplex) -> tuple:
         lattices[c.key] = K
     out = []
     for c in fan.cones:
-        lin = c.lin_basis
         K = lattices[c.key]
-        inv = quotient_invariants(K, lin)
-        assert inv.free_rank == 0
-        index = inv.index
-        m = math.lcm(*inv.divisors) if inv.divisors else 1
-        step = vscale(m, c.interior_point())
-        for rep in sorted(coset_representatives(K, lin)):
+        quotient = quotient_invariants(K, c.lin_basis)
+        step = vscale(math.lcm(*quotient.divisors), c.interior_point())
+        for rep in sorted(quotient.representatives()):
             b = _push_into_relint(c, rep, step)
-            st = star(mcc, b)
-            for _ in range(3):
-                v = b
-                for kvec in K.basis:
-                    v = vadd(v, vscale(rng.randint(-2, 2), kvec))
-                v = _push_into_relint(c, v, step)
-                assert star(mcc, v).keys == st.keys
-            out.append(StarClass(c, b, st, K, index))
-        assert sum(1 for sc in out if sc.carrier is c) == index
+            out.append(StarClass(c, b, star(mcc, b), K, quotient.index))
     out.append(StarClass(None, None, None, None, 1))
     return tuple(out)
 

@@ -506,7 +506,11 @@ def _smith_image(L: LatticeBasis, v: Vector) -> Optional[Vector]:
 
 def solve_in_lattice(L: LatticeBasis, v) -> Optional[list]:
     """Integer coefficients expressing v over L's basis, or None."""
-    v = vec(v)
+    return _solve(L, vec(v))
+
+
+def _solve(L: LatticeBasis, v: Vector) -> Optional[list]:
+    """solve_in_lattice for v already a tuple of ints."""
     uv = _smith_image(L, v)
     if uv is None:
         return None
@@ -565,8 +569,16 @@ def intersect(L1: LatticeBasis, L2: LatticeBasis) -> LatticeBasis:
 
 @dataclass(frozen=True)
 class QuotientInvariants:
+    """The quotient sup/sub of a sublattice sub of sup.
+
+    All of it is read from one Smith form U*A*V = D of the coordinate rows
+    A of sub over sup's basis.
+    """
+
     divisors: tuple   # elementary divisors of the torsion part, including 1s
     free_rank: int
+    _sup: LatticeBasis
+    _smith: Optional[SNFResult]   # None when sub is trivial
 
     @property
     def index(self) -> Optional[int]:
@@ -577,9 +589,24 @@ class QuotientInvariants:
             out *= d
         return out
 
+    def representatives(self) -> list:
+        """One ambient representative per coset of sub in sup.
+
+        The rows of A span the rows of D*V^-1, so the rows of V^-1 split
+        sup's coordinates into cyclic factors of orders d_i.
+        """
+        if self.free_rank:
+            raise ValueError("the quotient is infinite")
+        d, r = self._sup.ambient_dim, self._sup.rank
+        if not r:
+            return [(0,) * d]
+        vinv = unimodular_inverse(self._smith.V)
+        return [combine(combine(c, vinv, r), self._sup.basis, d)
+                for c in itertools.product(*map(range, self.divisors))]
+
 
 def quotient_invariants(sub: LatticeBasis, sup: LatticeBasis) -> QuotientInvariants:
-    """Elementary divisors of sup/sub for a sublattice sub of sup."""
+    """The quotient sup/sub for a sublattice sub of sup."""
     if sub.ambient_dim != sup.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     coords = []
@@ -589,11 +616,11 @@ def quotient_invariants(sub: LatticeBasis, sup: LatticeBasis) -> QuotientInvaria
             raise ValueError(f"{b} is not in the ambient lattice of the quotient")
         coords.append(c)
     if not sub.basis:
-        return QuotientInvariants((), sup.rank)
+        return QuotientInvariants((), sup.rank, sup, None)
     res = snf(coords)
     if res.rank != len(sub.basis):
         raise AssertionError("independent rows lost rank")
-    return QuotientInvariants(res.divisors, sup.rank - sub.rank)
+    return QuotientInvariants(res.divisors, sup.rank - sub.rank, sup, res)
 
 
 def reduce_mod_lattice(L: LatticeBasis, v) -> Vector:
@@ -604,23 +631,3 @@ def reduce_mod_lattice(L: LatticeBasis, v) -> Vector:
         if q:
             v = tuple([a - q * b for a, b in zip(v, r)])
     return v
-
-
-def coset_representatives(sub: LatticeBasis, sup: LatticeBasis) -> list:
-    """One ambient representative per coset of sub in sup (finite index)."""
-    d = sup.ambient_dim
-    r = len(sup.basis)
-    if r == 0:
-        return [tuple([0] * d)]
-    A = []
-    for b in sub.basis:
-        c = solve_in_lattice(sup, b)
-        assert c is not None
-        A.append(c)
-    assert len(A) == r
-    res = snf(A)
-    vinv = unimodular_inverse(res.V)
-    reps = []
-    for cvec in itertools.product(*[range(dv) for dv in res.divisors]):
-        reps.append(combine(combine(cvec, vinv, r), sup.basis, d))
-    return reps

@@ -18,14 +18,13 @@ from typing import Optional
 
 from .lattice import combine, vadd
 from .monoid import (
-    AffineMonoid,
     lattice_monoid,
     monoid_build,
     monoid_face_gens,
     monoid_member,
     seminormalized_monoid,
 )
-from .polyhedral import Cone, Fan
+from .polyhedral import Fan
 
 
 class ComplexError(ValueError):
@@ -48,10 +47,6 @@ class MonoidalComplex:
     @property
     def ambient_dim(self) -> int:
         return self.fan.ambient_dim
-
-    def monoid_at(self, cone) -> AffineMonoid:
-        key = cone.key if isinstance(cone, Cone) else tuple(cone)
-        return self.monoids[key]
 
 
 def _validate(fan: Fan, monoids: dict) -> None:

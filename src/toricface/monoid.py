@@ -20,9 +20,9 @@ from typing import Optional
 
 from .lattice import (
     LatticeBasis,
+    _solve,
     combine,
     content,
-    coset_representatives,
     dot,
     independent_rows,
     intersect,
@@ -30,6 +30,7 @@ from .lattice import (
     kernel_basis,
     lattice_from_rows,
     primitive,
+    quotient_invariants,
     rank_int,
     rational_coords,
     row_saturation,
@@ -86,6 +87,12 @@ class AffineMonoid:
     def flags(self) -> NormalityCheck:
         """Seminormality and normality of the monoid, decided once."""
         return check_seminormal_normal(self)
+
+    @cached_property
+    def _seminormalization(self) -> SeminormalizationResult:
+        # the default-bound seminormalize, computed once for flags and
+        # seminormalized_monoid alike
+        return seminormalize(self)
 
     def contains(self, v) -> bool:
         return monoid_member(self, v) is not None
@@ -152,9 +159,15 @@ def monoid_member(M: AffineMonoid, v) -> Optional[tuple]:
         raise ValueError("vector dimension mismatch")
     if is_zero(v):
         return (0,) * len(M.generators)
-    if solve_in_lattice(M.group, v) is None:
+    if _solve(M.group, v) is None:
         return None
     memo = M._member_memo
+    facets = M.cone.facets
+
+    def in_cone(x):
+        # x is v minus generators, so in the group and in lin C: the
+        # facet inequalities alone decide whether it lies in the cone
+        return all(dot(f, x) >= 0 for f in facets)
 
     def search(x):
         # returns a generator to subtract, or False
@@ -166,13 +179,13 @@ def monoid_member(M: AffineMonoid, v) -> Optional[tuple]:
         res = False
         for g in M.generators:
             y = vsub(x, g)
-            if M.cone.contains(y) and search(y) is not False:
+            if in_cone(y) and search(y) is not False:
                 res = g
                 break
         memo[x] = res
         return res
 
-    if not M.cone.contains(v) or search(v) is False:
+    if not in_cone(v) or search(v) is False:
         return None
     counts = {g: 0 for g in M.generators}
     x = v
@@ -181,11 +194,7 @@ def monoid_member(M: AffineMonoid, v) -> Optional[tuple]:
         counts[g] += 1
         x = vsub(x, g)
     coeffs = tuple(counts[g] for g in M.generators)
-    acc = (0,) * M.ambient_dim
-    for c, g in zip(coeffs, M.generators):
-        for _ in range(c):
-            acc = vadd(acc, g)
-    assert acc == v
+    assert combine(coeffs, M.generators, M.ambient_dim) == v
     return coeffs
 
 
@@ -281,7 +290,7 @@ def parallelepiped_points(simplex_points, lattice: LatticeBasis, ambient_dim):
     simplex = LatticeBasis(ambient_dim, tuple(spts))
     # one point per coset of the simplex lattice, moved into the half-open
     # parallelepiped by the floors of its coordinates over the simplex
-    reps = coset_representatives(simplex, lat)
+    reps = quotient_invariants(simplex, lat).representatives()
     out = set()
     for z in reps:
         c, den = rational_coords(simplex, z)
@@ -428,8 +437,8 @@ def seminormalize(M: AffineMonoid, bound: Optional[int] = None) -> Seminormaliza
     return SeminormalizationResult(gens_out, 2 * bound, witness)
 
 
-def seminormalized_monoid(M: AffineMonoid, bound: Optional[int] = None) -> AffineMonoid:
-    res = seminormalize(M, bound)
+def seminormalized_monoid(M: AffineMonoid) -> AffineMonoid:
+    res = M._seminormalization
     if not res.generators:
         return M
     N = monoid_build(res.generators, M.ambient_dim, M.cone)
@@ -454,8 +463,7 @@ def check_seminormal_normal(M: AffineMonoid) -> NormalityCheck:
     """
     hb, maxdeg = M.hilbert_data
     nwit = next((h for h in hb if monoid_member(M, h) is None), None)
-    sn = seminormalize(M)
-    swit = next((g for g in sn.generators if monoid_member(M, g) is None), None)
+    swit = M._seminormalization.witness
     seminormal = swit is None
     normal = nwit is None
     assert not (normal and not seminormal)

@@ -250,7 +250,7 @@ def cone_build(generators, ambient_dim: Optional[int] = None) -> Cone:
         if is_zero(w):
             continue
         zero_set = [g for g in gens if dot(f, g) == 0]
-        r = rank_int([list(g) for g in zero_set]) if zero_set else 0
+        r = rank_int([list(g) for g in zero_set])
         if r != dim - 1:
             continue
         fc = reduce_mod_lattice(perp, _lift_functional(lin, w))
@@ -274,7 +274,7 @@ def cone_build(generators, ambient_dim: Optional[int] = None) -> Cone:
     rays = []
     for g in gens:
         zf = [list(_restrict(f, lin.basis)) for f in facets if dot(f, g) == 0]
-        r = rank_int(zf) if zf else 0
+        r = rank_int(zf)
         if r == dim - 1:
             rays.append(g)
     rays = sorted(set(rays))
@@ -286,7 +286,7 @@ def cone_build(generators, ambient_dim: Optional[int] = None) -> Cone:
         recovered = set()
         for f in back_i:
             zs = [w for w in W if dot(f, w) == 0]
-            if (rank_int([list(z) for z in zs]) if zs else 0) != dim - 1:
+            if rank_int([list(z) for z in zs]) != dim - 1:
                 continue
             recovered.add(primitive(f))
         ray_coords = set()
@@ -432,9 +432,6 @@ class Fan:
 
     def maximal_cones(self):
         return [self._by_key[k] for k in self.maximal]
-
-    def support_contains(self, v) -> bool:
-        return any(c.contains(v) for c in self.maximal_cones())
 
     def carrier(self, v) -> Optional[Cone]:
         """The unique cone with v in its relative interior, if any: the

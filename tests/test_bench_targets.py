@@ -1,0 +1,35 @@
+"""The benchmark's call tracer wraps functions by name; each name must exist.
+
+bench/calltrace.py is only read here, not imported, so the check needs
+nothing from the benchmark beyond its TARGETS table.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+CALLTRACE = Path(__file__).resolve().parent.parent / "bench" / "calltrace.py"
+
+
+def _targets():
+    tree = ast.parse(CALLTRACE.read_text())
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "TARGETS" for t in node.targets)):
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/calltrace.py defines no TARGETS")
+
+
+def test_every_traced_name_resolves_in_the_package():
+    targets = _targets()
+    assert targets
+    for module, names in targets.items():
+        mod = importlib.import_module(f"toricface.{module}")
+        for name in names:
+            if "." in name:
+                # a method is wrapped in its class's own namespace
+                cls_name, meth = name.split(".")
+                found = vars(getattr(mod, cls_name, object)).get(meth)
+            else:
+                found = getattr(mod, name, None)
+            assert callable(found), f"{module}.{name}"

@@ -2,6 +2,7 @@
 
 import collections
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -34,7 +35,7 @@ from toricface.cohomology import (
     table_shift,
     zero_table,
 )
-from toricface.lattice import vneg
+from toricface.lattice import quotient_invariants, vadd, vneg, vscale
 from toricface.moncomplex import (ComplexError, build_complex, restrict,
                                   seminormalize_complex)
 from toricface.monoid import monoid_build
@@ -279,9 +280,15 @@ def test_star_classes_fix_c_frozen():
 
 
 def test_star_classes_partition_matches_box_scan():
-    """Every box point's star equals the star of its class representative."""
+    """Every box point's star equals the star of its class representative,
+    each carrier has as many classes as its quotient index, and each class's
+    star is spot-checked on three perturbed representatives: the coset
+    representative plus a random point of K_C, pushed back into relint C
+    along a point of K_C there."""
+    rng = random.Random(7)
     for mcc in (fix_c(), fix_a(), stanley_r1(), octant_boundary(),
-                crosspoly(3)):
+                crosspoly(2), crosspoly(3),
+                seminormalize_complex(crosspoly(2, (2, 3)))):
         scs = star_classes(mcc)
         for a in box(mcc.ambient_dim, 3):
             carrier = mcc.fan.carrier(a)
@@ -296,6 +303,21 @@ def test_star_classes_partition_matches_box_scan():
                         tuple(x - r for x, r in zip(a, sc.coset_rep)))]
             assert len(hits) == 1
             assert hits[0].star.keys == expected
+        per_carrier = collections.Counter(
+            sc.carrier.key for sc in scs if sc.carrier is not None)
+        for sc in scs[:-1]:
+            c, K = sc.carrier, sc.class_lattice
+            q = quotient_invariants(K, c.lin_basis)
+            assert per_carrier[c.key] == sc.class_count_within_carrier == q.index
+            step = vscale(math.lcm(*q.divisors), c.interior_point())
+            assert K.contains(step) and relint_contains(c, step)
+            for _ in range(3):
+                v = sc.coset_rep
+                for kvec in K.basis:
+                    v = vadd(v, vscale(rng.randint(-2, 2), kvec))
+                while not relint_contains(c, v):
+                    v = vadd(v, step)
+                assert star(mcc, v).keys == sc.star.keys
 
 
 # ---------------------------------------------------------------------------
@@ -535,8 +557,8 @@ def test_one_pass_depth_matches_skeleta():
 
 def test_star_index_call_counts(monkeypatch):
     """On the d=4 cross-polytope: one intersect per cone and per cover
-    pair in star_classes; one star_classes and no skeleton rebuild in
-    depth."""
+    pair, one quotient per cone and one star per class in star_classes;
+    one star_classes and no skeleton rebuild in depth."""
     mcc = crosspoly(4)
     fan = mcc.fan
     assert len(fan.cones) == 81
@@ -549,11 +571,14 @@ def test_star_index_call_counts(monkeypatch):
         # raising=False: depth once imported skeleton_fan into cohomology
         monkeypatch.setattr(module, name, counted, raising=False)
 
-    count(cohomology_module, "intersect", cohomology_module.intersect)
-    star_classes(mcc)
+    for name in ("intersect", "quotient_invariants", "star"):
+        count(cohomology_module, name, getattr(cohomology_module, name))
+    classes = star_classes(mcc)
     covers = sum(1 for c in fan.cones for d in fan.cones
                  if d.dim == c.dim + 1 and set(c.rays) < set(d.rays))
     assert calls["intersect"] == len(fan.cones) + covers
+    assert calls["quotient_invariants"] == len(fan.cones)
+    assert calls["star"] == len(classes) - 1 == len(fan.cones)
     calls.clear()
     count(cohomology_module, "star_classes", star_classes)
     for module in (cohomology_module, moncomplex_module):

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import toricface.lattice as lattice_mod
 from toricface.lattice import (
     LatticeBasis,
     combine,
     content,
-    coset_representatives,
     det_int,
     dot,
     full_lattice,
@@ -352,8 +352,8 @@ def test_coset_representatives():
     """One representative per coset: as many as the index, pairwise
     inequivalent mod sub, each in sup."""
     rng = random.Random(2718)
-    assert coset_representatives(LatticeBasis(2, ()), LatticeBasis(2, ())) \
-        == [(0, 0)]
+    trivial = LatticeBasis(2, ())
+    assert quotient_invariants(trivial, trivial).representatives() == [(0, 0)]
     for trial in range(60):
         d = rng.randint(1, 3)
         sup = lattice_from_rows(d, random_matrix(rng, rng.randint(1, d), d, -3, 3))
@@ -365,11 +365,33 @@ def test_coset_representatives():
                 break
         # a sublattice of full rank, not saturated unless |det T| = 1
         sub = lattice_from_rows(d, mat_mul(T, [list(b) for b in sup.basis]))
-        reps = coset_representatives(sub, sup)
-        assert len(reps) == abs(det_int(T)) == quotient_invariants(sub, sup).index
+        q = quotient_invariants(sub, sup)
+        reps = q.representatives()
+        assert len(reps) == abs(det_int(T)) == q.index
         assert all(sup.contains(r) for r in reps)
         for a, b in itertools.combinations(reps, 2):
             assert not sub.contains(tuple(x - y for x, y in zip(a, b)))
+
+
+def test_quotient_index_and_representatives_share_one_smith_form(monkeypatch):
+    sup = lattice_from_rows(3, [[1, 1, 0], [0, 2, 1], [0, 0, 3]])
+    sub = lattice_from_rows(3, [[2, 2, 0], [0, 6, 3], [1, 3, 4]])
+    calls = []
+    real = lattice_mod.snf
+    monkeypatch.setattr(lattice_mod, "snf", lambda A: calls.append(A) or real(A))
+    q = quotient_invariants(sub, sup)
+    reps = q.representatives()
+    assert len(calls) == 1
+    assert len(reps) == q.index == abs(det_int([list(b) for b in sub.basis])
+                                       // det_int([list(b) for b in sup.basis]))
+
+
+def test_representatives_of_an_infinite_quotient_raise():
+    for sub in (LatticeBasis(2, ()), lattice_from_rows(2, [[1, 0]])):
+        q = quotient_invariants(sub, full_lattice(2))
+        assert q.index is None
+        with pytest.raises(ValueError, match="infinite"):
+            q.representatives()
 
 
 # --- canonical coset reduction ------------------------------------------

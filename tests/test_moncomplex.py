@@ -201,13 +201,13 @@ def test_build_makes_each_cone_and_hilbert_basis_once(monkeypatch):
 
 def test_derived_face_monoids():
     a = fix_a()
-    assert a.monoid_at(((1, 0, 0),)).generators == ((2, 0, 0),)
-    assert a.monoid_at(((0, 1, 0),)).generators == ((0, 2, 0),)
+    assert a.monoids[((1, 0, 0),)].generators == ((2, 0, 0),)
+    assert a.monoids[((0, 1, 0),)].generators == ((0, 2, 0),)
     c = fix_c()
-    assert c.monoid_at(((0, 1),)).generators == ((0, 2),)
+    assert c.monoids[((0, 1),)].generators == ((0, 2),)
     b = fix_b()
-    assert b.monoid_at(((1, 1),)).generators == ((3, 3),)
-    assert b.monoid_at(()).generators == ()
+    assert b.monoids[((1, 1),)].generators == ((3, 3),)
+    assert b.monoids[()].generators == ()
 
 
 def test_face_restriction_pointwise():
@@ -393,6 +393,31 @@ def test_seminormalized_monoids_keep_the_verified_hilbert_data():
         assert rebuilt
 
 
+def test_seminormalize_complex_seminormalizes_each_monoid_once(monkeypatch):
+    """Building a cusp complex decides each monoid's flags through its
+    seminormalization; seminormalize_complex reuses it, so an original
+    monoid is seminormalized at most once, and the calls inside
+    seminormalize_complex are the new monoids' own flag decisions."""
+    calls = []
+    real = toricface.monoid.seminormalize
+
+    def counted(M, bound=None):
+        calls.append(M)
+        return real(M, bound)
+
+    monkeypatch.setattr(toricface.monoid, "seminormalize", counted)
+    for d in (2, 3):
+        calls.clear()
+        mcc = crosspoly(d, (2, 3))
+        built = len(calls)
+        out = seminormalize_complex(mcc)
+        for M in mcc.monoids.values():
+            assert sum(1 for N in calls if N is M) <= 1
+        rebuilt = [N for k, N in out.monoids.items() if N is not mcc.monoids[k]]
+        assert len(calls) - built == len(rebuilt) > 0
+        assert all(any(N is C for C in calls) for N in rebuilt)
+
+
 # ---------------------------------------------------------------------------
 # presentations
 
@@ -480,7 +505,7 @@ def test_presentation_refuses_too_many_generators():
     # the Stanley monoid's Hilbert basis is (1, k) for 0 <= k <= 17
     fan = fan_build([cone_build([(1, 0), (1, 17)])])
     mcc = build_complex(fan, stanley=True)
-    assert len(mcc.monoid_at(fan.maximal[0]).generators) == 18
+    assert len(mcc.monoids[fan.maximal[0]].generators) == 18
     with pytest.raises(ComplexError, match="limited to 16 generators"):
         presentation(mcc, 2)
 

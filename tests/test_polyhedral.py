@@ -400,7 +400,7 @@ def test_fan_carrier():
     assert fan.carrier((2, 0)).rays == ((1, 0),)
     assert fan.carrier((0, 0)).dim == 0
     assert fan.carrier((-1, 0)) is None
-    assert fan.support_contains((3, 1)) and not fan.support_contains((-1, -1))
+    assert fan.carrier((3, 1)) is not None and fan.carrier((-1, -1)) is None
 
 
 def test_face_at_is_the_first_face_holding_the_point():
