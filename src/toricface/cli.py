@@ -13,6 +13,7 @@ import json
 import re
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import __version__
 from .cech import (DEFAULT_STATE_CAP, BoundExhausted, cech_degree,
@@ -42,6 +43,17 @@ class InputDocument:
     cones: tuple    # (name, generator-name tuple) pairs in input order
     monoids: object  # "stanley" or (cone-name, vector tuple) pairs
     bounds: tuple   # (name, value) pairs, sorted
+
+    @cached_property
+    def built(self):
+        """build_from_document(self), built and validated once per document;
+        a document that fails to build raises again on every access."""
+        return build_from_document(self)
+
+    @cached_property
+    def input_sha256(self) -> str:
+        """SHA-256 of the document's canonical text."""
+        return hashlib.sha256(render_document(self).encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +179,8 @@ def render_document(doc: InputDocument) -> str:
 def build_from_document(doc: InputDocument):
     """The monoidal complex a document describes, with named maximal cones.
 
-    Returns (complex, (name, cone-key) pairs in input order).
+    Returns (complex, (name, cone-key) pairs in input order).  Each call
+    builds a fresh complex; `InputDocument.built` keeps one per document.
     """
     ray_map = dict(doc.rays)
     built = []
@@ -317,7 +330,9 @@ def _cmd_seminormalize(doc, mcc, named, options, bounds):
     out = []
     for name, key in named:
         M = mcc.monoids[key]
-        res = seminormalize(M, bounds["seminormalization"])
+        bound = bounds["seminormalization"]
+        # the default bound's result is already on the monoid from the build
+        res = M._seminormalization if bound is None else seminormalize(M, bound)
         added = [g for g in res.generators if monoid_member(M, g) is None]
         out.append({
             "name": name,
@@ -540,7 +555,7 @@ def run_command(doc: InputDocument, command: str, options=None) -> dict:
     options = dict(options or {})
     if command not in _HANDLERS:
         raise InputError(f"unknown command {command!r}")
-    mcc, named = build_from_document(doc)
+    mcc, named = doc.built
     bounds = _effective_bounds(command, doc, options)
     status = "complete"
     try:
@@ -557,8 +572,7 @@ def run_command(doc: InputDocument, command: str, options=None) -> dict:
         raise InputError(str(e))
     return {
         "command": _echo(command, options, doc.dimension),
-        "input_sha256": hashlib.sha256(
-            render_document(doc).encode("utf-8")).hexdigest(),
+        "input_sha256": doc.input_sha256,
         "version": __version__,
         "bounds": bounds,
         "payload": payload,

@@ -170,9 +170,12 @@ class Cone:
         return hash((self.ambient_dim, self.rays))
 
     def contains(self, v) -> bool:
+        return self._holds(_checked(self, v))
+
+    def _holds(self, v) -> bool:
+        """contains(v) for v already an int tuple of the ambient dimension."""
         # the equations cut out lin(C), whose integer points are exactly
         # the saturated lin_basis, so no lattice solve is needed
-        v = _checked(self, v)
         return (all(dot(e, v) == 0 for e in self.equations)
                 and all(dot(f, v) >= 0 for f in self.facets))
 
@@ -188,9 +191,10 @@ class Cone:
         return combine([1] * len(self.rays), self.rays, self.ambient_dim)
 
 
-def _checked(cone: Cone, v):
+def _checked(space, v):
+    """v as an int tuple, checked against space.ambient_dim (a cone or fan)."""
     v = vec(v)
-    if len(v) != cone.ambient_dim:
+    if len(v) != space.ambient_dim:
         raise ValueError("vector of wrong dimension")
     return v
 
@@ -436,7 +440,8 @@ class Fan:
     def carrier(self, v) -> Optional[Cone]:
         """The unique cone with v in its relative interior, if any: the
         smallest face holding v of a maximal cone holding v."""
-        top = next((c for c in self.maximal_cones() if c.contains(v)), None)
+        v = _checked(self, v)
+        top = next((c for c in self.maximal_cones() if c._holds(v)), None)
         if top is None:
             return None
         c = self._by_key[face_at(top, v)]

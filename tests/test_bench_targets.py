@@ -33,3 +33,25 @@ def test_every_traced_name_resolves_in_the_package():
             else:
                 found = getattr(mod, name, None)
             assert callable(found), f"{module}.{name}"
+
+
+def test_run_command_builds_through_the_traced_name(monkeypatch):
+    """The tracer replaces cli.build_from_document by name, so its call
+    count counts builds only if run_command reaches the builder through
+    the module global; a parsed document then builds once."""
+    import toricface.cli as cli
+
+    assert "build_from_document" in _targets()["cli"]
+    calls = []
+    orig = cli.build_from_document
+
+    def traced(doc):
+        calls.append(doc)
+        return orig(doc)
+
+    monkeypatch.setattr(cli, "build_from_document", traced)
+    doc = cli.parse_input(
+        (Path(cli.__file__).parent / "fixtures" / "fix-c.json").read_text())
+    cli.run_command(doc, "validate", {})
+    cli.run_command(doc, "fpure", {})
+    assert calls == [doc]

@@ -285,3 +285,94 @@ def test_stanley_and_explicit_monoids_agree():
     explicit, _ = build_from_document(parse_input(json.dumps(data)))
     stanley, _ = build_from_document(parse_input(fixture_text("stanley-r1")))
     assert explicit.monoids == stanley.monoids
+
+
+def every_command(dim):
+    """Each command once, with the options a degree query needs."""
+    neg = (-1,) * dim
+    return [("validate", {}), ("check", {}), ("normalize", {}),
+            ("seminormalize", {}), ("presentation", {}),
+            ("cohomology", {"report": True}), ("cohomology", {"degree": neg}),
+            ("depth", {}), ("fpure", {}), ("oracle", {"degree": neg}),
+            ("frobenius", {"degree": neg, "p": 2})]
+
+
+def outcome(doc, command, options):
+    """The rendered report, or the diagnostic of a refused command."""
+    try:
+        return render_report(run_command(doc, command, options))
+    except InputError as e:
+        return f"InputError: {e}"
+
+
+def counting(monkeypatch, module, name, *also):
+    """Wrap module.name (and the same name in `also`); returns the counter."""
+    calls = []
+    orig = getattr(module, name)
+
+    def wrapped(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    for m in (module, *also):
+        monkeypatch.setattr(m, name, wrapped)
+    return calls
+
+
+# two plane cones overlapping in cone((1, 1), (0, 1)), a face of neither
+OVERLAP = json.dumps({
+    "dimension": 2,
+    "rays": {"a": [1, 0], "b": [0, 1], "c": [1, 1], "e": [-1, 1]},
+    "cones": [{"name": "X", "generators": ["a", "b"]},
+              {"name": "Y", "generators": ["c", "e"]}],
+    "monoids": {"stanley": True}})
+
+
+def test_document_builds_its_complex_once(monkeypatch):
+    builds = counting(monkeypatch, toricface.cli, "build_from_document")
+    doc = parse_input(fixture_text("fix-a"))
+    for command, options in every_command(doc.dimension):
+        outcome(doc, command, options)
+    assert len(builds) == 1
+
+
+def test_refused_document_is_refused_on_every_command(monkeypatch):
+    builds = counting(monkeypatch, toricface.cli, "build_from_document")
+    doc = parse_input(OVERLAP)
+    errors = []
+    for _ in range(2):
+        with pytest.raises(InputError) as exc:
+            run_command(doc, "validate", {})
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1]
+    assert "do not meet in a common face" in errors[0]
+    assert len(builds) == 2
+
+
+def test_reused_document_gives_the_same_reports():
+    """Commands in sequence on one document read its cached complex (star
+    index, member and sign memos); each must print what a fresh parse
+    prints."""
+    for name in FIXTURES:
+        shared = parse_input(fixture_text(name))
+        runs = every_command(shared.dimension)
+        runs += [(c, o) for f, c, o in GOLDEN.values() if f == name]
+        for command, options in runs:
+            fresh = parse_input(fixture_text(name))
+            assert (outcome(shared, command, options)
+                    == outcome(fresh, command, options)), (name, command)
+
+
+def test_seminormalize_reads_the_built_result(monkeypatch):
+    import toricface.monoid
+    calls = counting(monkeypatch, toricface.monoid, "seminormalize",
+                     toricface.cli)
+    doc = parse_input(fixture_text("fix-a"))
+    report = run_command(doc, "seminormalize", {})
+    # one per maximal monoid, made by the build for its flags
+    assert len(calls) == 3
+    # an explicit bound is a different search, run as asked
+    bounded = run_command(doc, "seminormalize", {"bound": 4})
+    assert len(calls) == 6
+    assert report["bounds"] == {"seminormalization": None}
+    assert bounded["bounds"] == {"seminormalization": 4}
