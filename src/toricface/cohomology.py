@@ -215,9 +215,21 @@ def star(mcc: MonoidalComplex, a) -> Star:
     return Star(a, members)
 
 
+def star_table(fan: Fan, st: Star, characteristic) -> CohomologyTable:
+    """table_from_cochain of the star's cochain complex, built once per
+    fan and characteristic and kept on the fan: it depends on the cones
+    alone, so every complex on the fan shares it."""
+    key = (st.keys, characteristic)
+    table = fan._star_tables.get(key)
+    if table is None:
+        table = fan._star_tables[key] = table_from_cochain(
+            *cochain(st.cones), characteristic)
+    return table
+
+
 def star_cohomology(mcc: MonoidalComplex, a, characteristic) -> CohomologyTable:
     """Cohomology of the star complex of a, graded by cone dimension."""
-    return table_from_cochain(*cochain(star(mcc, a).cones), characteristic)
+    return star_table(mcc.fan, star(mcc, a), check_characteristic(characteristic))
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +307,7 @@ def local_cohomology_trace(mcc: MonoidalComplex, a,
                 "oracle-computed")
             parts.append(oracle_tail)
             break
-        summand = table_from_cochain(*cochain(st.cones), characteristic)
+        summand = star_table(current.fan, st, characteristic)
         subfan = (None if current.seminormal
                   else _complement_fan(current.fan, set(st.keys)))
         remaining = tuple(c.key for c in subfan.cones) if subfan else ()
@@ -394,21 +406,27 @@ class CohomologyReport:
 
 
 def cohomology_report(mcc: MonoidalComplex, characteristic) -> CohomologyReport:
-    """One table per star class, covering every degree of Z^d at once."""
+    """One table per star class, covering every degree of Z^d at once.
+
+    The complex keeps its star classes and the fan its star tables, so a
+    second report, or a depth after this one, rebuilds neither.
+    """
     characteristic = check_characteristic(characteristic)
     if not mcc.seminormal:
         raise ComplexError(
             "cohomology_report requires a seminormal complex; use "
             "local_cohomology_degree for per-degree answers")
+    if mcc._star_classes is None:
+        mcc._star_classes = star_classes(mcc)
     entries = []
-    for sc in star_classes(mcc):
+    for sc in mcc._star_classes:
         if sc.carrier is None:
             entries.append(ClassReport(
                 sc, zero_table(characteristic),
                 "vanishes: -a outside the support of the complex"))
             continue
         entries.append(ClassReport(
-            sc, table_from_cochain(*cochain(sc.star.cones), characteristic)))
+            sc, star_table(mcc.fan, sc.star, characteristic)))
     return CohomologyReport(characteristic, mcc.fan.dim, tuple(entries))
 
 

@@ -37,6 +37,9 @@ class MonoidalComplex:
     monoids: dict          # cone key -> AffineMonoid
     seminormal: bool = field(init=False)      # every cone monoid is seminormal
     normal_monoids: bool = field(init=False)  # every cone monoid is normal
+    # cohomology.star_classes of this complex, kept by its first report
+    _star_classes: Optional[tuple] = field(default=None, init=False,
+                                           repr=False)
 
     def __post_init__(self):
         # read from the monoids once, so no query pays for a decision

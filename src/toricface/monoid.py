@@ -159,7 +159,8 @@ def monoid_member(M: AffineMonoid, v) -> Optional[tuple]:
         raise ValueError("vector dimension mismatch")
     if is_zero(v):
         return (0,) * len(M.generators)
-    if _solve(M.group, v) is None:
+    # the cone test is cheap and rules out most candidates before the solve
+    if not M.cone._holds(v) or _solve(M.group, v) is None:
         return None
     memo = M._member_memo
     facets = M.cone.facets
@@ -185,7 +186,7 @@ def monoid_member(M: AffineMonoid, v) -> Optional[tuple]:
         memo[x] = res
         return res
 
-    if not in_cone(v) or search(v) is False:
+    if search(v) is False:
         return None
     counts = {g: 0 for g in M.generators}
     x = v

@@ -397,23 +397,30 @@ class Fan:
 
     def __post_init__(self):
         object.__setattr__(self, "_by_key", {c.key: c for c in self.cones})
+        # (star keys, characteristic) -> the star's cochain table, filled
+        # by cohomology.star_table; it depends on the cones alone
+        object.__setattr__(self, "_star_tables", {})
 
     @cached_property
     def _index(self) -> tuple:
-        """(faces, up-sets) by cone key from the face lattices, in (dim, rays)
-        order; faces outside this fan are left out, so subfans work too."""
+        """(faces, up-sets, maximal cones above) by cone key from the face
+        lattices, in (dim, rays) order, and the maximal cones by key; faces
+        outside this fan are left out, so subfans work too."""
         faces = {c.key: tuple(self._by_key[f.key] for f in face_lattice(c).faces
                               if f.key in self._by_key) for c in self.cones}
         ups: dict = {c.key: [] for c in self.cones}
         for c in self.cones:
             for f in faces[c.key]:
                 ups[f.key].append(c)
-        return faces, {k: tuple(v) for k, v in ups.items()}
+        tops = {c.key for c in self.cones if len(ups[c.key]) == 1}
+        above = {k: tuple(c for c in v if c.key in tops) for k, v in ups.items()}
+        return (faces, {k: tuple(v) for k, v in ups.items()}, above,
+                tuple(self._by_key[k] for k in sorted(tops)))
 
     @cached_property
     def maximal(self) -> tuple:
         """Keys (ray tuples) of the inclusion-maximal cones, sorted."""
-        return tuple(sorted(k for k, up in self._index[1].items() if len(up) == 1))
+        return tuple(c.key for c in self._index[3])
 
     @property
     def dim(self) -> int:
@@ -431,11 +438,16 @@ class Fan:
     def up_set(self, cone: Cone) -> tuple:
         return self._index[1][cone.key]
 
+    def maximal_above(self, cone: Cone) -> tuple:
+        """The maximal cones of up_set(cone), in the same order."""
+        return self._index[2][cone.key]
+
     def facets_of(self, cone: Cone):
         return [c for c in self.faces_of(cone) if c.dim == cone.dim - 1]
 
-    def maximal_cones(self):
-        return [self._by_key[k] for k in self.maximal]
+    def maximal_cones(self) -> tuple:
+        """The cones of `maximal`, in its order."""
+        return self._index[3]
 
     def carrier(self, v) -> Optional[Cone]:
         """The unique cone with v in its relative interior, if any: the

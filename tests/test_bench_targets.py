@@ -55,3 +55,31 @@ def test_run_command_builds_through_the_traced_name(monkeypatch):
     cli.run_command(doc, "validate", {})
     cli.run_command(doc, "fpure", {})
     assert calls == [doc]
+
+
+def test_cached_builders_are_reached_through_the_traced_names(monkeypatch):
+    """The star tables and star classes are cached on the fan and the
+    complex, but built through the module globals the tracer replaces, so
+    the traced call counts count real builds: one of each per star and
+    complex, none on a repeated report."""
+    import toricface.cohomology as cohomology
+    from conftest import fix_c
+
+    names = ("table_from_cochain", "star_classes")
+    assert set(names) <= set(_targets()["cohomology"])
+    calls = {name: 0 for name in names}
+    for name in names:
+        orig = getattr(cohomology, name)
+
+        def traced(*args, _name=name, _orig=orig):
+            calls[_name] += 1
+            return _orig(*args)
+        monkeypatch.setattr(cohomology, name, traced)
+    mcc = fix_c()
+    report = cohomology.cohomology_report(mcc, "all")
+    stars = {e.star_class.star.keys for e in report.entries
+             if e.star_class.star is not None}
+    assert calls == {"table_from_cochain": len(stars), "star_classes": 1}
+    cohomology.cohomology_report(mcc, "all")
+    cohomology.depth(mcc, "all")
+    assert calls == {"table_from_cochain": len(stars), "star_classes": 1}

@@ -27,10 +27,10 @@ from toricface.cli import main
 from toricface.cohomology import (complex_avoiding, local_cohomology_degree,
                                   zero_table)
 from toricface.frobenius import excluded_primes
-from toricface.lattice import vadd
-from toricface.moncomplex import restrict
+from toricface.lattice import vadd, vneg
+from toricface.moncomplex import restrict, seminormalize_complex
 from toricface.monoid import monoid_member
-from toricface.polyhedral import skeleton_fan
+from toricface.polyhedral import cochain, skeleton_fan
 
 RAY_T = ((0, 1),)
 RAY_X = ((1, 0),)
@@ -113,6 +113,49 @@ def test_piece_witnesses_over_box():
                     assert r.witness == listed[cone.key].witness
                 else:
                     assert r.value == 0 and r.witness is None
+
+
+def up_set_slice(mcc, a):
+    """A slice by the rule that asks every cone of fan.up_set, not only the
+    maximal ones: (witness by nonzero piece key, sizes, mats)."""
+    fan, memo = mcc.fan, {}
+    cap = cech_module.DEFAULT_STATE_CAP
+
+    def decide(small, big):
+        return cech_module._decide(mcc, small, fan.up_set(big), a, cap, memo)
+
+    pieces = [c for c in fan.cones if decide(c, c)]
+    witnesses = {c.key: cech_module._witness(mcc, c, fan.up_set(c), a, memo)
+                 for c in pieces}
+    return (witnesses, *cochain(pieces, decide))
+
+
+def test_maximal_targets_match_every_target():
+    """Deciding pieces and maps against the maximal cones above a cone
+    gives the slice, and the witnesses, of deciding against all of them."""
+    cusp = crosspoly(2, (2, 3))
+    inputs = ([(build(), 2) for build in ALL_FIXTURES.values()]
+              + [(crosspoly(2), 2), (crosspoly(3), 1), (cusp, 2),
+                 (seminormalize_complex(cusp), 2)])
+    for mcc, radius in inputs:
+        for a in box(mcc.ambient_dim, radius):
+            sl = cech_slice(mcc, a)
+            witnesses, sizes, mats = up_set_slice(mcc, a)
+            assert {c.key: pr.witness for c, pr in sl.pieces.items()} \
+                == witnesses, a
+            assert (sl.sizes, sl.mats) == (sizes, mats), a
+
+
+def test_negative_facet_weight_is_an_error(monkeypatch):
+    # the search's soundness rests on phi >= 0 on the target's generators;
+    # a broken weight must stop it, also under python -O
+    through = cech_module.facets_through
+    monkeypatch.setattr(cech_module, "facets_through", lambda target, source: [
+        vneg(f) for f in through(target, source)])
+    mcc = fix_b()
+    source, target = mcc.fan.by_key(RAY_T), mcc.fan.by_key(CONE_BP)
+    with pytest.raises(RuntimeError, match="negative"):
+        cech_module._decide_one(mcc, source, target, (0, -1), 1000, {})
 
 
 def test_witness_scan_stops_at_its_cap(monkeypatch):

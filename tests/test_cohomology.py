@@ -39,8 +39,8 @@ from toricface.lattice import quotient_invariants, vadd, vneg, vscale
 from toricface.moncomplex import (ComplexError, build_complex, restrict,
                                   seminormalize_complex)
 from toricface.monoid import monoid_build
-from toricface.polyhedral import (cone_build, fan_build, relint_contains,
-                                  skeleton_fan, trivial_fan)
+from toricface.polyhedral import (cochain, cone_build, fan_build,
+                                  relint_contains, skeleton_fan, trivial_fan)
 
 
 def box(dim, radius):
@@ -588,6 +588,59 @@ def test_star_index_call_counts(monkeypatch):
     cohomology_module.depth(mcc, "all")
     assert calls["star_classes"] == 1
     assert calls["restrict"] == 0 and calls["skeleton_fan"] == 0
+
+
+def _counting(monkeypatch, names):
+    """Count the calls the cohomology module makes to each named global."""
+    calls = collections.Counter()
+    for name in names:
+        fn = getattr(cohomology_module, name)
+
+        def counted(*args, _name=name, _fn=fn, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(cohomology_module, name, counted)
+    return calls
+
+
+def test_second_report_and_depth_reuse_the_caches(monkeypatch):
+    """The complex keeps its star classes and the fan its star tables, so a
+    repeated report rebuilds neither and a depth after it needs no snf."""
+    for mcc in [fix_c(), octant_boundary(), crosspoly(3)]:
+        first = cohomology_report(mcc, "all")
+        calls = _counting(monkeypatch, ("snf", "intersect", "star"))
+        assert cohomology_report(mcc, "all") == first
+        depth(mcc, "all")
+        assert not calls
+        monkeypatch.undo()
+
+
+def test_fan_star_tables_match_fresh_tables():
+    inputs = [build() for build in ALL_FIXTURES.values()] + [
+        crosspoly(2), crosspoly(3)]
+    for mcc in inputs:
+        for ch in (0, 2, "all"):
+            if mcc.seminormal:
+                cohomology_report(mcc, ch)
+            for a in box(mcc.ambient_dim, 2):
+                local_cohomology_degree(mcc, a, ch)
+        tables = mcc.fan._star_tables
+        assert {ch for _, ch in tables} == {0, 2, "all"}
+        for (keys, ch), table in tables.items():
+            cones = [mcc.fan.by_key(k) for k in keys]
+            assert table == table_from_cochain(*cochain(cones), ch)
+
+
+def test_new_complexes_start_without_star_classes(monkeypatch):
+    mcc = crosspoly(2)
+    cohomology_report(mcc, "all")
+    calls = _counting(monkeypatch, ("star_classes",))
+    cohomology_report(mcc, "all")
+    assert not calls
+    for other in (restrict(mcc, skeleton_fan(mcc.fan, 1)),
+                  restrict(mcc, mcc.fan), seminormalize_complex(mcc)):
+        cohomology_report(other, "all")
+    assert calls["star_classes"] == 3
 
 
 def test_seminormalized_fix_b_depth_has_consistent_flags():

@@ -466,7 +466,8 @@ def test_up_set_matches_face_lattices():
 
 def test_maximal_cones_of_subfans():
     """fan.maximal lists the cones lying in no other cone's face lattice,
-    for fans, their skeleta and the subfans away from a star."""
+    for fans, their skeleta and the subfans away from a star;
+    maximal_above(c) is the part of up_set(c) among them."""
     for fan in [build().fan for build in ALL_FIXTURES.values()] + [crosspoly_fan(3)]:
         subfans = [fan] + [skeleton_fan(fan, i) for i in range(fan.dim + 1)]
         ray = fan.cones_of_dim(1)[0]
@@ -477,6 +478,10 @@ def test_maximal_cones_of_subfans():
                           if not any(o != c and c in face_lattice(o).faces
                                      for o in sub.cones))
             assert list(sub.maximal) == want
+            assert sub.maximal_cones() == tuple(sub.by_key(k) for k in want)
+            for c in sub.cones:
+                assert sub.maximal_above(c) == tuple(
+                    d for d in sub.up_set(c) if d.key in want)
 
 
 def test_cochain_asks_linked_only_on_facet_pairs():
