@@ -4,9 +4,10 @@ The degree-a piece of local cohomology is read off combinatorially: the
 star of -a (the cones whose normalized monoid contains -a) carries a
 quotient of the augmented cellular cochain complex of the fan, and for
 seminormal complexes its cohomology, graded by cone dimension, is the answer.
-Non-seminormal complexes are handled by splitting off the star summand and
-recursing into the subcomplex away from the star, falling back to the
-brute-force Cech oracle when the splitting is uninformative.
+A non-seminormal complex splits once: the star summand, plus the cohomology
+of the subcomplex away from the star, which the brute-force Cech oracle
+computes unless that subcomplex is seminormal (its star is empty, so it
+adds nothing); the oracle also answers alone when the star is empty.
 
 All boundary maps are integral, so a single Smith normal form per map
 answers every characteristic at once: dimensions over Q plus the finite
@@ -37,16 +38,8 @@ from .lattice import (
     vscale,
 )
 from .moncomplex import ComplexError, MonoidalComplex, build_complex, restrict
-from .monoid import AffineMonoid, monoid_face_gens
-from .polyhedral import (
-    Cone,
-    Fan,
-    cochain,
-    face_lattice,
-    fan_build,
-    relint_contains,
-    trivial_fan,
-)
+from .monoid import AffineMonoid
+from .polyhedral import Cone, Fan, cochain, fan_build, relint_contains
 
 
 def check_characteristic(characteristic):
@@ -235,28 +228,28 @@ def star_cohomology(mcc: MonoidalComplex, a, characteristic) -> CohomologyTable:
 # ---------------------------------------------------------------------------
 # the per-degree formula
 
-def _complement_fan(fan: Fan, star_keys) -> Optional[Fan]:
-    rest = [c for c in fan.cones if c.key not in star_keys]
-    if not rest:
-        return None
-    keep = {c.key for c in rest}
-    for c in rest:
-        for f in fan.faces_of(c):
-            assert f.key in keep
-    return Fan(fan.ambient_dim, tuple(rest))
-
-
 def complex_avoiding(mcc: MonoidalComplex, b) -> Optional[MonoidalComplex]:
     """The subcomplex on the cones whose normalized monoid misses b.
 
     None means every cone sees b, leaving the empty subcomplex (the zero
     ring).  Removing an up-closed set keeps the rest a fan.
     """
-    st = star(mcc, b)
-    subfan = _complement_fan(mcc.fan, set(st.keys))
-    if subfan is None:
-        return None
-    return restrict(mcc, subfan)
+    return _avoiding(mcc, star(mcc, b))
+
+
+def _avoiding(mcc: MonoidalComplex, st: Star) -> Optional[MonoidalComplex]:
+    """complex_avoiding for a star already taken; the complex keeps one
+    remainder per star, since it depends on the star's cones alone."""
+    if st.keys not in mcc._remainders:
+        fan = mcc.fan
+        out = set(st.keys)
+        rest = tuple(c for c in fan.cones if c.key not in out)
+        for c in rest:
+            for f in fan.faces_of(c):
+                assert f.key not in out
+        mcc._remainders[st.keys] = (
+            restrict(mcc, Fan(fan.ambient_dim, rest)) if rest else None)
+    return mcc._remainders[st.keys]
 
 
 @dataclass(frozen=True)
@@ -265,7 +258,7 @@ class DegreeStep:
 
     The cohomology of the current complex is the summand carried by the
     star of -a plus the cohomology of the subcomplex on the remaining
-    cone keys; an empty remainder ends the recursion.
+    cone keys; an empty remainder ends the computation.
     """
 
     star_keys: tuple
@@ -282,45 +275,45 @@ class DegreeComputation:
     oracle_tail: Optional[CohomologyTable]  # set when the tail was delegated
 
 
+def _oracle(mcc: MonoidalComplex, a, characteristic) -> CohomologyTable:
+    from .cech import cech_degree
+    t = cech_degree(mcc, a, characteristic)
+    return CohomologyTable(t.characteristic, t.entries, t.corrections,
+                           "oracle-computed")
+
+
 def local_cohomology_trace(mcc: MonoidalComplex, a,
                            characteristic) -> DegreeComputation:
-    """Dimensions of H^i_m(R)_a, keeping every step of the splitting.
+    """Dimensions of H^i_m(R)_a, keeping the split that produced them.
 
-    Each step splits off the summand carried by the star of -a; a
-    seminormal complex stops there, any other continues on the subcomplex
-    away from the star.  When a non-seminormal complex has empty star the
-    formula is uninformative and the Cech oracle finishes, labeled as such.
+    The summand carried by the star of -a splits off; a seminormal
+    complex stops there, any other adds the cohomology of the subcomplex
+    away from the star.  That subcomplex has an empty star at -a (the
+    star holds every cone above the carrier of -a whose group holds -a),
+    so one split is all the formula gives: a seminormal remainder adds a
+    zero step, any other goes to the Cech oracle, labeled as such, as
+    does a non-seminormal complex whose own star is empty.
     """
     characteristic = check_characteristic(characteristic)
     a = vec(a)
-    current = mcc
-    steps = []
-    parts = []
-    oracle_tail = None
-    while True:
-        st = star(current, vneg(a))
-        if not (current.seminormal or st.cones):
-            from .cech import cech_degree
-            t = cech_degree(current, a, characteristic)
-            oracle_tail = CohomologyTable(
-                t.characteristic, t.entries, t.corrections,
-                "oracle-computed")
-            parts.append(oracle_tail)
-            break
-        summand = star_table(current.fan, st, characteristic)
-        subfan = (None if current.seminormal
-                  else _complement_fan(current.fan, set(st.keys)))
-        remaining = tuple(c.key for c in subfan.cones) if subfan else ()
-        steps.append(DegreeStep(st.keys, summand, remaining))
-        parts.append(summand)
-        if subfan is None:
-            break
-        current = restrict(current, subfan)
-    table = parts[0]
-    for t in parts[1:]:
-        table = table_add(table, t)
-    return DegreeComputation(a, characteristic, table, tuple(steps),
-                             oracle_tail)
+    st = star(mcc, vneg(a))
+    if not (mcc.seminormal or st.cones):
+        tail = _oracle(mcc, a, characteristic)
+        return DegreeComputation(a, characteristic, tail, (), tail)
+    summand = star_table(mcc.fan, st, characteristic)
+    rest = None if mcc.seminormal else _avoiding(mcc, st)
+    if rest is None:
+        return DegreeComputation(a, characteristic, summand,
+                                 (DegreeStep(st.keys, summand, ()),), None)
+    step = DegreeStep(st.keys, summand, tuple(c.key for c in rest.fan.cones))
+    if rest.seminormal:
+        # the remainder's empty star carries the zero summand
+        zero = DegreeStep((), zero_table(characteristic), ())
+        return DegreeComputation(a, characteristic, summand, (step, zero),
+                                 None)
+    tail = _oracle(rest, a, characteristic)
+    return DegreeComputation(a, characteristic, table_add(summand, tail),
+                             (step,), tail)
 
 
 def local_cohomology_degree(mcc: MonoidalComplex, a,
@@ -480,29 +473,25 @@ class FaceDepthResult:
     m_k: int   # rank-selection depth of the face-poset complex of M
 
 
-def _one_cone_complex(M: AffineMonoid, face: Cone) -> MonoidalComplex:
-    if face.dim == 0:
-        fan = trivial_fan(M.ambient_dim)
-        return build_complex(fan, {(): []})
-    fan = fan_build([face])
-    return build_complex(fan, {face.key: list(monoid_face_gens(M, face))})
-
-
 def c_k_monoid(M: AffineMonoid, characteristic) -> FaceDepthResult:
-    """Largest face dimension below which all face rings are CM."""
+    """Largest face dimension below which all face rings are CM.
+
+    One complex is built on M's cone; the ring of a face is its
+    restriction to that face's faces, whose monoids are M's restrictions.
+    """
     characteristic = check_characteristic(characteristic)
     if not M.flags.seminormal:
         raise ValueError("c_k is defined here for seminormal monoids only")
-    faces = face_lattice(M.cone).faces
-    cm_by_dim: dict = {}
-    for f in faces:
-        res = depth(_one_cone_complex(M, f), characteristic)
-        cm_by_dim.setdefault(f.dim, []).append(res.is_CM)
+    whole = build_complex(fan_build([M.cone]), {M.cone.key: M.generators})
+    fan = whole.fan
+    res = {f: depth(restrict(whole, Fan(fan.ambient_dim, fan.faces_of(f))),
+                    characteristic) for f in fan.cones}
     top = M.cone.dim
-    all_cm = [all(cm_by_dim.get(t, [True])) for t in range(top + 1)]
+    all_cm = [all(r.is_CM for f, r in res.items() if f.dim == t)
+              for t in range(top + 1)]
     assert all_cm[0]
     c_k = all_cm.index(False) - 1 if False in all_cm else top
-    m_k = depth(_one_cone_complex(M, M.cone), characteristic).m_k
+    m_k = res[M.cone].m_k
     assert m_k >= c_k
     return FaceDepthResult(c_k, m_k)
 

@@ -59,8 +59,9 @@ def excluded_primes(mcc: MonoidalComplex) -> FPurityReport:
             "excluded primes are defined for seminormal complexes; "
             "F-purity at any prime already forces seminormality")
     found: dict = {}
-    for c in mcc.fan.maximal_cones():
-        zc = mcc.monoids[c.key].group
+    for key in mcc.fan.maximal:
+        c = mcc.fan.by_key(key)
+        zc = mcc.monoids[key].group
         for d_cone in mcc.fan.faces_of(c):
             zd = mcc.monoids[d_cone.key].group
             amb = intersect(zc, d_cone.lin_basis)
@@ -68,7 +69,7 @@ def excluded_primes(mcc: MonoidalComplex) -> FPurityReport:
             assert inv.free_rank == 0
             for dv in inv.divisors:
                 for p in prime_factors(dv):
-                    found.setdefault(p, []).append((c.key, d_cone.key, dv))
+                    found.setdefault(p, []).append((key, d_cone.key, dv))
     excluded = tuple(PrimeExclusion(p, tuple(found[p]))
                      for p in sorted(found))
     return FPurityReport(excluded)

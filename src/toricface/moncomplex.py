@@ -40,6 +40,9 @@ class MonoidalComplex:
     # cohomology.star_classes of this complex, kept by its first report
     _star_classes: Optional[tuple] = field(default=None, init=False,
                                            repr=False)
+    # star keys -> the subcomplex away from that star (or None), kept by
+    # cohomology.complex_avoiding
+    _remainders: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         # read from the monoids once, so no query pays for a decision

@@ -94,9 +94,6 @@ class AffineMonoid:
         # seminormalized_monoid alike
         return seminormalize(self)
 
-    def contains(self, v) -> bool:
-        return monoid_member(self, v) is not None
-
 
 def monoid_build(generators, ambient_dim: Optional[int] = None,
                  cone: Optional[Cone] = None) -> AffineMonoid:
@@ -163,6 +160,7 @@ def monoid_member(M: AffineMonoid, v) -> Optional[tuple]:
     if not M.cone._holds(v) or _solve(M.group, v) is None:
         return None
     memo = M._member_memo
+    gens = M.generators
     facets = M.cone.facets
 
     def in_cone(x):
@@ -170,28 +168,33 @@ def monoid_member(M: AffineMonoid, v) -> Optional[tuple]:
         # facet inequalities alone decide whether it lies in the cone
         return all(dot(f, x) >= 0 for f in facets)
 
-    def search(x):
-        # returns a generator to subtract, or False
-        if is_zero(x):
-            return ()
-        got = memo.get(x)
-        if got is not None:
-            return got
-        res = False
-        for g in M.generators:
-            y = vsub(x, g)
-            if in_cone(y) and search(y) is not False:
-                res = g
-                break
-        memo[x] = res
-        return res
-
-    if search(v) is False:
+    # memo[x] is the first generator g in order with x - g in M, or False.
+    # Depth first on an explicit stack of [x, index of the generator
+    # tried], so no query is too deep; a frame whose child has finished
+    # reads the child's answer from memo on its next turn.
+    stack = [] if v in memo else [[v, 0]]
+    while stack:
+        frame = stack[-1]
+        x, i = frame
+        if i == len(gens):
+            memo[x] = False
+            stack.pop()
+            continue
+        y = vsub(x, gens[i])
+        ok = in_cone(y) and (is_zero(y) or memo.get(y))
+        if ok is None:
+            stack.append([y, 0])
+        elif ok is False:
+            frame[1] = i + 1
+        else:
+            memo[x] = gens[i]
+            stack.pop()
+    if memo[v] is False:
         return None
-    counts = {g: 0 for g in M.generators}
+    counts = {g: 0 for g in gens}
     x = v
     while not is_zero(x):
-        g = search(x)
+        g = memo[x]
         counts[g] += 1
         x = vsub(x, g)
     coeffs = tuple(counts[g] for g in M.generators)

@@ -445,15 +445,11 @@ class Fan:
     def facets_of(self, cone: Cone):
         return [c for c in self.faces_of(cone) if c.dim == cone.dim - 1]
 
-    def maximal_cones(self) -> tuple:
-        """The cones of `maximal`, in its order."""
-        return self._index[3]
-
     def carrier(self, v) -> Optional[Cone]:
         """The unique cone with v in its relative interior, if any: the
         smallest face holding v of a maximal cone holding v."""
         v = _checked(self, v)
-        top = next((c for c in self.maximal_cones() if c._holds(v)), None)
+        top = next((c for c in self._index[3] if c._holds(v)), None)
         if top is None:
             return None
         c = self._by_key[face_at(top, v)]

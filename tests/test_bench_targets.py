@@ -83,3 +83,29 @@ def test_cached_builders_are_reached_through_the_traced_names(monkeypatch):
     cohomology.cohomology_report(mcc, "all")
     cohomology.depth(mcc, "all")
     assert calls == {"table_from_cochain": len(stars), "star_classes": 1}
+
+
+def test_remainders_are_built_through_the_traced_name(monkeypatch):
+    """The tracer replaces moncomplex.restrict in every module that
+    imported it, so its call count counts the per-degree formula's
+    remainder builds only if complex_avoiding reaches restrict through
+    cohomology's module global; a star seen again builds none."""
+    import toricface.cohomology as cohomology
+    from conftest import fix_b
+
+    assert "restrict" in _targets()["moncomplex"]
+    calls = []
+    orig = cohomology.restrict
+
+    def traced(*args):
+        calls.append(args)
+        return orig(*args)
+
+    monkeypatch.setattr(cohomology, "restrict", traced)
+    mcc = fix_b()
+    sub = cohomology.complex_avoiding(mcc, (0, 1))
+    assert len(calls) == 1 and calls[0][1] is sub.fan
+    assert cohomology.complex_avoiding(mcc, (0, 1)) is sub
+    trace = cohomology.local_cohomology_trace(mcc, (0, -1), 0)
+    assert trace.steps[0].remaining == tuple(c.key for c in sub.fan.cones)
+    assert len(calls) == 1

@@ -218,6 +218,17 @@ def test_main_bound_exhausted_exit(capsys):
     assert report["payload"]["element"] == [3, 0]
 
 
+def test_main_oracle_far_degree(capsys):
+    """A degree far out on a ray asks monoid membership 1500 generators
+    deep; the oracle answers it instead of failing internally."""
+    code = main(["oracle", fixture_path("fix-a"), "--degree", "1500,1500,0"])
+    out = capsys.readouterr()
+    assert code == 0 and out.err == ""
+    report = json.loads(out.out)
+    assert report["status"] == "complete"
+    assert report["payload"]["table"]["entries"] == []
+
+
 def test_parse_diagnostics_name_the_field():
     good = json.loads(fixture_text("fix-c"))
 

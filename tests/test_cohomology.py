@@ -15,6 +15,8 @@ from conftest import (ALL_FIXTURES, crosspoly, fix_a, fix_b, fix_c,
                       octant_boundary, stanley_r1)
 from toricface.cohomology import (
     CohomologyTable,
+    DegreeComputation,
+    DegreeStep,
     DepthResult,
     bbr_formula,
     c_k_monoid,
@@ -38,9 +40,10 @@ from toricface.cohomology import (
 from toricface.lattice import quotient_invariants, vadd, vneg, vscale
 from toricface.moncomplex import (ComplexError, build_complex, restrict,
                                   seminormalize_complex)
-from toricface.monoid import monoid_build
-from toricface.polyhedral import (cochain, cone_build, fan_build,
-                                  relint_contains, skeleton_fan, trivial_fan)
+from toricface.monoid import monoid_build, monoid_face_gens
+from toricface.polyhedral import (Fan, cochain, cone_build, face_lattice,
+                                  fan_build, relint_contains, skeleton_fan,
+                                  trivial_fan)
 
 
 def box(dim, radius):
@@ -368,6 +371,92 @@ def test_complex_avoiding_fix_b_is_face_poset_of_big_cone():
     assert complex_avoiding(b, (0, 0)) is None
 
 
+def reference_trace(mcc, a, characteristic):
+    """The per-degree formula as an open-ended loop: split off the star
+    summand and go on with the subcomplex away from the star, until the
+    complex is seminormal or its remainder is empty, or until its star
+    is empty, when the oracle finishes."""
+    from toricface.cech import cech_degree
+    characteristic = check_characteristic(characteristic)
+    a = tuple(a)
+    current, steps, parts, oracle_tail = mcc, [], [], None
+    while True:
+        st = star(current, vneg(a))
+        if not (current.seminormal or st.cones):
+            t = cech_degree(current, a, characteristic)
+            oracle_tail = CohomologyTable(t.characteristic, t.entries,
+                                          t.corrections, "oracle-computed")
+            parts.append(oracle_tail)
+            break
+        summand = table_from_cochain(*cochain(st.cones), characteristic)
+        fan = current.fan
+        rest = () if current.seminormal else tuple(
+            c for c in fan.cones if c.key not in set(st.keys))
+        steps.append(DegreeStep(st.keys, summand,
+                                tuple(c.key for c in rest)))
+        parts.append(summand)
+        if not rest:
+            break
+        current = restrict(current, Fan(fan.ambient_dim, rest))
+    table = parts[0]
+    for t in parts[1:]:
+        table = table_add(table, t)
+    return DegreeComputation(a, characteristic, table, tuple(steps),
+                             oracle_tail)
+
+
+def test_trace_is_one_split_equal_to_the_loop(monkeypatch):
+    """local_cohomology_trace takes one star per degree and equals the
+    open-ended loop (table, steps, oracle tail) in characteristics 0, 2
+    and "all": on [-3,3]^d for every fixture and the d=2 cusp, and on
+    [-2,2]^3 for the d=3 cusp."""
+    inputs = ([(build(), 3) for build in ALL_FIXTURES.values()]
+              + [(crosspoly(2, (2, 3)), 3), (crosspoly(3, (2, 3)), 2)])
+    asked = []
+
+    def counted(mcc, b):
+        asked.append(tuple(b))
+        return star(mcc, b)
+
+    monkeypatch.setattr(cohomology_module, "star", counted)
+    kinds = collections.Counter()
+    for mcc, radius in inputs:
+        for a in box(mcc.ambient_dim, radius):
+            for ch in (0, 2, "all"):
+                asked.clear()
+                got = local_cohomology_trace(mcc, a, ch)
+                assert asked == [vneg(a)], (a, ch)
+                assert got == reference_trace(mcc, a, ch), (a, ch)
+                kinds[len(got.steps), got.oracle_tail is not None] += 1
+    # every shape occurs: star only, oracle only, star plus oracle tail,
+    # and star plus the zero step of a seminormal remainder
+    assert set(kinds) == {(1, False), (0, True), (1, True), (2, False)}
+
+
+def test_one_remainder_build_per_star(monkeypatch):
+    """The subcomplex away from a star is built once per distinct star
+    and kept on the complex, however many degrees share the star."""
+    built = []
+
+    def counted(mcc, subfan):
+        built.append(subfan)
+        return restrict(mcc, subfan)
+
+    monkeypatch.setattr(cohomology_module, "restrict", counted)
+    for mcc in (fix_b(), crosspoly(2, (2, 3))):
+        built.clear()
+        stars = set()
+        for a in box(2, 3):
+            for ch in (0, "all"):
+                tr = local_cohomology_trace(mcc, a, ch)
+                if tr.steps and tr.steps[0].remaining:
+                    stars.add(tr.steps[0].star_keys)
+        assert stars and len(built) == len(stars)
+        for keys in stars:
+            rest = mcc._remainders[keys]
+            assert not set(keys) & set(rest.monoids)
+
+
 def test_restricted_complex_h2_both_paths():
     """H^2 of the subcomplex away from the star is 1 by formula and oracle."""
     from toricface.cech import cech_degree
@@ -670,6 +759,47 @@ def test_c_k_rejects_non_seminormal():
     M = monoid_build([(3, 0), (3, 1), (3, 3)])
     with pytest.raises(ValueError):
         c_k_monoid(M, 0)
+
+
+def reference_c_k(M, characteristic):
+    """c_k and m_k from one fresh complex per face of M's cone."""
+    def one_cone(face):
+        if face.dim == 0:
+            return build_complex(trivial_fan(M.ambient_dim), {(): []})
+        return build_complex(fan_build([face]),
+                             {face.key: list(monoid_face_gens(M, face))})
+
+    faces = face_lattice(M.cone).faces
+    all_cm = [all(depth(one_cone(f), characteristic).is_CM
+                  for f in faces if f.dim == t)
+              for t in range(M.cone.dim + 1)]
+    c_k = all_cm.index(False) - 1 if False in all_cm else M.cone.dim
+    return c_k, depth(one_cone(M.cone), characteristic).m_k
+
+
+def test_c_k_builds_one_complex_per_call(monkeypatch):
+    """c_k_monoid runs one fan_build and one build_complex, restricting
+    that complex to each face, and answers as one complex per face did."""
+    monoids = [monoid_build(g) for g in (
+        [(1, 0), (0, 1)], [(1, 0), (0, 2), (1, 1)],
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
+        [(1, 0, 0), (0, 2, 0), (1, 1, 0), (0, 0, 1), (1, 0, 1)],
+        [(1, 0, 0), (0, 1, 0), (0, 0, 2), (1, 0, 1), (0, 1, 1)])]
+    want = {(i, ch): reference_c_k(M, ch)
+            for i, M in enumerate(monoids) for ch in (0, 2, "all")}
+    # the last monoid is not CM: its c_k sits below its dimension
+    assert want[len(monoids) - 1, "all"] == (2, 2)
+    calls = collections.Counter()
+    for name in ("fan_build", "build_complex"):
+        def counted(*args, _name=name, _orig=getattr(cohomology_module, name)):
+            calls[_name] += 1
+            return _orig(*args)
+        monkeypatch.setattr(cohomology_module, name, counted)
+    for (i, ch), (c_k, m_k) in want.items():
+        calls.clear()
+        res = c_k_monoid(monoids[i], ch)
+        assert (res.c_k, res.m_k) == (c_k, m_k), (i, ch)
+        assert calls == {"fan_build": 1, "build_complex": 1}, (i, ch)
 
 
 def test_m_k_at_least_c_k_random_monoids():

@@ -93,6 +93,38 @@ def test_member_matches_exhaustive_enumeration():
         assert got == oracle_member(OCT.generators, OCT.grading, v)
 
 
+def reference_member(M, v):
+    """The generators to subtract from v in turn, each the first in order
+    that leaves a member: a recursive search with no memo."""
+    if not any(v):
+        return ()
+    for g in M.generators:
+        y = vsub(v, g)
+        if M.cone.contains(y) and solve_in_lattice(M.group, y) is not None:
+            rest = reference_member(M, y)
+            if rest is not None:
+                return (g,) + rest
+    return None
+
+
+def test_member_deep_query_needs_no_recursion():
+    """A query 1200 generators deep answers on a fresh monoid, and the same
+    after a shallower query filled the memo; on small boxes the
+    coefficients are those of the first-generator-in-order search."""
+    fresh = monoid_build([(1, 0), (0, 1)], 2)
+    assert monoid_member(fresh, (1200, 0)) == (0, 1200)
+    warm = monoid_build([(1, 0), (0, 1)], 2)
+    assert monoid_member(warm, (600, 0)) == (0, 600)
+    assert monoid_member(warm, (1200, 0)) == (0, 1200)
+    for gens in (M1.generators, M2.generators, M4.generators):
+        M = monoid_build(gens)
+        for v in box_points(M, 7):
+            path = reference_member(M, v)
+            want = None if path is None else tuple(
+                path.count(g) for g in M.generators)
+            assert monoid_member(M, v) == want, (gens, v)
+
+
 def test_member_certificates_on_random_sums():
     import random
     rng = random.Random(3)

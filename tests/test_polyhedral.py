@@ -478,7 +478,6 @@ def test_maximal_cones_of_subfans():
                           if not any(o != c and c in face_lattice(o).faces
                                      for o in sub.cones))
             assert list(sub.maximal) == want
-            assert sub.maximal_cones() == tuple(sub.by_key(k) for k in want)
             for c in sub.cones:
                 assert sub.maximal_above(c) == tuple(
                     d for d in sub.up_set(c) if d.key in want)
