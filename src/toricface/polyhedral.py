@@ -506,10 +506,6 @@ def fan_build(maximal_cones: Sequence[Cone]) -> Fan:
     return Fan(d, tuple(sorted(cones.values(), key=lambda c: (c.dim, c.rays))))
 
 
-def trivial_fan(ambient_dim: int) -> Fan:
-    return Fan(ambient_dim, (zero_cone(ambient_dim),))
-
-
 def skeleton_fan(fan: Fan, i: int) -> Fan:
     """Subfan of all cones of dimension at most i."""
     if i < 0:

@@ -43,7 +43,7 @@ from toricface.moncomplex import (ComplexError, build_complex, restrict,
 from toricface.monoid import monoid_build, monoid_face_gens
 from toricface.polyhedral import (Fan, cochain, cone_build, face_lattice,
                                   fan_build, relint_contains, skeleton_fan,
-                                  trivial_fan)
+                                  zero_cone)
 
 
 def box(dim, radius):
@@ -592,7 +592,7 @@ def test_depth_stanley_line():
 
 
 def test_depth_trivial_complex():
-    triv = build_complex(trivial_fan(2), {(): []})
+    triv = build_complex(fan_build([zero_cone(2)]), {(): []})
     res = depth(triv, "all")
     assert res.depth == 0 and res.is_CM
 
@@ -764,8 +764,6 @@ def test_c_k_rejects_non_seminormal():
 def reference_c_k(M, characteristic):
     """c_k and m_k from one fresh complex per face of M's cone."""
     def one_cone(face):
-        if face.dim == 0:
-            return build_complex(trivial_fan(M.ambient_dim), {(): []})
         return build_complex(fan_build([face]),
                              {face.key: list(monoid_face_gens(M, face))})
 

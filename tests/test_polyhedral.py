@@ -31,7 +31,6 @@ from toricface.polyhedral import (
     orientation_basis,
     relint_contains,
     skeleton_fan,
-    trivial_fan,
     zero_cone,
 )
 
@@ -439,7 +438,7 @@ def test_boundary_squared_three_dim():
 
 
 def test_trivial_fan_complex():
-    fan = trivial_fan(3)
+    fan = fan_build([zero_cone(3)])
     cc = cell_complex(fan)
     assert cc.cells == {-1: [()]}
     assert cc.boundary == {}
