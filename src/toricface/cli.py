@@ -27,11 +27,6 @@ from .monoid import (BoundTooSmallError, generated_points, monoid_member,
                      normalization, seminormalize)
 from .polyhedral import cone_build, fan_build
 
-GAP_DEGREE_DEFAULT = 6
-PRESENTATION_DEFAULT = 6
-BOX_DEFAULT = 5
-
-
 class InputError(ValueError):
     """Invalid input document or option set; the message is the diagnostic."""
 
@@ -69,6 +64,13 @@ def _need_vector(x, d, path):
     if not isinstance(x, list) or len(x) != d:
         raise InputError(f"{path}: expected a vector of length {d}")
     return tuple(_need_int(t, f"{path}[{i}]") for i, t in enumerate(x))
+
+
+def _need_positive(x, path):
+    """The one rule for bounds, in documents and on the command line."""
+    if _need_int(x, path) < 1:
+        raise InputError(f"{path}: must be positive")
+    return x
 
 
 def _need_name(x, path):
@@ -149,12 +151,12 @@ def parse_input(text: str) -> InputDocument:
         b = opts.get("bounds", {})
         if not isinstance(b, dict):
             raise InputError("options.bounds: expected an object")
-        allowed = {"seminormalization", "oracle", "presentation", "box"}
+        allowed = {doc_key for _, _, bounds in _COMMANDS.values()
+                   for _, _, doc_key, _ in bounds if doc_key}
         for k in b:
             if k not in allowed:
                 raise InputError(f"options.bounds: unknown bound {k!r}")
-            if _need_int(b[k], f"options.bounds.{k}") < 1:
-                raise InputError(f"options.bounds.{k}: must be positive")
+            _need_positive(b[k], f"options.bounds.{k}")
         bounds = tuple(sorted(b.items()))
 
     return InputDocument(d, rays, cones, monoids, bounds)
@@ -499,67 +501,71 @@ def _cmd_frobenius(doc, mcc, named, options, bounds):
     }
 
 
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "check": _cmd_check,
-    "normalize": _cmd_normalize,
-    "seminormalize": _cmd_seminormalize,
-    "presentation": _cmd_presentation,
-    "cohomology": _cmd_cohomology,
-    "depth": _cmd_depth,
-    "fpure": _cmd_fpure,
-    "oracle": _cmd_oracle,
-    "frobenius": _cmd_frobenius,
+# each command: its handler, the flags it takes, and its bounds as
+# (report key, flag, document key or None, default)
+_COMMANDS = {
+    "validate": (_cmd_validate, (), ()),
+    "check": (_cmd_check, ("bound",), (("gap_degree", "bound", None, 6),)),
+    "normalize": (_cmd_normalize, (), ()),
+    "seminormalize": (_cmd_seminormalize, ("bound",), (
+        ("seminormalization", "bound", "seminormalization", None),)),
+    "presentation": (_cmd_presentation, ("bound",), (
+        ("degree", "bound", "presentation", 6),)),
+    "cohomology": (_cmd_cohomology, ("degree", "report", "char"), ()),
+    "depth": (_cmd_depth, ("char",), ()),
+    "fpure": (_cmd_fpure, (), ()),
+    "oracle": (_cmd_oracle, ("degree", "char", "bound", "box"), (
+        ("state_cap", "bound", "oracle", DEFAULT_STATE_CAP),
+        ("box", "box", "box", 5))),
+    "frobenius": (_cmd_frobenius, ("degree", "p", "char", "bound"), (
+        ("state_cap", "bound", "oracle", DEFAULT_STATE_CAP),)),
 }
 
 
-def _effective_bounds(command, doc, options):
+def _effective_bounds(specs, doc, options):
+    """Each bound from its flag, else from the document, else its default;
+    a flag's value obeys the document's positivity rule."""
     docb = dict(doc.bounds)
-    bound = options.get("bound")
-    if command == "check":
-        return {"gap_degree": bound if bound else GAP_DEGREE_DEFAULT}
-    if command == "presentation":
-        return {"degree": bound or docb.get("presentation")
-                or PRESENTATION_DEFAULT}
-    if command == "seminormalize":
-        return {"seminormalization": bound or docb.get("seminormalization")}
-    if command in ("oracle", "frobenius"):
-        out = {"state_cap": bound or docb.get("oracle") or DEFAULT_STATE_CAP}
-        if command == "oracle":
-            out["box"] = (options.get("box") or docb.get("box")
-                          or BOX_DEFAULT)
-        return out
-    return {}
+    out = {}
+    for key, flag, doc_key, default in specs:
+        v = options.get(flag)
+        if v is None:
+            out[key] = docb.get(doc_key, default)
+        else:
+            out[key] = _need_positive(v, _FLAGS[flag][0])
+    return out
 
 
-def _echo(command, options, dimension):
+def _echo(command, flags, options):
+    """The command line of a report, flags in table order.  A flag with a
+    default (--char) is echoed, default included, by the commands that take
+    it; any other flag is echoed whenever it is given."""
     parts = [command]
-    if options.get("degree") is not None:
-        parts.append("--degree " + ",".join(str(x)
-                                            for x in options["degree"]))
-    if options.get("report"):
-        parts.append("--report")
-    if options.get("p") is not None:
-        parts.append(f"-p {options['p']}")
-    if command in ("cohomology", "depth", "oracle", "frobenius"):
-        parts.append(f"--char {_opt(options, 'char', 'all')}")
-    if options.get("bound") is not None:
-        parts.append(f"--bound {options['bound']}")
-    if options.get("box") is not None:
-        parts.append(f"--box {options['box']}")
+    for key, (spelling, kw) in _FLAGS.items():
+        default = kw.get("default")
+        if default is not None and key not in flags:
+            continue
+        v = _opt(options, key, default)
+        if kw.get("action") == "store_true":
+            if v:
+                parts.append(spelling)
+        elif v is not None:
+            text = ",".join(map(str, v)) if key == "degree" else v
+            parts.append(f"{spelling} {text}")
     return " ".join(parts)
 
 
 def run_command(doc: InputDocument, command: str, options=None) -> dict:
     """One report object; raises InputError for bad commands or options."""
     options = dict(options or {})
-    if command not in _HANDLERS:
+    if command not in _COMMANDS:
         raise InputError(f"unknown command {command!r}")
+    handler, flags, bound_specs = _COMMANDS[command]
+    bounds = _effective_bounds(bound_specs, doc, options)
     mcc, named = doc.built
-    bounds = _effective_bounds(command, doc, options)
     status = "complete"
     try:
-        payload = _HANDLERS[command](doc, mcc, named, options, bounds)
+        payload = handler(doc, mcc, named, options, bounds)
     except BoundExhausted as e:
         payload = {"error": str(e), "cone": _key_json(e.cone_key),
                    "degree": list(e.degree), "cap": e.cap}
@@ -571,7 +577,7 @@ def run_command(doc: InputDocument, command: str, options=None) -> dict:
     except ComplexError as e:
         raise InputError(str(e))
     return {
-        "command": _echo(command, options, doc.dimension),
+        "command": _echo(command, flags, options),
         "input_sha256": doc.input_sha256,
         "version": __version__,
         "bounds": bounds,
@@ -611,26 +617,27 @@ def _parse_char(text):
             f"expected 0, a prime, or 'all', got {text!r}")
 
 
+# each flag: its spelling and argparse keywords, in the order reports echo them
+_FLAGS = {
+    "degree": ("--degree", {"type": _parse_degree}),
+    "report": ("--report", {"action": "store_true"}),
+    "p": ("-p", {"type": int, "required": True}),
+    "char": ("--char", {"type": _parse_char, "default": "all"}),
+    "bound": ("--bound", {"type": int}),
+    "box": ("--box", {"type": int}),
+}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="toricface", allow_abbrev=False,
                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _HANDLERS:
+    for name, (_, flags, _) in _COMMANDS.items():
         p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("input", help="path to a JSON input document")
-        if name in ("cohomology", "oracle", "frobenius"):
-            p.add_argument("--degree", type=_parse_degree, default=None)
-        if name == "cohomology":
-            p.add_argument("--report", action="store_true")
-        if name in ("cohomology", "depth", "oracle", "frobenius"):
-            p.add_argument("--char", type=_parse_char, default="all")
-        if name in ("check", "presentation", "seminormalize", "oracle",
-                    "frobenius"):
-            p.add_argument("--bound", type=int, default=None)
-        if name == "oracle":
-            p.add_argument("--box", type=int, default=None)
-        if name == "frobenius":
-            p.add_argument("-p", dest="p", type=int, required=True)
+        for key, (spelling, kw) in _FLAGS.items():
+            if key in flags:
+                p.add_argument(spelling, **kw)
     return parser
 
 
@@ -667,9 +674,7 @@ def main(argv=None) -> int:
         except UnicodeDecodeError as e:
             raise InputError(f"input is not UTF-8: {e}")
         doc = parse_input(text)
-        options = {k: getattr(args, k) for k in
-                   ("degree", "report", "char", "bound", "box", "p")
-                   if hasattr(args, k)}
+        options = {k: getattr(args, k) for k in _COMMANDS[args.command][1]}
         report = run_command(doc, args.command, options)
     except InputError as e:
         print(f"toricface: {e}", file=sys.stderr)

@@ -67,17 +67,6 @@ def primitive(a) -> Vector:
     return tuple(x // g for x in a)
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
-
-
 def prime_factors(n: int):
     n = abs(n)
     out = set()
@@ -90,6 +79,10 @@ def prime_factors(n: int):
     if n > 1:
         out.add(n)
     return out
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and prime_factors(n) == {n}
 
 
 # ---------------------------------------------------------------------------

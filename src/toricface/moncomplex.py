@@ -6,8 +6,10 @@ containing it.  Validation checks this generator-wise in both directions.
 The module also computes the graded support, cone-wise seminormalization,
 and a bounded presentation of the associated ring as a quotient of a
 polynomial ring: squarefree monomials whose variable support fits in no
-single maximal cone, plus per-maximal-cone binomials, interreduced and
-verified by congruence closure against the graded dimension.
+single maximal cone, plus per-maximal-cone binomials.  Both are relations
+u ~ v, with v = 0 (None) for a monomial, kept on one list that is chosen,
+interreduced and verified by congruence closure against the graded
+dimension.
 """
 
 from __future__ import annotations
@@ -229,14 +231,12 @@ def _link(parent, monomials, u, v=None):
         _union(parent, vadd(w, u), _ZERO if v is None else vadd(w, v))
 
 
-def _closure(monomials, mono_gens, bino_gens):
-    """Congruence closure of the generator relations on the truncated set:
-    its edges are fixed, so one union-find pass over them gives the classes,
-    each rooted at its least monomial or at zero."""
+def _closure(monomials, relations):
+    """Congruence closure of the relations (u, v), v None for u ~ 0, on the
+    truncated set: its edges are fixed, so one union-find pass over them
+    gives the classes, each rooted at its least monomial or at zero."""
     parent = {}
-    for g in mono_gens:
-        _link(parent, monomials, g)
-    for u, v in bino_gens:
+    for u, v in relations:
         _link(parent, monomials, u, v)
     return parent
 
@@ -278,7 +278,7 @@ def presentation(mcc: MonoidalComplex, degree_bound: int) -> PresentationIdeal:
         grown = {t for t in nonfaces if t & out}
         grown |= {t | {i} for t in nonfaces - grown for i in out}
         nonfaces = {t for t in grown if not any(u < t for u in grown)}
-    mono_gens = [tuple(int(i in t) for i in range(n))
+    relations = [(tuple(int(i in t) for i in range(n)), None)
                  for t in sorted(nonfaces, key=lambda t: (len(t), sorted(t)))]
 
     monomials = sorted(_exponent_tuples(n, degree_bound),
@@ -293,41 +293,27 @@ def presentation(mcc: MonoidalComplex, degree_bound: int) -> PresentationIdeal:
             continue
         groups.setdefault(evaluate(m), []).append(m)
 
-    chosen = []
-    parent = _closure(monomials, mono_gens, ())
+    parent = _closure(monomials, relations)
     for ev in sorted(groups, key=lambda ev: (sum(groups[ev][0]), groups[ev][0])):
         members = groups[ev]
         rep = members[0]
         for m in members[1:]:
             if _find(parent, m) != _find(parent, rep):
-                chosen.append((m, rep))
+                relations.append((m, rep))
                 _link(parent, monomials, m, rep)
 
-    # interreduce: drop any generator whose relation the others still derive
-    kept_m = list(mono_gens)
-    kept_b = list(chosen)
-    removable = ([("m", g) for g in mono_gens] + [("b", g) for g in chosen])
-
-    def _removal_key(kg):
-        kind, g = kg
-        if kind == "m":
-            return (sum(g), 0, g, ())
-        return (sum(g[0]), 1, g[0], g[1])
-
-    removable.sort(key=_removal_key, reverse=True)
-    for kind, g in removable:
-        trial_m = [x for x in kept_m if not (kind == "m" and x == g)]
-        trial_b = [x for x in kept_b if not (kind == "b" and x == g)]
-        par = _closure(monomials, trial_m, trial_b)
-        if kind == "m":
-            implied = _find(par, g) == _ZERO
-        else:
-            implied = _find(par, g[0]) == _find(par, g[1])
-        if implied:
-            kept_m, kept_b = trial_m, trial_b
+    # interreduce: drop any relation the others still derive, highest
+    # degree first, binomials before monomials of the same degree
+    for u, v in sorted(relations, reverse=True,
+                       key=lambda r: (sum(r[0]), r[1] is not None, r[0],
+                                      r[1] or ())):
+        trial = [r for r in relations if r != (u, v)]
+        par = _closure(monomials, trial)
+        if _find(par, u) == (_ZERO if v is None else _find(par, v)):
+            relations = trial
 
     # verification against the graded dimension
-    parent = _closure(monomials, kept_m, kept_b)
+    parent = _closure(monomials, relations)
     class_of = {}
     for m in monomials[1:]:   # past the constant monomial
         root, zero = _find(parent, m), not in_one_cone(m)
@@ -346,13 +332,15 @@ def presentation(mcc: MonoidalComplex, degree_bound: int) -> PresentationIdeal:
                 f"{len(roots)} classes, graded dimension {want}"
             )
 
-    bino_out = []
-    for u, v in kept_b:
-        supp = {i for i in range(n) if u[i] or v[i]}
-        bino_out.append((u, v, next(k for k, s in supports.items()
-                                    if supp <= s)))
-    bino_out.sort(key=lambda t: (sum(t[0]), t[0], t[1]))
-    return PresentationIdeal(variables,
-                             tuple(sorted(kept_m, key=lambda e: (sum(e), e))),
-                             tuple(bino_out),
-                             degree_bound)
+    binomials = []
+    for u, v in relations:
+        if v is not None:
+            supp = {i for i in range(n) if u[i] or v[i]}
+            binomials.append((u, v, next(k for k, s in supports.items()
+                                         if supp <= s)))
+    return PresentationIdeal(
+        variables,
+        tuple(sorted((u for u, v in relations if v is None),
+                     key=lambda e: (sum(e), e))),
+        tuple(sorted(binomials, key=lambda t: (sum(t[0]), t[0], t[1]))),
+        degree_bound)

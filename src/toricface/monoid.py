@@ -404,6 +404,8 @@ def monoid_face_gens(M: AffineMonoid, face: Cone):
 
 def seminormalize(M: AffineMonoid, bound: Optional[int] = None) -> SeminormalizationResult:
     """Generators of the seminormalization, certified up to twice the bound."""
+    if bound is not None and bound < 1:
+        raise ValueError("seminormalization bound must be at least 1")
     hb, maxdeg = M.hilbert_data
     if not M.generators:
         return SeminormalizationResult((), 0, None)

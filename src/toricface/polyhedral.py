@@ -27,6 +27,7 @@ from .lattice import (
     kernel_basis,
     lattice_from_rows,
     mat_mul,
+    mat_vec,
     primitive,
     rank_int,
     reduce_mod_lattice,
@@ -199,10 +200,6 @@ def _checked(space, v):
     return v
 
 
-def _restrict(f, lin_rows):
-    return tuple(dot(f, b) for b in lin_rows)
-
-
 def _lift_functional(lin_basis: LatticeBasis, w):
     """Integer f with f·b_i = w_i over the saturated basis rows b_i."""
     res = lin_basis.col_snf
@@ -211,7 +208,7 @@ def _lift_functional(lin_basis: LatticeBasis, w):
     assert all(d == 1 for d in res.divisors)
     k = lin_basis.rank
     f = combine(combine(w, res.V, k), res.U[:k], lin_basis.ambient_dim)
-    assert _restrict(f, lin_basis.basis) == tuple(w)
+    assert mat_vec(lin_basis.basis, f) == tuple(w)
     return f
 
 
@@ -250,7 +247,7 @@ def cone_build(generators, ambient_dim: Optional[int] = None) -> Cone:
     facets = []
     seen = set()
     for f in ineqs:
-        w = primitive(_restrict(f, lin.basis))
+        w = primitive(mat_vec(lin.basis, f))
         if is_zero(w):
             continue
         zero_set = [g for g in gens if dot(f, g) == 0]
@@ -268,7 +265,7 @@ def cone_build(generators, ambient_dim: Optional[int] = None) -> Cone:
         assert all(dot(f, g) >= 0 for g in gens)
 
     # pointedness: the facet functionals must have full rank on the span
-    W = [list(_restrict(f, lin.basis)) for f in facets]
+    W = [list(mat_vec(lin.basis, f)) for f in facets]
     if dim > 0 and (not W or rank_int(W) < dim):
         null = kernel_basis(W, dim)
         y = null[0]
@@ -277,7 +274,7 @@ def cone_build(generators, ambient_dim: Optional[int] = None) -> Cone:
 
     rays = []
     for g in gens:
-        zf = [list(_restrict(f, lin.basis)) for f in facets if dot(f, g) == 0]
+        zf = [list(mat_vec(lin.basis, f)) for f in facets if dot(f, g) == 0]
         r = rank_int(zf)
         if r == dim - 1:
             rays.append(g)
@@ -462,19 +459,16 @@ def _meet_in_common_face(a: Cone, b: Cone) -> bool:
 
     With F the smallest face of a containing K = a ∩ b, K is a face of a
     exactly when F lies in b (then F ⊆ K ⊆ F); likewise with a and b
-    swapped.
+    swapped.  The sum s of K's generators lies in the relative interior of
+    K, so F is the smallest face of a holding s.
     """
     gens = generators_from_h(a.facets + b.facets, a.equations + b.equations,
                              a.ambient_dim)
     for g in gens:
         assert a.contains(g) and b.contains(g)
-    for x, y in ((a, b), (b, a)):
-        # faces are sorted by dimension, so the first one holding K is the smallest
-        f = next(f for f in face_lattice(x).faces
-                 if all(f.contains(g) for g in gens))
-        if not all(y.contains(r) for r in f.rays):
-            return False
-    return True
+    s = combine([1] * len(gens), gens, a.ambient_dim)
+    return all(y.contains(r) for x, y in ((a, b), (b, a))
+               for r in face_at(x, s))
 
 
 def fan_build(maximal_cones: Sequence[Cone]) -> Fan:

@@ -88,14 +88,19 @@ def octant_boundary():
     return build_complex(fan, stanley=True)
 
 
-def crosspoly(d, multiples=None):
-    """The benchmark's cross-polytope complex, from bench/inputs.py."""
+def bench_inputs():
+    """The benchmark's input module, bench/inputs.py."""
     path = Path(__file__).resolve().parent.parent / "bench" / "inputs.py"
     spec = importlib.util.spec_from_file_location("bench_inputs", path)
     inputs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(inputs)
+    return inputs
+
+
+def crosspoly(d, multiples=None):
+    """The benchmark's cross-polytope complex, from bench/inputs.py."""
     return build_from_document(parse_input(
-        inputs.crosspoly_document(d, multiples)))[0]
+        bench_inputs().crosspoly_document(d, multiples)))[0]
 
 
 ALL_FIXTURES = {

@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import bench_inputs
 
 import toricface.cli
 from toricface.cli import (InputError, build_from_document, main,
@@ -216,6 +217,65 @@ def test_main_bound_exhausted_exit(capsys):
     report = json.loads(out)
     assert report["status"] == "bound-exhausted"
     assert report["payload"]["element"] == [3, 0]
+
+
+def refuses_flag(capsys, fixture, argv, options):
+    """main exits 1 naming the flag, and run_command raises InputError."""
+    flag = next(a for a in argv if a in ("--bound", "--box"))
+    assert main(argv[:1] + [fixture_path(fixture)] + argv[1:]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"toricface: {flag}: must be positive\n"
+    with pytest.raises(InputError, match=f"{flag}: must be positive"):
+        run_command(parse_input(fixture_text(fixture)), argv[0], options)
+
+
+def test_check_refuses_bound_below_one(capsys):
+    refuses_flag(capsys, "fix-c", ["check", "--bound", "-3"], {"bound": -3})
+    refuses_flag(capsys, "fix-c", ["check", "--bound", "0"], {"bound": 0})
+
+
+def test_seminormalize_refuses_bound_below_one(capsys):
+    refuses_flag(capsys, "fix-b", ["seminormalize", "--bound", "-1"],
+                 {"bound": -1})
+
+
+def test_presentation_refuses_bound_below_one(capsys):
+    refuses_flag(capsys, "fix-a", ["presentation", "--bound", "-2"],
+                 {"bound": -2})
+    refuses_flag(capsys, "fix-a", ["presentation", "--bound", "0"],
+                 {"bound": 0})
+
+
+def test_oracle_refuses_bound_or_box_below_one(capsys):
+    refuses_flag(capsys, "fix-b", ["oracle", "--box", "0"], {"box": 0})
+    refuses_flag(capsys, "fix-b", ["oracle", "--degree", "0,-1", "--bound",
+                                   "0"], {"degree": (0, -1), "bound": 0})
+
+
+def test_frobenius_refuses_bound_below_one(capsys):
+    refuses_flag(capsys, "fix-c", ["frobenius", "--degree", "0,-1", "-p", "2",
+                                   "--bound", "0"],
+                 {"degree": (0, -1), "p": 2, "bound": 0})
+
+
+def test_every_echo_reruns_to_the_same_report(capsys):
+    """The command line a report echoes, given back to main, prints the
+    report byte for byte, for every benchmark command on every fixture."""
+    inputs = bench_inputs()
+    for name in FIXTURES:
+        doc = parse_input(fixture_text(name))
+        runs = inputs._commands(doc.dimension)
+        runs += inputs._commands(doc.dimension, (("bound", 4),))
+        for command, options in dict.fromkeys(runs):
+            text = outcome(doc, command, dict(options))
+            if text.startswith("InputError"):
+                continue  # a refused command prints no report to echo
+            echoed = json.loads(text)["command"].split()
+            code = main(echoed + [fixture_path(name)])
+            out = capsys.readouterr()
+            assert code in (0, 2), (name, echoed, out.err)
+            assert out.out == text, (name, echoed)
 
 
 def test_main_oracle_far_degree(capsys):

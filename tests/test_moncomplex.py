@@ -561,18 +561,18 @@ def test_one_pass_closure_matches_fixpoint():
         pres = presentation(mcc, bound)
         monomials = sorted(_exponent_tuples(len(pres.variables), bound),
                            key=lambda e: (sum(e), e))
-        mono = list(pres.monomial_gens)
+        mono = [(g, None) for g in pres.monomial_gens]
         bino = [(u, v) for u, v, _ in pres.binomial_gens]
-        fast = _closure(monomials, mono, bino)
-        slow = _fixpoint_closure(monomials, mono, bino)
+        fast = _closure(monomials, mono + bino)
+        slow = _fixpoint_closure(monomials, pres.monomial_gens, bino)
         roots = [_find(fast, m) for m in monomials]
         assert roots == [_find(slow, m) for m in monomials]
         # each class is rooted at zero or at its least monomial
         assert all(r == _ZERO or r <= m for m, r in zip(monomials, roots))
-        grown = _closure(monomials, mono, ())
+        grown = _closure(monomials, mono)
         for i, (u, v) in enumerate(bino):
             _link(grown, monomials, u, v)
-            fresh = _closure(monomials, mono, bino[:i + 1])
+            fresh = _closure(monomials, mono + bino[:i + 1])
             assert [_find(grown, m) for m in monomials] == \
                 [_find(fresh, m) for m in monomials]
 
@@ -582,12 +582,87 @@ def test_failed_presentation_certificate_is_not_bad_input(monkeypatch, capsys):
     the library raises RuntimeError and the CLI exits 3, not 1."""
     real = moncomplex._closure
     monkeypatch.setattr(moncomplex, "_closure",
-                        lambda monomials, mono, bino: real(monomials, mono, ()))
+                        lambda monomials, relations: real(
+                            monomials, [r for r in relations if r[1] is None]))
     with pytest.raises(RuntimeError, match="verification failed"):
         presentation(fix_a(), 6)
     path = importlib.resources.files("toricface") / "fixtures" / "fix-a.json"
     assert main(["presentation", str(path)]) == 3
     assert "verification failed" in capsys.readouterr().err
+
+
+def _two_list_presentation(mcc, bound):
+    """The presentation's generators as computed with monomials and
+    binomials on two separate lists, kept as the reference for the one
+    relation list: (monomial generators, (u, v) binomial pairs)."""
+    variables = tuple(sorted({g for k in mcc.fan.maximal
+                              for g in mcc.monoids[k].generators}))
+    n = len(variables)
+    supports = [frozenset(i for i in range(n)
+                          if mcc.fan.by_key(k).contains(variables[i]))
+                for k in mcc.fan.maximal]
+
+    def in_one_cone(e):
+        return any({i for i, t in enumerate(e) if t} <= s for s in supports)
+
+    def closure(mono_gens, bino_gens):
+        parent = {}
+        for g in mono_gens:
+            _link(parent, monomials, g)
+        for u, v in bino_gens:
+            _link(parent, monomials, u, v)
+        return parent
+
+    # minimal nonfaces by their definition: every one-variable drop is a face
+    mono_gens = sorted((e for e in itertools.product((0, 1), repeat=n)
+                        if not in_one_cone(e)
+                        and all(in_one_cone(tuple(t - (i == j)
+                                                  for j, t in enumerate(e)))
+                                for i in range(n) if e[i])),
+                       key=lambda e: (sum(e), e))
+    monomials = sorted(_exponent_tuples(n, bound), key=lambda e: (sum(e), e))
+    groups = {}
+    for m in monomials:
+        if sum(m) and in_one_cone(m):
+            ev = tuple(sum(e * x[j] for e, x in zip(m, variables))
+                       for j in range(mcc.ambient_dim))
+            groups.setdefault(ev, []).append(m)
+    chosen = []
+    parent = closure(mono_gens, ())
+    for ev in sorted(groups, key=lambda ev: (sum(groups[ev][0]),
+                                             groups[ev][0])):
+        rep, *others = groups[ev]
+        for m in others:
+            if _find(parent, m) != _find(parent, rep):
+                chosen.append((m, rep))
+                _link(parent, monomials, m, rep)
+
+    kept_m, kept_b = list(mono_gens), list(chosen)
+    removable = ([("m", g) for g in mono_gens] + [("b", g) for g in chosen])
+    removable.sort(reverse=True, key=lambda kg: (
+        (sum(kg[1]), 0, kg[1], ()) if kg[0] == "m"
+        else (sum(kg[1][0]), 1, kg[1][0], kg[1][1])))
+    for kind, g in removable:
+        trial_m = [x for x in kept_m if not (kind == "m" and x == g)]
+        trial_b = [x for x in kept_b if not (kind == "b" and x == g)]
+        par = closure(trial_m, trial_b)
+        if kind == "m":
+            implied = _find(par, g) == _ZERO
+        else:
+            implied = _find(par, g[0]) == _find(par, g[1])
+        if implied:
+            kept_m, kept_b = trial_m, trial_b
+    return (tuple(sorted(kept_m, key=lambda e: (sum(e), e))),
+            sorted(kept_b, key=lambda b: (sum(b[0]), b[0], b[1])))
+
+
+def test_one_relation_list_matches_two_list_reference():
+    cases = list(_closure_cases())
+    cases += [(crosspoly(3), 4), (crosspoly(3, (2, 3)), 2)]
+    for mcc, bound in cases:
+        pres = presentation(mcc, bound)
+        assert _two_list_presentation(mcc, bound) == (
+            pres.monomial_gens, [(u, v) for u, v, _ in pres.binomial_gens])
 
 
 def test_presentation_rejects_bad_bound():

@@ -322,6 +322,13 @@ def test_bound_too_small_error():
     assert seminormalize(M4).generators == M4.generators
 
 
+def test_seminormalize_refuses_bounds_below_one():
+    # M1 is fix-b's cusp monoid; a bound below 1 certifies nothing
+    for bound in (0, -1):
+        with pytest.raises(ValueError, match="at least 1"):
+            seminormalize(M1, bound)
+
+
 def test_face_restriction_exact():
     # generators on a face generate exactly the face part of the monoid
     for M in (M1, M2, M4, OCT):
