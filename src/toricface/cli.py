@@ -556,11 +556,16 @@ def _echo(command, flags, options):
 
 
 def run_command(doc: InputDocument, command: str, options=None) -> dict:
-    """One report object; raises InputError for bad commands or options."""
+    """One report object; raises InputError for bad commands or options,
+    an option the command does not take among them."""
     options = dict(options or {})
     if command not in _COMMANDS:
         raise InputError(f"unknown command {command!r}")
     handler, flags, bound_specs = _COMMANDS[command]
+    extra = [_FLAGS[k][0] for k in _FLAGS if k in options and k not in flags]
+    extra += sorted(repr(k) for k in options if k not in _FLAGS)
+    if extra:
+        raise InputError(f"{command} does not take {', '.join(extra)}")
     bounds = _effective_bounds(bound_specs, doc, options)
     mcc, named = doc.built
     status = "complete"

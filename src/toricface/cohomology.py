@@ -9,9 +9,11 @@ of the subcomplex away from the star, which the brute-force Cech oracle
 computes unless that subcomplex is seminormal (its star is empty, so it
 adds nothing); the oracle also answers alone when the star is empty.
 
-All boundary maps are integral, so a single Smith normal form per map
-answers every characteristic at once: dimensions over Q plus the finite
-list of primes where torsion shifts them.  On top of the per-degree
+All boundary maps are integral, so the elementary divisors of each map
+answer every characteristic at once: dimensions over Q plus the finite
+list of primes where torsion shifts them.  They come from one sparse
+exact path, the unit pivots eliminated first and the residual, if any,
+sent to the Smith normal form.  On top of the per-degree
 machinery sit: the finite star-class decomposition of Z^d (making global
 reports possible), depth and Cohen-Macaulayness by rank selection over
 skeleta, the per-face count for a single monoid, and the simplicial
@@ -26,12 +28,12 @@ from typing import Optional
 
 from .lattice import (
     LatticeBasis,
+    elementary_divisors,
     intersect,
     is_prime,
     lattice_equal,
     prime_factors,
     quotient_invariants,
-    snf,
     vadd,
     vec,
     vneg,
@@ -109,14 +111,12 @@ def table_from_cochain(sizes: dict, mats: dict,
 
     sizes[j] is the rank of the degree-j term; mats[j] is the matrix of
     d^j: K^j -> K^{j+1} with rows indexed by the degree-(j+1) basis.
+    Each map's elementary divisors come from `elementary_divisors`: the
+    +-1 pivots are eliminated on sparse rows first, one unit divisor
+    each, and only the residual goes to `snf`.
     """
     characteristic = check_characteristic(characteristic)
-    divisors = {}
-    for j, M in mats.items():
-        if M and M[0]:
-            divisors[j] = snf(M).divisors
-        else:
-            divisors[j] = ()
+    divisors = {j: elementary_divisors(M) for j, M in mats.items()}
 
     def rank_in(j, p):
         dv = divisors.get(j, ())
@@ -218,11 +218,6 @@ def star_table(fan: Fan, st: Star, characteristic) -> CohomologyTable:
         table = fan._star_tables[key] = table_from_cochain(
             *cochain(st.cones), characteristic)
     return table
-
-
-def star_cohomology(mcc: MonoidalComplex, a, characteristic) -> CohomologyTable:
-    """Cohomology of the star complex of a, graded by cone dimension."""
-    return star_table(mcc.fan, star(mcc, a), check_characteristic(characteristic))
 
 
 # ---------------------------------------------------------------------------

@@ -302,14 +302,20 @@ def presentation(mcc: MonoidalComplex, degree_bound: int) -> PresentationIdeal:
                 relations.append((m, rep))
                 _link(parent, monomials, m, rep)
 
-    # interreduce: drop any relation the others still derive, highest
-    # degree first, binomials before monomials of the same degree
+    # interreduce, highest degree first, binomials before monomials of
+    # one degree: drop a relation when the others derive it and still
+    # give every class of the truncation, as the multiples of a derived
+    # relation may need monomials past the bound.  A monomial past the
+    # bound is never derived, so it stays.  Each root is the least member
+    # of its class, so equal roots mean equal classes.
+    roots = [_find(parent, m) for m in monomials]
     for u, v in sorted(relations, reverse=True,
                        key=lambda r: (sum(r[0]), r[1] is not None, r[0],
                                       r[1] or ())):
         trial = [r for r in relations if r != (u, v)]
         par = _closure(monomials, trial)
-        if _find(par, u) == (_ZERO if v is None else _find(par, v)):
+        if (_find(par, u) == (_ZERO if v is None else _find(par, v))
+                and all(_find(par, m) == r for m, r in zip(monomials, roots))):
             relations = trial
 
     # verification against the graded dimension

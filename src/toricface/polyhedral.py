@@ -331,6 +331,11 @@ class FaceLattice:
     def dims(self):
         return tuple(f.dim for f in self.faces)
 
+    @cached_property
+    def facet_keys(self) -> tuple:
+        """Keys of the faces one dimension below the cone."""
+        return tuple(f.key for f in self.faces if f.dim == self.cone.dim - 1)
+
 
 def face_lattice(cone: Cone, known: Optional[dict] = None) -> FaceLattice:
     """All faces of a pointed cone, as intersections of facet zero-sets.
@@ -439,9 +444,6 @@ class Fan:
         """The maximal cones of up_set(cone), in the same order."""
         return self._index[2][cone.key]
 
-    def facets_of(self, cone: Cone):
-        return [c for c in self.faces_of(cone) if c.dim == cone.dim - 1]
-
     def carrier(self, v) -> Optional[Cone]:
         """The unique cone with v in its relative interior, if any: the
         smallest face holding v of a maximal cone holding v."""
@@ -538,24 +540,31 @@ def cochain(cones, linked=None) -> tuple:
 
     sizes[t] counts the t-cones; mats[t] maps level t to level t+1, with
     one row per (t+1)-cone and one column per t-cone in the given order.
-    A facet pair gets big.facet_sign(small), or 0 where linked(small, big)
-    is false.  Inside a fan, rays(small) in rays(big) one dimension up is
-    the facet relation.
+    A row is read from its cone's facets in the cone's face lattice: a
+    facet among the t-cones gets big.facet_sign(small), or 0 where
+    linked(small, big) is false, asked in column order; every other entry
+    is 0.
     """
     by_dim: dict = {}
     for c in cones:
         by_dim.setdefault(c.dim, []).append(c)
     mats = {}
     for t, cols in by_dim.items():
+        bigs = by_dim.get(t + 1)
+        if not bigs:
+            continue
+        where = {c.key: j for j, c in enumerate(cols)}
         M = []
-        for big in by_dim.get(t + 1, ()):
-            rs = set(big.rays)
-            M.append([big.facet_sign(small)
-                      if rs.issuperset(small.rays)
-                      and (linked is None or linked(small, big)) else 0
-                      for small in cols])
-        if M:
-            mats[t] = M
+        for big in bigs:
+            row = [0] * len(cols)
+            js = [where[k] for k in face_lattice(big).facet_keys if k in where]
+            js.sort()
+            for j in js:
+                small = cols[j]
+                if linked is None or linked(small, big):
+                    row[j] = big.facet_sign(small)
+            M.append(row)
+        mats[t] = M
     return {t: len(v) for t, v in by_dim.items()}, mats
 
 

@@ -8,6 +8,7 @@ import importlib.util
 from pathlib import Path
 
 from toricface.cli import build_from_document, parse_input
+from toricface.lattice import LatticeBasis, identity
 from toricface.moncomplex import build_complex
 from toricface.polyhedral import cone_build, fan_build
 
@@ -110,3 +111,9 @@ ALL_FIXTURES = {
     "stanley_r1": stanley_r1,
     "octant_boundary": octant_boundary,
 }
+
+
+def full_lattice(ambient_dim):
+    """Z^d as a LatticeBasis on the unit vectors."""
+    return LatticeBasis(ambient_dim,
+                        tuple(tuple(r) for r in identity(ambient_dim)))

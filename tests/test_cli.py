@@ -447,3 +447,32 @@ def test_seminormalize_reads_the_built_result(monkeypatch):
     assert len(calls) == 6
     assert report["bounds"] == {"seminormalization": None}
     assert bounded["bounds"] == {"seminormalization": 4}
+
+
+def refused_option(monkeypatch, command, options, message):
+    """run_command raises InputError naming the option, before any build."""
+    builds = counting(monkeypatch, toricface.cli, "build_from_document")
+    doc = parse_input(fixture_text("fix-c"))
+    with pytest.raises(InputError) as exc:
+        run_command(doc, command, options)
+    assert str(exc.value) == message
+    assert builds == []
+
+
+def test_run_command_refuses_flags_of_other_commands(monkeypatch):
+    refused_option(monkeypatch, "depth", {"degree": (1, 1), "p": 5},
+                   "depth does not take --degree, -p")
+    refused_option(monkeypatch, "cohomology", {"char": 2, "box": 3},
+                   "cohomology does not take --box")
+
+
+def test_run_command_refuses_flags_on_a_command_without_any(monkeypatch):
+    refused_option(monkeypatch, "validate", {"bound": 3},
+                   "validate does not take --bound")
+
+
+def test_run_command_refuses_unknown_options(monkeypatch):
+    refused_option(monkeypatch, "oracle", {"degree": (0, 0), "seed": 1},
+                   "oracle does not take 'seed'")
+    refused_option(monkeypatch, "check", {"box": None, "Bound": 2},
+                   "check does not take --box, 'Bound'")

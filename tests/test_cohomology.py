@@ -31,13 +31,16 @@ from toricface.cohomology import (
     prime_factors,
     star,
     star_classes,
-    star_cohomology,
+    star_table,
     table_add,
     table_from_cochain,
     table_shift,
     zero_table,
 )
-from toricface.lattice import quotient_invariants, vadd, vneg, vscale
+import toricface.lattice as lattice_module
+from toricface.cech import cech_slice
+from toricface.lattice import (elementary_divisors, quotient_invariants, snf,
+                               vadd, vneg, vscale)
 from toricface.moncomplex import (ComplexError, build_complex, restrict,
                                   seminormalize_complex)
 from toricface.monoid import monoid_build, monoid_face_gens
@@ -475,6 +478,11 @@ def test_seminormal_complexes_have_single_step_traces():
         assert tr.steps[0].remaining == ()
 
 
+def star_cohomology(mcc, a, characteristic):
+    """Cohomology of the star complex of a, graded by cone dimension."""
+    return star_table(mcc.fan, star(mcc, a), check_characteristic(characteristic))
+
+
 def test_star_cohomology_matches_class_table():
     """Per-degree star tables agree with the report entry of the class."""
     c = fix_c()
@@ -679,6 +687,54 @@ def test_star_index_call_counts(monkeypatch):
     assert calls["restrict"] == 0 and calls["skeleton_fan"] == 0
 
 
+def test_coreduced_divisors_match_snf_on_star_and_slice_cochains():
+    """Every map of every star cochain (the report's classes and the
+    per-degree stars) and of every Cech slice on a degree box, on the
+    five fixtures and the ladder up to d=4."""
+    inputs = [(build(), 2) for build in ALL_FIXTURES.values()] + [
+        (crosspoly(2), 2), (crosspoly(3), 1), (crosspoly(4), 1)]
+    maps = 0
+    for mcc, radius in inputs:
+        stars = {star(mcc, vneg(a)).keys for a in box(mcc.ambient_dim, radius)}
+        if mcc.seminormal:
+            stars |= {sc.star.keys for sc in star_classes(mcc) if sc.star}
+        cochains = [cochain([mcc.fan.by_key(k) for k in keys])[1]
+                    for keys in stars]
+        cochains += [cech_slice(mcc, a).mats
+                     for a in box(mcc.ambient_dim, radius)]
+        for mats in cochains:
+            for M in mats.values():
+                assert elementary_divisors(M) == snf(M).divisors, M
+                maps += 1
+    assert maps > 700
+
+
+def test_report_sends_no_residual_to_snf(monkeypatch):
+    """On the d=4 cross-polytope, with the star classes taken, the report
+    asks one elementary_divisors per map of each distinct star; unit
+    pivots reduce every map completely, so no residual reaches snf."""
+    mcc = crosspoly(4)
+    star_classes_once = star_classes(mcc)
+    mcc._star_classes = star_classes_once
+    stars = {sc.star.keys: sc.star for sc in star_classes_once if sc.star}
+    maps = sum(len(cochain(st.cones)[1]) for st in stars.values())
+    assert len(stars) == 81 and maps == 108
+    calls = collections.Counter()
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(module, name, counted)
+
+    count(cohomology_module, "elementary_divisors")
+    count(lattice_module, "snf")
+    cohomology_report(mcc, "all")
+    assert calls == {"elementary_divisors": maps}
+
+
 def _counting(monkeypatch, names):
     """Count the calls the cohomology module makes to each named global."""
     calls = collections.Counter()
@@ -694,10 +750,12 @@ def _counting(monkeypatch, names):
 
 def test_second_report_and_depth_reuse_the_caches(monkeypatch):
     """The complex keeps its star classes and the fan its star tables, so a
-    repeated report rebuilds neither and a depth after it needs no snf."""
+    repeated report rebuilds neither and a depth after it needs no
+    elementary divisors."""
     for mcc in [fix_c(), octant_boundary(), crosspoly(3)]:
         first = cohomology_report(mcc, "all")
-        calls = _counting(monkeypatch, ("snf", "intersect", "star"))
+        calls = _counting(monkeypatch,
+                          ("elementary_divisors", "intersect", "star"))
         assert cohomology_report(mcc, "all") == first
         depth(mcc, "all")
         assert not calls

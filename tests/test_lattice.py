@@ -10,13 +10,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import toricface.lattice as lattice_mod
+from conftest import full_lattice
+from toricface.lattice import _DENSE_INNER_MAX, _coreduce
 from toricface.lattice import (
     LatticeBasis,
     combine,
     content,
     det_int,
     dot,
-    full_lattice,
+    elementary_divisors,
     hnf,
     independent_rows,
     intersect,
@@ -575,6 +577,72 @@ def test_rank_and_kernel_mod_p_match_elimination(p):
     assert rank_mod([], p) == 0 and rank_mod([[], []], p) == 0
     assert kernel_mod([], p, 2) == [(1, 0), (0, 1)]
     assert kernel_mod([[], []], p, 0) == []
+
+
+# --- unit-pivot coreduction before the Smith form ----------------------
+
+def sparse_matrix(rng, m, n):
+    """Mostly 0 and +-1, some 2 and -3, with whole zero rows and columns."""
+    A = [[rng.choice((0, 0, 0, 1, -1, 1, -1, 2, -3)) for _ in range(n)]
+         for _ in range(m)]
+    for i in range(m):
+        if rng.random() < 0.15:
+            A[i] = [0] * n
+    for j in range(n):
+        if rng.random() < 0.15:
+            for row in A:
+                row[j] = 0
+    return A
+
+
+def test_coreduced_divisors_match_snf():
+    """About 3,000 seeded matrices up to 7 x 7, zero rows and columns
+    included, and products of low rank."""
+    rng = random.Random(16016)
+    residual = 0
+    for trial in range(3000):
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        if trial % 4:
+            A = sparse_matrix(rng, m, n)
+        else:
+            k = rng.randint(1, min(m, n))
+            A = mat_mul(sparse_matrix(rng, m, k), sparse_matrix(rng, k, n))
+        assert elementary_divisors(A) == snf(A).divisors, A
+        units, rest = _coreduce(A)
+        residual += bool(rest)
+        # the residual has no unit entry left, and snf keeps every unit
+        assert not any(x in (1, -1) for row in rest for x in row)
+        assert snf(A).divisors[:units] == (1,) * units
+    # both ends occur: matrices reduced to nothing, and residuals for snf
+    assert 300 < residual < 2700
+    assert elementary_divisors([]) == elementary_divisors([[], []]) == ()
+    assert elementary_divisors([[0, 0], [0, 0]]) == ()
+    assert elementary_divisors([[2, 4], [6, 8]]) == (2, 4)
+
+
+def test_coreduction_sends_only_the_residual_to_snf(monkeypatch):
+    calls = []
+    real = lattice_mod.snf
+    monkeypatch.setattr(lattice_mod, "snf",
+                        lambda A: calls.append(A) or real(A))
+    # the boundary of a triangle and a 2-torsion map: units, then [[2]]
+    assert elementary_divisors([[1, -1, 0], [0, 1, -1], [-1, 0, 1]]) == (1, 1)
+    assert calls == []
+    assert elementary_divisors([[1, 1], [1, -1]]) == (1, 2)
+    assert calls == [[[2]]] or calls == [[[-2]]]
+
+
+def test_sparse_products_match_dense_on_both_sides_of_the_crossover():
+    rng = random.Random(16017)
+    for k in range(1, 2 * _DENSE_INNER_MAX + 3):
+        for _ in range(40):
+            m, n = rng.randint(0, 6), rng.randint(1, 6)
+            A = sparse_matrix(rng, m, k) if m else []
+            B = [[rng.choice((0, 0, 1, -1, 5, BIG)) for _ in range(n)]
+                 for _ in range(k)]
+            assert mat_mul(A, B) == [
+                [sum(row[i] * B[i][j] for i in range(k)) for j in range(n)]
+                for row in A]
 
 
 def test_independent_rows_match_rank_scan():

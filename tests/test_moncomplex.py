@@ -686,3 +686,146 @@ def test_fixture_generator_dicts_are_consistent():
         (0, 0, 2), (0, 2, 0), (1, 1, 0), (2, 0, 0)]
     assert sorted(FIX_B_GENS.values()) == [(0, 1), (3, 0), (3, 1), (3, 3)]
     assert sorted(FIX_C_GENS.values()) == [(-2, 2), (0, 2), (1, 0), (1, 1)]
+
+
+# ---------------------------------------------------------------------------
+# presentations against a sympy reference
+
+def _line_complex(pos, neg=()):
+    """The monoid <pos> on the ray of 1 and, given neg, <-neg> on the ray
+    of -1, the two cones meeting at the origin."""
+    cones = {cone_build([(1,)]): pos}
+    if neg:
+        cones[cone_build([(-1,)])] = [-g for g in neg]
+    return build_complex(fan_build(list(cones)),
+                         {c.key: [(g,) for g in gs] for c, gs in cones.items()})
+
+
+def _plane_complex(gens):
+    """The monoid on gens in the positive quadrant, one cone."""
+    cone = cone_build([(1, 0), (0, 1)])
+    return build_complex(fan_build([cone]), {cone.key: gens})
+
+
+# complexes with their degree bound: numerical semigroups, a plane monoid,
+# and line fans whose face ideals have monomials and binomials.  The flag
+# says the bound is past every degree a derivation needs, so that the
+# presentation is a minimal generating set of the whole ideal.  Over
+# <2, 4> and <-1> no bound is: x(-1)*x4 is implied, but x(-1)*x4^k needs
+# degree k + 2 to derive that way, so the truncation keeps it; likewise
+# over <2, 3, 4> and <-1>.
+REFERENCE_CASES = [
+    (lambda: _line_complex([2, 3]), 3, True),
+    (lambda: _line_complex([2, 3, 4]), 4, True),
+    (lambda: _line_complex([3, 4, 5]), 4, True),
+    (lambda: _plane_complex([(2, 0), (0, 1), (1, 1), (3, 0)]), 4, True),
+    (lambda: _line_complex([2, 4], [1]), 4, False),
+    (lambda: _line_complex([2, 3, 4], [1]), 4, False),
+    (lambda: _line_complex([3, 5], [2, 3]), 6, True),
+]
+
+
+def _reference_ideal(mcc, variables, xs):
+    """Generators of the face ideal by sympy: the kernel of x -> t^g on
+    each maximal cone (an elimination ideal), plus x_i*x_j for every pair
+    of variables in no common cone.  The cones meet at the origin only,
+    so their monoids share no generator."""
+    sympy = pytest.importorskip("sympy")
+    out = []
+    home = {}
+    for key in mcc.fan.maximal:
+        idx = [i for i, g in enumerate(variables)
+               if g in mcc.monoids[key].generators]
+        for i in idx:
+            home[i] = key
+        # the orthant cone of key: its points up to sign are nonnegative
+        ts = sympy.symbols(f"t0:{mcc.ambient_dim}")
+        maps = [xs[i] - sympy.prod([t ** abs(c) for t, c in zip(ts, variables[i])])
+                for i in idx]
+        gb = sympy.groebner(maps, *ts, *[xs[i] for i in idx], order="lex")
+        out += [p for p in gb.exprs if not p.free_symbols & set(ts)]
+    out += [xs[i] * xs[j] for i, j in itertools.combinations(range(len(xs)), 2)
+            if home[i] != home[j]]
+    return out
+
+
+def test_presentation_matches_sympy_reference():
+    """The presentation generates the face ideal computed by sympy, and
+    where the bound allows, none of its generators lies in the ideal of
+    the others."""
+    sympy = pytest.importorskip("sympy")
+    for build, bound, minimal in REFERENCE_CASES:
+        mcc = build()
+        pres = presentation(mcc, bound)
+        xs = sympy.symbols(f"x0:{len(pres.variables)}")
+
+        def mono(e):
+            return sympy.prod([x ** k for x, k in zip(xs, e)])
+
+        gens = ([mono(e) for e in pres.monomial_gens]
+                + [mono(u) - mono(v) for u, v, _ in pres.binomial_gens])
+        want = _reference_ideal(mcc, pres.variables, xs)
+        ours = sympy.groebner(gens, *xs, order="grevlex")
+        theirs = sympy.groebner(want, *xs, order="grevlex")
+        assert all(ours.contains(p) for p in want), (pres, want)
+        assert all(theirs.contains(g) for g in gens), (pres, want)
+        for i, g in enumerate(gens if minimal else ()):
+            rest = gens[:i] + gens[i + 1:]
+            assert not (rest and sympy.groebner(rest, *xs, order="grevlex")
+                        .contains(g)), (pres, g)
+
+
+def test_presentation_drops_an_implied_binomial(monkeypatch):
+    """On <2, 3, 4> the choice takes x2*x3^2 ~ x4^2 at multidegree 8
+    before x2*x4 ~ x3^2 at 6, which together with x2^2 ~ x4 implies it;
+    interreduction drops it."""
+    calls = []
+    real = moncomplex._closure
+    monkeypatch.setattr(moncomplex, "_closure", lambda monomials, relations:
+                        calls.append(relations) or real(monomials, relations))
+    pres = presentation(_line_complex([2, 3, 4]), 4)
+    assert pres.variables == ((2,), (3,), (4,))
+    # presentation's own list, as the choice left it
+    assert calls[0] == [((2, 0, 0), (0, 0, 1)), ((1, 2, 0), (0, 0, 2)),
+                        ((1, 0, 1), (0, 2, 0))]
+    assert [(u, v) for u, v, _ in pres.binomial_gens] == [
+        ((1, 0, 1), (0, 2, 0)), ((2, 0, 0), (0, 0, 1))]
+
+
+def test_interreduction_order(monkeypatch):
+    """Each trial leaves out one relation: highest degree first, binomials
+    before monomials of one degree, then by exponents, descending."""
+    for build, bound, _ in REFERENCE_CASES:
+        calls = []
+        real = moncomplex._closure
+
+        def recording(monomials, relations):
+            # the first list is presentation's own, which the binomial
+            # choice then extends; the trials are copies
+            calls.append(relations if not calls else list(relations))
+            return real(monomials, relations)
+
+        monkeypatch.setattr(moncomplex, "_closure", recording)
+        presentation(build(), bound)
+        monkeypatch.undo()
+        pool, trials, kept = calls[0], calls[1:-1], calls[-1]
+        assert len(trials) == len(pool)
+        left_out, current = [], pool
+        for t in trials:
+            (r,) = [x for x in current if x not in t]
+            left_out.append(r)
+            if r not in kept:
+                current = t
+        assert current == kept
+        assert left_out == sorted(pool, reverse=True, key=lambda r: (
+            sum(r[0]), r[1] is not None, r[0], r[1] or ()))
+
+
+def test_presentation_keeps_relations_whose_multiples_need_the_bound():
+    """Over <2, 4> and <-1> the monomial x(-1)*x4 is derived through
+    x(-1)*x2^2, but its multiple x(-1)*x4^3 would need x(-1)*x2^2*x4^2,
+    past the bound 4, so it stays; dropping it failed verification."""
+    pres = presentation(_line_complex([2, 4], [1]), 4)
+    assert pres.variables == ((-1,), (2,), (4,))
+    assert pres.monomial_gens == ((1, 0, 1), (1, 1, 0))
+    assert [(u, v) for u, v, _ in pres.binomial_gens] == [((0, 2, 0), (0, 0, 1))]

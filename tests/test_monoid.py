@@ -12,8 +12,9 @@ import random
 import pytest
 from test_polyhedral import solve_exact
 
-from toricface.lattice import (dot, full_lattice, lattice_from_rows, primitive,
-                               rank_int, solve_in_lattice, vadd, vsub)
+from conftest import full_lattice
+from toricface.lattice import (dot, lattice_from_rows, primitive, rank_int,
+                               solve_in_lattice, vadd, vsub)
 from toricface.monoid import (
     BoundTooSmallError,
     check_seminormal_normal,

@@ -310,7 +310,7 @@ def test_incidence_sign_matches_fraction_determinant():
     signs = set()
     for fan in fans:
         for big in fan.cones:
-            for small in fan.facets_of(big):
+            for small in facets_of(fan, big):
                 if small.dim == 0:
                     want = 1
                 else:
@@ -451,7 +451,16 @@ def test_up_set_and_facets_of():
     ups = fan.up_set(ray)
     assert {u.key for u in ups} == {((0, 1),), ((0, 1), (1, 0)), ((-1, 0), (0, 1))}
     top = fan.by_key(((0, 1), (1, 0)))
-    assert {f.key for f in fan.facets_of(top)} == {((1, 0),), ((0, 1),)}
+    assert {f.key for f in facets_of(fan, top)} == {((1, 0),), ((0, 1),)}
+    # cochain's row of the top cone is nonzero on these facets alone
+    rays = fan.cones_of_dim(1)
+    row = cochain(fan.cones)[1][1][fan.cones_of_dim(2).index(top)]
+    assert {rays[j].key for j, x in enumerate(row) if x} == {((1, 0),), ((0, 1),)}
+
+
+def facets_of(fan, cone):
+    """The cones of the fan one dimension below `cone` in its face lattice."""
+    return [c for c in fan.faces_of(cone) if c.dim == cone.dim - 1]
 
 
 def test_up_set_matches_face_lattices():
@@ -492,7 +501,7 @@ def test_cochain_asks_linked_only_on_facet_pairs():
 
     sizes, mats = cochain(fan.cones, linked)
     assert sizes == {0: 1, 1: 6, 2: 12, 3: 8}
-    pairs = {(s.key, b.key) for b in fan.cones for s in fan.facets_of(b)}
+    pairs = {(s.key, b.key) for b in fan.cones for s in facets_of(fan, b)}
     assert sorted(asked) == sorted(pairs)
     plain = cochain(fan.cones)[1]
     for t, M in mats.items():
