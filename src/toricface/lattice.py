@@ -94,30 +94,15 @@ def identity(n: int) -> Matrix:
     return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
 
 
-# Inner dimension above which mat_mul skips zeros, measured with timeit on
-# k x k products of random matrices (2-vCPU VM, Python 3.11).  Skipping
-# zeros is slower at every k on full matrices (2x at k = 3, 1.2x at k = 4,
-# 1.35x at k = 10).  On matrices a third full it wins from k = 4 on (12.6 vs
-# 9.6 us at k = 4, 31.6 vs 16.4 us at k = 6), and the products of
-# cochains and Smith transforms with inner dimension 4 or more are a
-# fifth to a half full.
-_DENSE_INNER_MAX = 3
-
-
 def mat_mul(A, B) -> Matrix:
     """A*B as a list of row lists.
 
-    Up to _DENSE_INNER_MAX rows of B, each entry is one `map` dot product
-    of a row of A with a column of B.  Past it, each row of the product
-    adds up the rows of B at the nonzero entries of A's row, each row of
-    B read off its own nonzero entries.
+    Each row of the product adds up the rows of B at the nonzero entries
+    of A's row, each row of B read off its own nonzero entries.
     """
     if A and B and len(A[0]) != len(B):
         raise ValueError("shape mismatch")
-    if len(B) <= _DENSE_INNER_MAX:
-        cols = list(zip(*B))
-        return [[sum(map(mul, row, c)) for c in cols] for row in A]
-    n = len(B[0])
+    n = len(B[0]) if B else 0
     nonzero = [[(j, x) for j, x in enumerate(r) if x] for r in B]
     out = []
     for row in A:
