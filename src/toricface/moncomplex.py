@@ -35,6 +35,15 @@ class ComplexError(ValueError):
 
 @dataclass(eq=False)
 class MonoidalComplex:
+    """A fan with an affine monoid on each cone, each face's monoid the
+    restriction of its parents'.
+
+    seminormal and normal_monoids are read once, at construction, from the
+    monoids of the maximal cones alone: a face F of C has M_F = M_C ∩ F,
+    so a face of a seminormal (normal) monoid is seminormal (normal).  A
+    face monoid's own flags are decided when something asks for them.
+    """
+
     fan: Fan
     monoids: dict          # cone key -> AffineMonoid
     seminormal: bool = field(init=False)      # every cone monoid is seminormal
@@ -47,8 +56,8 @@ class MonoidalComplex:
     _remainders: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        # read from the monoids once, so no query pays for a decision
-        flags = [m.flags for m in self.monoids.values()]
+        # read from the maximal monoids once, so no query pays for a decision
+        flags = [self.monoids[k].flags for k in self.fan.maximal]
         self.seminormal = all(f.seminormal for f in flags)
         self.normal_monoids = all(f.normal for f in flags)
 
@@ -96,15 +105,13 @@ def build_complex(fan: Fan, maximal_monoid_gens: Optional[dict] = None,
 
     Each maximal cone gets one monoid: with stanley, the full lattice part
     of the cone; without, the monoid of its generator list (keyed by the
-    cone's ray tuple).  Every face monoid is the restriction of its least
-    maximal parent's and is cross-checked against all parents.  A face of
-    a normal monoid is normal, so it takes its parent's flags unchecked.
+    cone's ray tuple).  The faces come from _assemble, as restrictions.
     """
     d = fan.ambient_dim
-    monoids = {}
+    maximal = {}
     if stanley:
         for key in fan.maximal:
-            monoids[key] = lattice_monoid(fan.by_key(key))
+            maximal[key] = lattice_monoid(fan.by_key(key))
     else:
         if maximal_monoid_gens is None:
             raise ComplexError("generator lists required when stanley is off")
@@ -116,7 +123,7 @@ def build_complex(fan: Fan, maximal_monoid_gens: Optional[dict] = None,
             )
         for key, gens in given.items():
             try:
-                monoids[key] = monoid_build(gens, d, fan.by_key(key))
+                maximal[key] = monoid_build(gens, d, fan.by_key(key))
             except ValueError:
                 # report the cone the generators do span
                 spanned = monoid_build(gens, d).cone
@@ -124,13 +131,30 @@ def build_complex(fan: Fan, maximal_monoid_gens: Optional[dict] = None,
                     f"generators {tuple(gens)} span cone {spanned.key}, "
                     f"expected {key}"
                 ) from None
-    tops = set(fan.maximal)
+    return _assemble(fan, maximal)
+
+
+def _assemble(fan: Fan, maximal: dict) -> MonoidalComplex:
+    """The complex on the fan with the given maximal monoids.
+
+    Each face monoid is the restriction of its least maximal parent's and
+    is cross-checked against all parents.  It shares that parent's
+    membership memo: for v in the face F, the search for v in M_C never
+    leaves F (x - g in C with x in F forces g in F), and the face's
+    generators are the parent's on F in the same order, so each entry
+    the face reads is its own answer.  A face of a normal monoid is
+    normal, so it takes its parent's flags unchecked.
+    """
+    d = fan.ambient_dim
+    monoids = dict(maximal)
     parents = {}
     for c in fan.cones:
-        if c.key in tops:
+        if c.key in maximal:
             continue
-        parent = monoids[min(d_.key for d_ in fan.up_set(c) if d_.key in tops)]
-        monoids[c.key] = monoid_build(monoid_face_gens(parent, c), d, c)
+        parent = maximal[min(u.key for u in fan.maximal_above(c))]
+        M = monoid_build(monoid_face_gens(parent, c), d, c)
+        object.__setattr__(M, "_member_memo", parent._member_memo)
+        monoids[c.key] = M
         parents[c.key] = parent
     _validate(fan, monoids)
     for key, parent in parents.items():
@@ -169,11 +193,17 @@ def graded_dim(mcc: MonoidalComplex, a) -> SupportPoint:
 
 
 def seminormalize_complex(mcc: MonoidalComplex) -> MonoidalComplex:
-    """Cone-wise seminormalization, re-validated as a complex."""
-    monoids = {k: seminormalized_monoid(m) for k, m in mcc.monoids.items()}
-    _validate(mcc.fan, monoids)
-    out = MonoidalComplex(mcc.fan, monoids)
-    assert out.seminormal
+    """Cone-wise seminormalization, re-validated as a complex.
+
+    Only the maximal monoids are seminormalized.  Each face is restricted
+    from them, which gives the face's own seminormalization: the face-
+    lattice union formula of a face F of C reads only the faces of F.
+    """
+    out = _assemble(mcc.fan, {k: seminormalized_monoid(mcc.monoids[k])
+                              for k in mcc.fan.maximal})
+    if not out.seminormal:
+        raise RuntimeError("seminormalization certificate failed: the "
+                           "seminormalized complex is not seminormal")
     return out
 
 

@@ -369,7 +369,9 @@ def _hilbert_data(cone: Cone, lattice: LatticeBasis):
     for spts, ppts in per_simplex:
         pts |= _simplex_lattice_points(spts, ppts, ell, bound)
     reach = generated_points(elems, ell, bound, d)
-    assert reach == pts, "Hilbert basis does not generate the intersection"
+    if reach != pts:
+        raise RuntimeError("Hilbert basis certificate failed: the basis "
+                           "does not generate the intersection")
     return tuple(sorted(elems)), maxdeg
 
 
@@ -472,7 +474,9 @@ def check_seminormal_normal(M: AffineMonoid) -> NormalityCheck:
     swit = M._seminormalization.witness
     seminormal = swit is None
     normal = nwit is None
-    assert not (normal and not seminormal)
+    if normal and not seminormal:
+        raise RuntimeError("normality certificate failed: a normal monoid "
+                           "was decided not seminormal")
 
     scan_bound = max(2 * maxdeg, 1)
     for x in generated_points(hb, M.grading, scan_bound, M.ambient_dim):
@@ -481,8 +485,9 @@ def check_seminormal_normal(M: AffineMonoid) -> NormalityCheck:
         two = tuple(2 * c for c in x)
         three = tuple(3 * c for c in x)
         if monoid_member(M, two) is not None and monoid_member(M, three) is not None:
-            if monoid_member(M, x) is None:
-                assert not seminormal, "definition scan contradicts the decision"
+            if seminormal and monoid_member(M, x) is None:
+                raise RuntimeError("seminormality certificate failed: the "
+                                   "definition scan contradicts the decision")
 
     witness = swit if not seminormal else (nwit if not normal else None)
     return NormalityCheck(seminormal, normal, witness)

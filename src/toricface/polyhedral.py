@@ -35,6 +35,7 @@ from .lattice import (
     transpose,
     vec,
     vneg,
+    vsub,
 )
 
 
@@ -295,7 +296,9 @@ def cone_build(generators, ambient_dim: Optional[int] = None) -> Cone:
             c = solve_in_lattice(lin, r)
             assert c is not None
             ray_coords.add(primitive(c))
-        assert recovered == ray_coords, "facet/ray duality verification failed"
+        if recovered != ray_coords:
+            raise RuntimeError("cone certificate failed: facet/ray duality "
+                               "verification failed")
 
     return Cone(d, tuple(gens), tuple(rays), tuple(facets), dim, lin,
                 perp.basis)
@@ -456,14 +459,33 @@ class Fan:
         return c
 
 
+def _separator(x: Cone, y: Cone):
+    """Sum of the inequalities of x (facet normals, and each equation with
+    either sign) that are <= 0 on every ray of y."""
+    ineqs = [*x.facets, *x.equations, *map(vneg, x.equations)]
+    picked = [f for f in ineqs if all(dot(f, r) <= 0 for r in y.rays)]
+    return combine([1] * len(picked), picked, x.ambient_dim)
+
+
 def _meet_in_common_face(a: Cone, b: Cone) -> bool:
     """Is a ∩ b a face of both cones?
 
-    With F the smallest face of a containing K = a ∩ b, K is a face of a
-    exactly when F lies in b (then F ⊆ K ⊆ F); likewise with a and b
-    swapped.  The sum s of K's generators lies in the relative interior of
+    First a certificate (Cox-Little-Schenck, Toric Varieties, Lemma
+    1.2.13): h = _separator(a, b) - _separator(b, a) is >= 0 on a and
+    <= 0 on b, so a ∩ b lies in h^⊥, and h^⊥ cuts a face from each cone.
+    When a and b have the same rays on h^⊥, those faces are one cone, and
+    it is a ∩ b.
+
+    Otherwise the general test: with F the smallest face of a containing
+    K = a ∩ b, K is a face of a exactly when F lies in b (then
+    F ⊆ K ⊆ F); likewise with a and b swapped.  The sum s of K's
+    generators, found by Fourier-Motzkin, lies in the relative interior of
     K, so F is the smallest face of a holding s.
     """
+    h = vsub(_separator(a, b), _separator(b, a))
+    if ([r for r in a.rays if dot(h, r) == 0]
+            == [r for r in b.rays if dot(h, r) == 0]):
+        return True
     gens = generators_from_h(a.facets + b.facets, a.equations + b.equations,
                              a.ambient_dim)
     for g in gens:
@@ -474,7 +496,12 @@ def _meet_in_common_face(a: Cone, b: Cone) -> bool:
 
 
 def fan_build(maximal_cones: Sequence[Cone]) -> Fan:
-    """Assemble a fan from maximal cones, verifying the common-face condition."""
+    """Assemble a fan from maximal cones, verifying the common-face condition.
+
+    Every pair of maximal cones is checked by _meet_in_common_face: a
+    separating functional certifies most pairs, and Fourier-Motzkin
+    decides the rest.
+    """
     if not maximal_cones:
         raise ValueError("empty cone list")
     d = maximal_cones[0].ambient_dim

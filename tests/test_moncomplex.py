@@ -8,6 +8,11 @@ each expected generator was checked by evaluating both sides in the monoid.
 import importlib.resources
 import itertools
 import json
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from conftest import (
@@ -41,9 +46,11 @@ import toricface.cli
 import toricface.monoid
 import toricface.polyhedral
 from toricface.cli import build_from_document, main, parse_input
+from toricface.lattice import vneg
 from toricface.monoid import (NormalityCheck, _hilbert_data,
                               check_seminormal_normal, lattice_monoid,
-                              monoid_build, monoid_member)
+                              monoid_build, monoid_member,
+                              seminormalized_monoid)
 from toricface.polyhedral import (cone_build, face_lattice, fan_build,
                                   skeleton_fan, zero_cone)
 
@@ -101,9 +108,9 @@ def test_stanley_faces_are_the_lattice_monoids_of_their_cones():
 
 
 def test_flags_match_a_fresh_decision(monkeypatch):
-    """Every cone's flags equal a fresh decision on the same generators;
-    a face is decided at build exactly when its least maximal parent is
-    not normal, and otherwise inherits the parent's flags."""
+    """Every cone's flags equal a fresh decision on the same generators.
+    The build decides the maximal monoids only: a face of a normal parent
+    inherits the parent's flags, any other face is decided when asked."""
     decided = []
     decide = toricface.monoid.check_seminormal_normal
 
@@ -114,28 +121,50 @@ def test_flags_match_a_fresh_decision(monkeypatch):
     builds = list(ALL_FIXTURES.values()) + [
         lambda: crosspoly(2, (2, 3)), lambda: crosspoly(3, (2, 3)),
         lambda: crosspoly(2), lambda: crosspoly(3), _stanley_plane]
-    inherited = checked = 0
+    inherited = lazy = 0
     for build in builds:
         monkeypatch.setattr(toricface.monoid, "check_seminormal_normal",
                             counted)
         decided.clear()
         mcc = build()
         monkeypatch.undo()
+        tops = [mcc.monoids[k] for k in mcc.fan.maximal]
+        assert all(any(x is M for M in tops) for x in decided)
         for c in mcc.fan.cones:
             m = mcc.monoids[c.key]
+            if c.key not in mcc.fan.maximal:
+                parent = mcc.monoids[_least_parent(mcc, c)]
+                if parent.flags.normal:
+                    assert m.__dict__["flags"] is parent.flags, c.key
+                    inherited += 1
+                else:
+                    assert "flags" not in m.__dict__, c.key
+                    lazy += 1
             fresh = monoid_build(m.generators, mcc.ambient_dim, c)
             assert m.flags == check_seminormal_normal(fresh), c.key
-            if c.key in mcc.fan.maximal:
-                continue
-            parent = mcc.monoids[_least_parent(mcc, c)]
-            was_decided = any(x is m for x in decided)
-            assert was_decided != parent.flags.normal, c.key
-            if was_decided:
-                checked += 1
-            else:
-                assert m.flags is parent.flags
-                inherited += 1
-    assert inherited and checked
+    assert inherited and lazy
+
+
+def test_complex_flags_are_the_conjunction_over_every_cone():
+    """The complex's flags, read from its maximal monoids, equal the
+    conjunction of fresh decisions over all its cones, on each complex and
+    on each of its skeletons, whose maximal cones are faces.  On fix-b the
+    rays under the non-normal maximal monoid carry normal monoids."""
+    for build in [*ALL_FIXTURES.values(), lambda: crosspoly(2, (2, 3)),
+                  lambda: crosspoly(3, (2, 3))]:
+        mcc = build()
+        fresh = {c.key: check_seminormal_normal(monoid_build(
+            mcc.monoids[c.key].generators, mcc.ambient_dim, c))
+            for c in mcc.fan.cones}
+        for i in range(mcc.fan.dim + 1):
+            sub = restrict(mcc, skeleton_fan(mcc.fan, i))
+            flags = [fresh[c.key] for c in sub.fan.cones]
+            assert sub.seminormal == all(f.seminormal for f in flags)
+            assert sub.normal_monoids == all(f.normal for f in flags)
+    b = fix_b()
+    assert not b.normal_monoids
+    assert any(b.monoids[c.key].flags.normal
+               for c in b.fan.cones_of_dim(1))
 
 
 def crosspoly_stanley_text(d):
@@ -183,11 +212,8 @@ def test_build_makes_each_cone_and_hilbert_basis_once(monkeypatch):
         # the pairwise common-face check builds none
         built = counts["cone_build"]
         assert built <= len(fan.cones) - 1
-        # once per maximal cone, and once per face decided at build: one
-        # whose least maximal parent is not normal
-        assert counts["_hilbert_data"] == len(fan.maximal) + sum(
-            not mcc.monoids[_least_parent(mcc, c)].flags.normal
-            for c in fan.cones if c.key not in fan.maximal)
+        # once per maximal cone: a face is restricted, never decided
+        assert counts["_hilbert_data"] == len(fan.maximal)
         lattices = [face_lattice(c) for c in fan.cones]
         assert counts["cone_build"] == built  # every lattice was cached
         for c, fl in zip(fan.cones, lattices):
@@ -373,31 +399,30 @@ def test_seminormalize_complex_idempotent():
 
 
 def test_seminormalized_monoids_keep_the_verified_hilbert_data():
-    """A seminormalization has its monoid's cone and group, so it takes the
-    monoid's Hilbert data, which equals a fresh computation; its flags still
-    come from the full decision, as on a freshly built monoid."""
+    """A maximal cone's seminormalization has its monoid's cone and group,
+    so it takes the monoid's Hilbert data; a face's seminormal monoid,
+    restricted from it, computes its own.  Either equals a fresh
+    computation, and every flag equals a fresh decision."""
     for mcc in (fix_b(), crosspoly(2, (2, 3)), crosspoly(3, (2, 3))):
         out = seminormalize_complex(mcc)
-        rebuilt = 0
-        for k, M in mcc.monoids.items():
-            N = out.monoids[k]
-            if N is M:
-                continue
-            rebuilt += 1
+        for k in mcc.fan.maximal:
+            M, N = mcc.monoids[k], out.monoids[k]
+            assert N is not M
             assert N.group.basis == M.group.basis
             assert N.hilbert_data is M.hilbert_data
+        for c in mcc.fan.cones:
+            N = out.monoids[c.key]
             assert N.hilbert_data == _hilbert_data(N.cone, N.group)
-            fresh = monoid_build(N.generators, N.ambient_dim)
+            fresh = monoid_build(N.generators, N.ambient_dim, c)
             assert N.flags == check_seminormal_normal(fresh)
             assert N.flags.seminormal
-        assert rebuilt
 
 
 def test_seminormalize_complex_seminormalizes_each_monoid_once(monkeypatch):
-    """Building a cusp complex decides each monoid's flags through its
-    seminormalization; seminormalize_complex reuses it, so an original
-    monoid is seminormalized at most once, and the calls inside
-    seminormalize_complex are the new monoids' own flag decisions."""
+    """Only maximal monoids are seminormalized.  Building a cusp complex
+    decides each maximal monoid's flags through its seminormalization, once;
+    seminormalize_complex reuses it, and its own calls are the new maximal
+    monoids' flag decisions, one each.  No face is seminormalized."""
     calls = []
     real = toricface.monoid.seminormalize
 
@@ -411,11 +436,129 @@ def test_seminormalize_complex_seminormalizes_each_monoid_once(monkeypatch):
         mcc = crosspoly(d, (2, 3))
         built = len(calls)
         out = seminormalize_complex(mcc)
-        for M in mcc.monoids.values():
-            assert sum(1 for N in calls if N is M) <= 1
-        rebuilt = [N for k, N in out.monoids.items() if N is not mcc.monoids[k]]
-        assert len(calls) - built == len(rebuilt) > 0
-        assert all(any(N is C for C in calls) for N in rebuilt)
+        for now, before in ((out, calls[built:]), (mcc, calls[:built])):
+            tops = [now.monoids[k] for k in now.fan.maximal]
+            assert len(before) == len(tops) > 0
+            assert all(any(N is C for C in before) for N in tops)
+
+
+def test_seminormalized_faces_are_the_faces_seminormalized():
+    """Seminormalization commutes with restriction to a face, so each face
+    of seminormalize_complex, restricted from a seminormalized maximal
+    monoid, is the face monoid's own seminormalization."""
+    for mcc in (fix_b(), fix_c(), crosspoly(2, (2, 3)),
+                crosspoly(3, (2, 3))):
+        out = seminormalize_complex(mcc)
+        for c in mcc.fan.cones:
+            want = seminormalized_monoid(mcc.monoids[c.key])
+            got = out.monoids[c.key]
+            assert got.generators == want.generators, c.key
+            assert got.group == want.group, c.key
+
+
+@pytest.mark.parametrize("faces_first", [False, True])
+def test_face_membership_through_the_shared_memo(faces_first):
+    """Each face monoid shares its least maximal parent's membership memo;
+    its answers equal a freshly built face monoid's over a degree box,
+    whether the parents or the faces are asked first."""
+    for build, radius in ((fix_a, 3), (fix_b, 5), (fix_c, 5),
+                          (lambda: crosspoly(2, (2, 3)), 5),
+                          (lambda: crosspoly(3, (2, 3)), 3)):
+        mcc = build()
+        fan = mcc.fan
+        faces = [c for c in fan.cones if c.key not in fan.maximal]
+        order = ([*faces, *map(fan.by_key, fan.maximal)] if faces_first
+                 else [*map(fan.by_key, fan.maximal), *faces])
+        for c in faces:
+            parent = mcc.monoids[_least_parent(mcc, c)]
+            assert mcc.monoids[c.key]._member_memo is parent._member_memo
+        for c in order:
+            m = mcc.monoids[c.key]
+            fresh = monoid_build(m.generators, mcc.ambient_dim, c)
+            for v in box(mcc.ambient_dim, radius):
+                assert monoid_member(m, v) == monoid_member(fresh, v), \
+                    (c.key, v)
+
+
+# ---------------------------------------------------------------------------
+# certificates of a build, which raise under python -O as well
+
+def _lose_the_round_trip(dual_description):
+    """dual_description with the second call of each cone_build, the
+    facet-to-ray round trip, returning no rays."""
+    calls = []
+
+    def patched(rows, d):
+        calls.append(d)
+        ineqs, eqs = dual_description(rows, d)
+        return ([], eqs) if len(calls) % 2 == 0 else (ineqs, eqs)
+    return patched
+
+
+BUILD_CERTIFICATES = [
+    # (module, name patched in it, its replacement given the original,
+    #  library call, message)
+    (toricface.monoid, "_simplex_lattice_points",
+     lambda f: lambda spts, *rest: f(spts, *rest) | {vneg(spts[0])},
+     lambda: lattice_monoid(cone_build([(1, 0), (1, 2)])),
+     "does not generate the intersection"),
+    (toricface.monoid, "seminormalize",
+     lambda f: lambda M, bound=None: replace(f(M, bound),
+                                             witness=M.generators[0]),
+     lambda: check_seminormal_normal(monoid_build([(1, 0), (0, 1)])),
+     "a normal monoid was decided not seminormal"),
+    (toricface.monoid, "seminormalize",
+     lambda f: lambda M, bound=None: replace(f(M, bound), witness=None),
+     lambda: check_seminormal_normal(monoid_build([(2,), (3,)])),
+     "definition scan contradicts the decision"),
+    (moncomplex, "seminormalized_monoid", lambda f: lambda M: M,
+     lambda: seminormalize_complex(fix_b()),
+     "the seminormalized complex is not seminormal"),
+    (toricface.polyhedral, "dual_description", _lose_the_round_trip,
+     lambda: cone_build([(1, 0), (1, 2)]),
+     "facet/ray duality verification failed"),
+]
+
+
+def _build_certificate_outcome(case):
+    """The RuntimeError message of the call with one check broken, or None.
+    Plain code, no asserts, so it runs the same under python -O."""
+    module, name, make, call, _ = BUILD_CERTIFICATES[case]
+    original = getattr(module, name)
+    try:
+        setattr(module, name, make(original))
+        call()
+    except RuntimeError as e:
+        return str(e)
+    finally:
+        setattr(module, name, original)
+    return None
+
+
+@pytest.mark.parametrize("case", range(len(BUILD_CERTIFICATES)))
+def test_failed_build_certificate_raises(case):
+    message = BUILD_CERTIFICATES[case][-1]
+    raised = _build_certificate_outcome(case)
+    assert raised is not None and message in raised, (case, raised)
+
+
+def test_failed_build_certificates_raise_under_python_O():
+    here = Path(__file__).resolve().parent
+    src = str(Path(moncomplex.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, str(here)]))
+    env.pop("PYTHONOPTIMIZE", None)
+    script = ("import json, sys, test_moncomplex as t; print(json.dumps("
+              "[sys.flags.optimize] + [t._build_certificate_outcome(i) "
+              "for i in range(len(t.BUILD_CERTIFICATES))]))")
+    run = subprocess.run([sys.executable, "-O", "-c", script], cwd=here,
+                         capture_output=True, text=True, env=env, check=False)
+    assert run.returncode == 0, run.stderr
+    optimize, *raised = json.loads(run.stdout.splitlines()[-1])
+    assert optimize == 1
+    assert len(raised) == len(BUILD_CERTIFICATES)
+    for case, message in enumerate(raised):
+        want = BUILD_CERTIFICATES[case][-1]
+        assert message is not None and want in message, (case, message)
 
 
 # ---------------------------------------------------------------------------

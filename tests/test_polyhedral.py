@@ -11,8 +11,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import ALL_FIXTURES
+from conftest import ALL_FIXTURES, crosspoly
 
+from toricface import polyhedral
 from toricface.lattice import (LatticeBasis, dot, rank_int, rational_coords,
                                solve_in_lattice)
 from toricface.polyhedral import (
@@ -347,9 +348,12 @@ def test_fan_rejects_improper_intersection():
 
 
 @pytest.mark.parametrize("d", [2, 3])
-def test_common_face_check_matches_intersection_cone(d):
-    """fan_build's face-lattice test agrees with building a ∩ b itself."""
+def test_common_face_check_matches_intersection_cone(d, monkeypatch):
+    """fan_build's common-face test agrees with building a ∩ b itself; at
+    d=3 the pairs include some the separating certificate accepts and
+    some the Fourier-Motzkin fallback accepts or refuses."""
     rng = random.Random(5200 + d)
+    fallbacks = _fallbacks(monkeypatch)
     outcomes = set()
     for _ in range(60):
         a, _ = random_pointed_cone(rng, d)
@@ -360,14 +364,56 @@ def test_common_face_check_matches_intersection_cone(d):
                                  a.equations + b.equations, d)
         k = cone_build(gens, d) if gens else zero_cone(d)
         want = is_face(k, a) and is_face(k, b)
+        fallbacks.clear()
         try:
             fan_build([a, b])
             got = True
         except ValueError:
             got = False
         assert got == want, (a.rays, b.rays)
-        outcomes.add(want)
-    assert outcomes == {True, False}
+        outcomes.add((want, bool(fallbacks)))
+    assert {want for want, _ in outcomes} == {True, False}
+    if d == 3:
+        assert outcomes == {(True, False), (True, True), (False, True)}
+
+
+def _fallbacks(monkeypatch):
+    """A list that records each Fourier-Motzkin fallback of fan_build."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return generators_from_h(*args)
+
+    monkeypatch.setattr(polyhedral, "generators_from_h", counted)
+    return calls
+
+
+def test_every_shipped_and_ladder_fan_meet_is_certified(monkeypatch):
+    """The fixtures, the Stanley ladder up to d=4 and the cusps up to d=3
+    need no Fourier-Motzkin fallback: a separator certifies every pair."""
+    fallbacks = _fallbacks(monkeypatch)
+    for build in [*ALL_FIXTURES.values(),
+                  *(lambda d=d: crosspoly(d) for d in (2, 3, 4)),
+                  *(lambda d=d: crosspoly(d, (2, 3)) for d in (2, 3))]:
+        mcc = build()
+        assert len(mcc.fan.maximal) > 1
+        assert fallbacks == [], mcc.fan.maximal
+
+
+def test_separated_cones_with_unequal_faces_fall_back(monkeypatch):
+    """a and b lie on either side of z = 0, so h = (0, 0, 2) separates
+    them, but they cut different faces from it: a ∩ b = cone(e1, e1 + e2)
+    is a face of neither, and only the fallback refuses the pair."""
+    a = cone_build(OCTANT)
+    b = cone_build([(1, 1, 0), (1, -1, 0), (0, 0, -1)])
+    h = tuple(x - y for x, y in zip(polyhedral._separator(a, b),
+                                    polyhedral._separator(b, a)))
+    assert h == (0, 0, 2)
+    fallbacks = _fallbacks(monkeypatch)
+    with pytest.raises(ValueError):
+        fan_build([a, b])
+    assert len(fallbacks) == 1
 
 
 def test_fan_quadrants():
