@@ -195,10 +195,14 @@ class Star:
 
 
 def star(mcc: MonoidalComplex, a) -> Star:
-    # a cone holds a exactly when a's carrier is one of its faces
     a = vec(a)
+    return _star_at(mcc, mcc.fan.carrier(a), a)
+
+
+def _star_at(mcc: MonoidalComplex, carrier: Optional[Cone], a) -> Star:
+    """star(mcc, a) for a given as an int tuple with its carrier: a cone
+    holds a exactly when a's carrier is one of its faces."""
     fan = mcc.fan
-    carrier = fan.carrier(a)
     members = () if carrier is None else tuple(
         d_ for d_ in fan.up_set(carrier) if mcc.monoids[d_.key].group.contains(a))
     keys = {c.key for c in members}
@@ -352,9 +356,15 @@ def star_classes(mcc: MonoidalComplex) -> tuple:
     For each cone C the lattice K_C is the intersection of the monoid
     groups of all cones above C, cut to lin C; degrees of Z^d inside
     relint C have equal stars exactly when they agree mod K_C.  Top down,
-    K_C is group(C) cut to lin C, met with K_D for each cone D covering C.
-    Each coset of K_C in lin C is pushed into relint C along a multiple of
-    an interior point that lies in K_C, and its star is taken once there.
+    K_C is group(C) cut to lin C, met with K_D for each cone D covering C;
+    on a Stanley complex each meet holds one lattice inside the other, so
+    `intersect` takes no kernel.  Each coset of K_C in lin C is pushed
+    into relint C along a multiple `step` of an interior point that lies
+    in K_C, and its star is taken once there, from C's up-set.  The zero
+    coset needs no solve: its point b is a multiple of `step`, so b lies
+    in K_C, and K_C lies in K_D, hence in group(D), for every D above C
+    (each D is reached through a chain of covers), so its star is the
+    whole up-set of C.
     """
     fan = mcc.fan
     lattices = {}
@@ -371,7 +381,9 @@ def star_classes(mcc: MonoidalComplex) -> tuple:
         step = vscale(math.lcm(*quotient.divisors), c.interior_point())
         for rep in sorted(quotient.representatives()):
             b = _push_into_relint(c, rep, step)
-            out.append(StarClass(c, b, star(mcc, b), K, quotient.index))
+            st = (_star_at(mcc, c, b) if any(rep)
+                  else Star(b, fan.up_set(c)))
+            out.append(StarClass(c, b, st, K, quotient.index))
     out.append(StarClass(None, None, None, None, 1))
     return tuple(out)
 

@@ -619,18 +619,38 @@ def lattice_equal(L1: LatticeBasis, L2: LatticeBasis) -> bool:
 
 
 def intersect(L1: LatticeBasis, L2: LatticeBasis) -> LatticeBasis:
-    """Basis of the intersection of two sublattices of Z^d."""
+    """Hermite basis of the intersection of two sublattices of Z^d.
+
+    When one lattice holds every basis vector of the other, that one is
+    the meet, and no kernel is taken: its basis is returned as it stands
+    if it is in Hermite form, else its Hermite form is computed (when each
+    holds the other, a basis already in Hermite form is preferred).  The
+    Hermite basis of a lattice is unique, so this is the basis the general
+    path gives, which reads the meet off the left kernel of the stacked
+    bases and checks each of its basis vectors in both lattices.
+    """
     if L1.ambient_dim != L2.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     d = L1.ambient_dim
     if not L1.basis or not L2.basis:
         return LatticeBasis(d, ())
+    in_l2 = all(L2.contains(b) for b in L1.basis)
+    if in_l2 and _hnf_pivot_columns(L1.basis) is not None:
+        return L1
+    if all(L1.contains(b) for b in L2.basis):
+        if _hnf_pivot_columns(L2.basis) is not None:
+            return L2
+        return lattice_from_rows(d, L2.basis)
+    if in_l2:
+        return lattice_from_rows(d, L1.basis)
     stacked = [list(b) for b in L1.basis] + [list(b) for b in L2.basis]
     # u*stacked = 0, so u's first len(L1.basis) entries reach L1 ∩ L2
     gens = [combine(u, L1.basis, d) for u in left_kernel_basis(stacked)]
     out = lattice_from_rows(d, gens)
     for b in out.basis:
-        assert L1.contains(b) and L2.contains(b)
+        if not (L1.contains(b) and L2.contains(b)):
+            raise RuntimeError(f"intersection certificate failed: {b} is "
+                               "not in both lattices")
     return out
 
 

@@ -652,10 +652,31 @@ def test_one_pass_depth_matches_skeleta():
         assert depth(rp2, ch) == DepthResult(3, True, 3, (True,) * 4)
 
 
+def test_class_stars_match_star_at_their_representatives():
+    """star_classes reads a zero coset's star off its carrier's up-set and
+    solves only for the other cosets; each must equal star(mcc, rep), on
+    the fixtures, the seminormalized cusps at d=2 and d=3 and the ladder
+    up to d=4."""
+    inputs = [build() for build in ALL_FIXTURES.values()] + [
+        seminormalize_complex(crosspoly(d, (2, 3))) for d in (2, 3)] + [
+        crosspoly(d) for d in (2, 3, 4)]
+    zero = nonzero = 0
+    for mcc in inputs:
+        for sc in star_classes(mcc)[:-1]:
+            assert sc.star == star(mcc, sc.coset_rep)
+            if sc.class_lattice.contains(sc.coset_rep):
+                zero += 1
+            else:
+                nonzero += 1
+    assert nonzero == 10 + 8 + 5 and zero > 100
+
+
 def test_star_index_call_counts(monkeypatch):
     """On the d=4 cross-polytope: one intersect per cone and per cover
-    pair, one quotient per cone and one star per class in star_classes;
-    one star_classes and no skeleton rebuild in depth."""
+    pair and one quotient per cone in star_classes, and no star solve,
+    since every class is the zero coset of its carrier; on fix-a, fix-b
+    and fix-c one star solve per class of a nonzero coset.  Then one
+    star_classes and no skeleton rebuild in depth."""
     mcc = crosspoly(4)
     fan = mcc.fan
     assert len(fan.cones) == 81
@@ -668,14 +689,26 @@ def test_star_index_call_counts(monkeypatch):
         # raising=False: depth once imported skeleton_fan into cohomology
         monkeypatch.setattr(module, name, counted, raising=False)
 
-    for name in ("intersect", "quotient_invariants", "star"):
+    for name in ("intersect", "quotient_invariants", "star", "_star_at"):
         count(cohomology_module, name, getattr(cohomology_module, name))
+
+    def nonzero_cosets(classes):
+        return sum(1 for sc in classes if sc.carrier is not None
+                   and not sc.class_lattice.contains(sc.coset_rep))
+
+    for build, solved in ((fix_a, 10), (fix_b, 8), (fix_c, 5)):
+        calls.clear()
+        classes = star_classes(build())
+        assert calls["star"] == 0
+        assert calls["_star_at"] == nonzero_cosets(classes) == solved
+    calls.clear()
     classes = star_classes(mcc)
     covers = sum(1 for c in fan.cones for d in fan.cones
                  if d.dim == c.dim + 1 and set(c.rays) < set(d.rays))
     assert calls["intersect"] == len(fan.cones) + covers
     assert calls["quotient_invariants"] == len(fan.cones)
-    assert calls["star"] == len(classes) - 1 == len(fan.cones)
+    assert len(classes) - 1 == len(fan.cones)
+    assert calls["star"] == calls["_star_at"] == nonzero_cosets(classes) == 0
     calls.clear()
     count(cohomology_module, "star_classes", star_classes)
     for module in (cohomology_module, moncomplex_module):

@@ -20,6 +20,7 @@ from toricface.lattice import (
     dot,
     elementary_divisors,
     hnf,
+    identity,
     independent_rows,
     intersect,
     is_zero,
@@ -304,6 +305,68 @@ def test_intersect_known():
     assert L.contains((2, 0)) and L.contains((0, 3))
     assert not L.contains((1, 0)) and not L.contains((0, 1))
     assert quotient_invariants(L, full_lattice(2)).index == 6
+
+
+def _intersect_by_kernel(L1, L2):
+    """The general intersection path on its own: the meet read off the
+    left kernel of the stacked bases, in Hermite form."""
+    d = L1.ambient_dim
+    if not L1.basis or not L2.basis:
+        return ()
+    stacked = [list(b) for b in L1.basis] + [list(b) for b in L2.basis]
+    gens = [combine(u, L1.basis, d) for u in left_kernel_basis(stacked)]
+    return lattice_from_rows(d, gens).basis
+
+
+def _independent_basis(rng, k, d):
+    while True:
+        rows = random_matrix(rng, k, d, -3, 3)
+        if rank_int(rows) == k:
+            return LatticeBasis(d, tuple(map(tuple, rows)))
+
+
+def _unimodular(rng, k):
+    U = [list(r) for r in identity(k)]
+    for _ in range(3 * k):
+        i, j = rng.sample(range(k), 2) if k > 1 else (0, 0)
+        if i == j:
+            U[i] = [-x for x in U[i]]
+        else:
+            q = rng.randint(-2, 2)
+            U[i] = [a + q * b for a, b in zip(U[i], U[j])]
+    return U
+
+
+def test_intersect_matches_the_kernel_path():
+    """The same basis tuple as the left-kernel path, on random pairs,
+    nested pairs L1 = M*L2 in either order, and equal lattices on two
+    bases, Hermite or not, so the containment shortcut must return a
+    Hermite basis."""
+    rng = random.Random(1808)
+    shortcut_non_hermite = 0
+    for trial in range(150):
+        d = rng.randint(1, 4)
+        k = rng.randint(1, d)
+        L2 = _independent_basis(rng, k, d)
+        kind = trial % 3
+        if kind == 0:
+            L1 = _independent_basis(rng, rng.randint(1, d), d)
+        else:
+            if kind == 1:
+                M = random_matrix(rng, k, k, -3, 3)
+                if det_int(M) == 0:
+                    continue
+            else:
+                M = _unimodular(rng, k)
+            L1 = LatticeBasis(d, tuple(map(tuple, mat_mul(M, L2.basis))))
+        pairs = [(L1, L2), (L2, L1)]
+        if kind:
+            H = lattice_from_rows(d, L1.basis)
+            pairs += [(H, L2), (L2, H)]
+            shortcut_non_hermite += L1.basis != H.basis
+        for A, B in pairs:
+            assert intersect(A, B).basis == _intersect_by_kernel(A, B), (A, B)
+    assert shortcut_non_hermite > 50
 
 
 # --- quotients -----------------------------------------------------------

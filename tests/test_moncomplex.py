@@ -43,10 +43,11 @@ from toricface.moncomplex import (
     seminormalize_complex,
 )
 import toricface.cli
+import toricface.lattice
 import toricface.monoid
 import toricface.polyhedral
 from toricface.cli import build_from_document, main, parse_input
-from toricface.lattice import vneg
+from toricface.lattice import intersect, lattice_from_rows, vneg
 from toricface.monoid import (NormalityCheck, _hilbert_data,
                               check_seminormal_normal, lattice_monoid,
                               monoid_build, monoid_member,
@@ -481,7 +482,8 @@ def test_face_membership_through_the_shared_memo(faces_first):
 
 
 # ---------------------------------------------------------------------------
-# certificates of a build, which raise under python -O as well
+# certificates of a build and of a lattice meet, which raise under
+# python -O as well
 
 def _lose_the_round_trip(dual_description):
     """dual_description with the second call of each cone_build, the
@@ -517,6 +519,12 @@ BUILD_CERTIFICATES = [
     (toricface.polyhedral, "dual_description", _lose_the_round_trip,
      lambda: cone_build([(1, 0), (1, 2)]),
      "facet/ray duality verification failed"),
+    # a left kernel whose row reaches (0, 1), in the first lattice only
+    (toricface.lattice, "left_kernel_basis",
+     lambda f: lambda A: [(0, 1) + (0,) * (len(A) - 2)],
+     lambda: intersect(lattice_from_rows(2, [(2, 0), (0, 1)]),
+                       lattice_from_rows(2, [(1, 0), (0, 2)])),
+     "intersection certificate failed"),
 ]
 
 
