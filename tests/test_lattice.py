@@ -328,7 +328,7 @@ def _independent_basis(rng, k, d):
 def _unimodular(rng, k):
     U = [list(r) for r in identity(k)]
     for _ in range(3 * k):
-        i, j = rng.sample(range(k), 2) if k > 1 else (0, 0)
+        i, j = rng.randrange(k), rng.randrange(k)
         if i == j:
             U[i] = [-x for x in U[i]]
         else:
