@@ -26,7 +26,6 @@ it lies in any, so every witness is unchanged as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -50,6 +49,7 @@ from .lattice import (
 from .moncomplex import MonoidalComplex
 from .monoid import monoid_member
 from .polyhedral import Cone, cochain, facets_through
+from .record import record
 
 DEFAULT_STATE_CAP = 200_000
 WITNESS_HARD_CAP = 10_000
@@ -67,13 +67,13 @@ class BoundExhausted(Exception):
             f"state cap {cap} exhausted; raise the bound")
 
 
-@dataclass(frozen=True)
+@record
 class PieceResult:
     """Dimension (0 or 1) of one localized piece; a nonzero piece finds and
     checks its witness (z, y), z - y = the degree, when first asked."""
 
     value: int
-    _find: Optional[Callable] = field(default=None, repr=False, compare=False)
+    _find: Optional[Callable] = None
 
     @cached_property
     def witness(self) -> Optional[tuple]:
@@ -221,7 +221,7 @@ def localization_piece(mcc: MonoidalComplex, cone, a,
 # ---------------------------------------------------------------------------
 # the complex in one degree
 
-@dataclass(frozen=True)
+@record
 class CechSlice:
     """All nonzero localized pieces in one degree, with the maps between them.
 
@@ -280,7 +280,7 @@ def cech_degree(mcc: MonoidalComplex, a, characteristic,
 # ---------------------------------------------------------------------------
 # the Frobenius action
 
-@dataclass(frozen=True)
+@record
 class FrobeniusStep:
     """The induced p-th power map on H^i, from degree a to degree p*a."""
 
@@ -292,7 +292,7 @@ class FrobeniusStep:
     bijective: bool
 
 
-@dataclass(frozen=True)
+@record
 class FrobeniusCheck:
     degree: tuple
     prime: int

@@ -12,7 +12,6 @@ import hashlib
 import json
 import re
 import sys
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import __version__
@@ -26,12 +25,13 @@ from .moncomplex import ComplexError, build_complex, presentation
 from .monoid import (BoundTooSmallError, generated_points, monoid_member,
                      normalization, seminormalize)
 from .polyhedral import cone_build, fan_build
+from .record import record
 
 class InputError(ValueError):
     """Invalid input document or option set; the message is the diagnostic."""
 
 
-@dataclass(frozen=True)
+@record
 class InputDocument:
     dimension: int
     rays: tuple     # (name, vector) pairs in input order

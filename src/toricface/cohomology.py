@@ -23,7 +23,6 @@ order-complex comparison for Stanley complexes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 from .lattice import (
@@ -42,6 +41,7 @@ from .lattice import (
 from .moncomplex import ComplexError, MonoidalComplex, build_complex, restrict
 from .monoid import AffineMonoid
 from .polyhedral import Cone, Fan, cochain, fan_build, relint_contains
+from .record import record
 
 
 def check_characteristic(characteristic):
@@ -56,7 +56,7 @@ def check_characteristic(characteristic):
 # ---------------------------------------------------------------------------
 # cohomology tables
 
-@dataclass(frozen=True)
+@record
 class CohomologyTable:
     """Dimensions of a graded cohomology group, indexed by cohomological degree.
 
@@ -182,7 +182,7 @@ def table_add(t1: CohomologyTable, t2: CohomologyTable) -> CohomologyTable:
 # ---------------------------------------------------------------------------
 # stars and their cochain complexes
 
-@dataclass(frozen=True)
+@record
 class Star:
     """The cones whose normalized monoid contains a fixed degree."""
 
@@ -251,7 +251,7 @@ def _avoiding(mcc: MonoidalComplex, st: Star) -> Optional[MonoidalComplex]:
     return mcc._remainders[st.keys]
 
 
-@dataclass(frozen=True)
+@record
 class DegreeStep:
     """One splitting level of the per-degree formula.
 
@@ -265,7 +265,7 @@ class DegreeStep:
     remaining: tuple
 
 
-@dataclass(frozen=True)
+@record
 class DegreeComputation:
     degree: tuple
     characteristic: object
@@ -324,7 +324,7 @@ def local_cohomology_degree(mcc: MonoidalComplex, a,
 # ---------------------------------------------------------------------------
 # star classes: a finite decomposition of all degrees
 
-@dataclass(frozen=True)
+@record
 class StarClass:
     """All degrees in one coset of K_C inside the relative interior of C.
 
@@ -391,14 +391,14 @@ def star_classes(mcc: MonoidalComplex) -> tuple:
 # ---------------------------------------------------------------------------
 # global reports
 
-@dataclass(frozen=True)
+@record
 class ClassReport:
     star_class: StarClass
     table: CohomologyTable   # H^i_m(R)_a for every a with -a in the class
     note: str = ""
 
 
-@dataclass(frozen=True)
+@record
 class CohomologyReport:
     characteristic: object
     fan_dim: int
@@ -441,7 +441,7 @@ def is_cohen_macaulay(mcc: MonoidalComplex, characteristic) -> bool:
     return all(_vanishes_below(e.table, mcc.fan.dim) for e in report.entries)
 
 
-@dataclass(frozen=True)
+@record
 class DepthResult:
     depth: int
     is_CM: bool
@@ -474,7 +474,7 @@ def depth(mcc: MonoidalComplex, characteristic) -> DepthResult:
 # ---------------------------------------------------------------------------
 # per-face counts for a single monoid
 
-@dataclass(frozen=True)
+@record
 class FaceDepthResult:
     c_k: int   # largest t with k[M cap F] CM for every face of dim <= t
     m_k: int   # rank-selection depth of the face-poset complex of M
@@ -506,14 +506,14 @@ def c_k_monoid(M: AffineMonoid, characteristic) -> FaceDepthResult:
 # ---------------------------------------------------------------------------
 # the simplicial comparison for Stanley complexes
 
-@dataclass(frozen=True)
+@record
 class BbrEntry:
     cone_key: tuple
     cellular: CohomologyTable     # H^i via the star cochain complex
     simplicial: CohomologyTable   # H^i via the order complex, same indexing
 
 
-@dataclass(frozen=True)
+@record
 class BbrReport:
     characteristic: object
     entries: tuple

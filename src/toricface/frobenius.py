@@ -11,7 +11,6 @@ single cone with a normal monoid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .lattice import (intersect, is_prime, lattice_from_rows, prime_factors,
@@ -19,15 +18,16 @@ from .lattice import (intersect, is_prime, lattice_from_rows, prime_factors,
 from .moncomplex import ComplexError, MonoidalComplex
 from .monoid import AffineMonoid, monoid_face_gens
 from .polyhedral import face_lattice
+from .record import record
 
 
-@dataclass(frozen=True)
+@record
 class PrimeExclusion:
     prime: int
     witnesses: tuple   # (maximal cone key, face key, elementary divisor)
 
 
-@dataclass(frozen=True)
+@record
 class FPurityReport:
     """Primes where the ring is not F-pure, with their lattice witnesses.
 
@@ -75,7 +75,7 @@ def excluded_primes(mcc: MonoidalComplex) -> FPurityReport:
     return FPurityReport(excluded)
 
 
-@dataclass(frozen=True)
+@record
 class MonoidFInjectivity:
     prime: int
     injective: bool
@@ -103,7 +103,7 @@ def monoid_F_injective(M: AffineMonoid, p: int) -> MonoidFInjectivity:
     return MonoidFInjectivity(p, True, None)
 
 
-@dataclass(frozen=True)
+@record
 class WeakFRegularity:
     possible: bool
     reason: str

@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 from math import gcd
 from operator import add, floordiv, mod, mul, neg, sub
 from typing import Optional, Sequence
+
+from .record import record
 
 Vector = tuple  # tuple[int, ...]
 Matrix = list   # list of row lists
@@ -171,7 +172,7 @@ def _exgcd(a: int, b: int):
 # ---------------------------------------------------------------------------
 # Smith normal form
 
-@dataclass(frozen=True)
+@record
 class SNFResult:
     D: tuple
     U: tuple
@@ -386,7 +387,7 @@ def independent_rows(rows) -> list:
 # ---------------------------------------------------------------------------
 # Hermite normal form (row style)
 
-@dataclass(frozen=True)
+@record
 class HNFResult:
     H: tuple
     U: tuple
@@ -487,7 +488,7 @@ def unimodular_inverse(M: Sequence[Sequence[int]]) -> Matrix:
 # ---------------------------------------------------------------------------
 # lattices
 
-@dataclass(frozen=True)
+@record
 class LatticeBasis:
     """A sublattice of Z^d given by linearly independent basis rows.
 
@@ -654,7 +655,7 @@ def intersect(L1: LatticeBasis, L2: LatticeBasis) -> LatticeBasis:
     return out
 
 
-@dataclass(frozen=True)
+@record
 class QuotientInvariants:
     """The quotient sup/sub of a sublattice sub of sup.
 

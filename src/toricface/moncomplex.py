@@ -14,7 +14,6 @@ dimension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import comb
 from typing import Optional
 
@@ -27,13 +26,13 @@ from .monoid import (
     seminormalized_monoid,
 )
 from .polyhedral import Fan
+from .record import record
 
 
 class ComplexError(ValueError):
     pass
 
 
-@dataclass(eq=False)
 class MonoidalComplex:
     """A fan with an affine monoid on each cone, each face's monoid the
     restriction of its parents'.
@@ -44,20 +43,17 @@ class MonoidalComplex:
     face monoid's own flags are decided when something asks for them.
     """
 
-    fan: Fan
-    monoids: dict          # cone key -> AffineMonoid
-    seminormal: bool = field(init=False)      # every cone monoid is seminormal
-    normal_monoids: bool = field(init=False)  # every cone monoid is normal
-    # cohomology.star_classes of this complex, kept by its first report
-    _star_classes: Optional[tuple] = field(default=None, init=False,
-                                           repr=False)
-    # star keys -> the subcomplex away from that star (or None), kept by
-    # cohomology.complex_avoiding
-    _remainders: dict = field(default_factory=dict, init=False, repr=False)
-
-    def __post_init__(self):
-        # read from the maximal monoids once, so no query pays for a decision
-        flags = [self.monoids[k].flags for k in self.fan.maximal]
+    def __init__(self, fan: Fan, monoids: dict):
+        self.fan = fan
+        self.monoids = monoids   # cone key -> AffineMonoid
+        # cohomology.star_classes of this complex, kept by its first report
+        self._star_classes: Optional[tuple] = None
+        # star keys -> the subcomplex away from that star (or None), kept by
+        # cohomology.complex_avoiding
+        self._remainders: dict = {}
+        # whether every cone monoid is seminormal (normal), read from the
+        # maximal monoids once, so no query pays for a decision
+        flags = [monoids[k].flags for k in fan.maximal]
         self.seminormal = all(f.seminormal for f in flags)
         self.normal_monoids = all(f.normal for f in flags)
 
@@ -172,7 +168,7 @@ def restrict(mcc: MonoidalComplex, subfan: Fan) -> MonoidalComplex:
                                     for c in subfan.cones})
 
 
-@dataclass(frozen=True)
+@record
 class SupportPoint:
     point: tuple
     carrier: tuple   # keys of the cones whose monoid contains the point
@@ -210,7 +206,7 @@ def seminormalize_complex(mcc: MonoidalComplex) -> MonoidalComplex:
 # ---------------------------------------------------------------------------
 # presentation ideals
 
-@dataclass(frozen=True)
+@record
 class PresentationIdeal:
     variables: tuple      # chosen generators of the support, lex-sorted
     monomial_gens: tuple  # squarefree exponent tuples

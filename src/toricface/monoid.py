@@ -13,7 +13,6 @@ its value terminates.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 from typing import Optional
@@ -41,6 +40,7 @@ from .lattice import (
     vsub,
 )
 from .polyhedral import Cone, cone_build, face_at, face_lattice
+from .record import record
 
 
 class BoundTooSmallError(ValueError):
@@ -60,7 +60,7 @@ def grading_functional(cone: Cone):
     return ell
 
 
-@dataclass(frozen=True)
+@record
 class AffineMonoid:
     """A finitely generated positive submonoid of Z^d."""
 
@@ -379,7 +379,7 @@ def hilbert_basis(cone: Cone, lattice: LatticeBasis):
     return _hilbert_data(cone, lattice)[0]
 
 
-@dataclass(frozen=True)
+@record
 class HilbertBasis:
     elements: tuple
 
@@ -392,7 +392,7 @@ def normalization(M: AffineMonoid) -> HilbertBasis:
 # ---------------------------------------------------------------------------
 # seminormalization
 
-@dataclass(frozen=True)
+@record
 class SeminormalizationResult:
     generators: tuple
     verified_bound: int
@@ -456,7 +456,7 @@ def seminormalized_monoid(M: AffineMonoid) -> AffineMonoid:
     return N
 
 
-@dataclass(frozen=True)
+@record
 class NormalityCheck:
     seminormal: bool
     normal: bool

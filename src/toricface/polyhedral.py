@@ -12,7 +12,6 @@ the cochain matrices of every cone-indexed complex in the package.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -37,6 +36,7 @@ from .lattice import (
     vneg,
     vsub,
 )
+from .record import record
 
 
 class ConeNotPointedError(ValueError):
@@ -139,7 +139,7 @@ def generators_from_h(ineqs, eqs, ambient_dim):
 # ---------------------------------------------------------------------------
 # cones
 
-@dataclass(frozen=True)
+@record
 class Cone:
     """A rational pointed polyhedral cone with both descriptions."""
 
@@ -326,7 +326,7 @@ def facets_through(cone: Cone, face: "Cone"):
 # ---------------------------------------------------------------------------
 # face lattices
 
-@dataclass(frozen=True)
+@record
 class FaceLattice:
     cone: Cone
     faces: tuple  # all faces as Cones, sorted by (dim, rays)
@@ -393,7 +393,7 @@ def face_lattice(cone: Cone, known: Optional[dict] = None) -> FaceLattice:
 # ---------------------------------------------------------------------------
 # fans
 
-@dataclass(frozen=True)
+@record
 class Fan:
     """A finite collection of pointed cones closed under faces."""
 
@@ -595,7 +595,7 @@ def cochain(cones, linked=None) -> tuple:
     return {t: len(v) for t, v in by_dim.items()}, mats
 
 
-@dataclass(frozen=True)
+@record
 class CellComplex:
     """Augmented cellular chain complex of a fan.
 

@@ -14,15 +14,14 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import toricface.cech as cech_module
 from conftest import ALL_FIXTURES, crosspoly, fix_b, fix_c, stanley_r1
-from toricface.cech import (BoundExhausted, cech_degree, cech_slice,
-                            frobenius_check, localization_piece)
+from toricface.cech import (BoundExhausted, CechSlice, cech_degree,
+                            cech_slice, frobenius_check, localization_piece)
 from toricface.cli import main
 from toricface.cohomology import (complex_avoiding, local_cohomology_degree,
                                   zero_table)
@@ -408,10 +407,11 @@ CERTIFICATES = [
      lambda: cech_slice(fix_c(), (0, 0)),
      ["oracle", "--degree", "0,0"], "do not compose to zero"),
     ("cech_slice",
-     _at_second_slice(lambda sl: replace(sl, pieces={}, sizes={}, mats={})),
+     _at_second_slice(lambda sl: CechSlice(sl.degree, {}, {}, {})),
      lambda: frobenius_check(fix_c(), (0, -1), 2),
      ["frobenius", "--degree", "0,-1", "-p", "2"], "vanish at degree"),
-    ("cech_slice", _at_second_slice(lambda sl: replace(sl, mats={})),
+    ("cech_slice",
+     _at_second_slice(lambda sl: CechSlice(sl.degree, sl.pieces, sl.sizes, {})),
      lambda: frobenius_check(fix_c(), (0, 0), 3),
      ["frobenius", "--degree", "0,0", "-p", "3"], "fails to commute"),
 ]

@@ -11,7 +11,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -48,9 +47,9 @@ import toricface.monoid
 import toricface.polyhedral
 from toricface.cli import build_from_document, main, parse_input
 from toricface.lattice import intersect, lattice_from_rows, vneg
-from toricface.monoid import (NormalityCheck, _hilbert_data,
-                              check_seminormal_normal, lattice_monoid,
-                              monoid_build, monoid_member,
+from toricface.monoid import (NormalityCheck, SeminormalizationResult,
+                              _hilbert_data, check_seminormal_normal,
+                              lattice_monoid, monoid_build, monoid_member,
                               seminormalized_monoid)
 from toricface.polyhedral import (cone_build, face_lattice, fan_build,
                                   skeleton_fan, zero_cone)
@@ -497,6 +496,11 @@ def _lose_the_round_trip(dual_description):
     return patched
 
 
+def _with_witness(result, witness):
+    return SeminormalizationResult(result.generators, result.verified_bound,
+                                   witness)
+
+
 BUILD_CERTIFICATES = [
     # (module, name patched in it, its replacement given the original,
     #  library call, message)
@@ -505,12 +509,12 @@ BUILD_CERTIFICATES = [
      lambda: lattice_monoid(cone_build([(1, 0), (1, 2)])),
      "does not generate the intersection"),
     (toricface.monoid, "seminormalize",
-     lambda f: lambda M, bound=None: replace(f(M, bound),
-                                             witness=M.generators[0]),
+     lambda f: lambda M, bound=None: _with_witness(f(M, bound),
+                                                   M.generators[0]),
      lambda: check_seminormal_normal(monoid_build([(1, 0), (0, 1)])),
      "a normal monoid was decided not seminormal"),
     (toricface.monoid, "seminormalize",
-     lambda f: lambda M, bound=None: replace(f(M, bound), witness=None),
+     lambda f: lambda M, bound=None: _with_witness(f(M, bound), None),
      lambda: check_seminormal_normal(monoid_build([(2,), (3,)])),
      "definition scan contradicts the decision"),
     (moncomplex, "seminormalized_monoid", lambda f: lambda M: M,
