@@ -22,6 +22,11 @@ A piece, or a map between two pieces, is therefore nonzero for some
 target above c exactly when it is nonzero for some maximal one; and the
 least z = a + t*sigma of a witness lies in a maximal target as soon as
 it lies in any, so every witness is unchanged as well.
+
+Most pairs are empty for a cheap reason, found per degree in one pass
+over the maximal cones D before any search: a is not in Z M_D, or a
+facet normal f of D through c is negative on a (f is 0 on M_c and >= 0
+on M_D, so f(z - y) = f(z) >= 0).  The search is sound without it.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from .lattice import (
 )
 from .moncomplex import MonoidalComplex
 from .monoid import monoid_member
-from .polyhedral import Cone, cochain, facets_through
+from .polyhedral import Cone, cochain, face_lattice, facets_through
 from .record import record
 
 DEFAULT_STATE_CAP = 200_000
@@ -81,7 +86,7 @@ class PieceResult:
 
 
 def _decide_one(mcc: MonoidalComplex, source: Cone, target: Cone, a,
-                state_cap: int, memo: dict) -> bool:
+                state_cap: int) -> bool:
     """Is a = z - y solvable with y in the source monoid, z in the target's?
 
     Write C for the source cone, M0 for its monoid, and D for the target
@@ -101,15 +106,13 @@ def _decide_one(mcc: MonoidalComplex, source: Cone, target: Cone, a,
     Z M0.  States are (coset mod Z M0, weight), which is sound to
     deduplicate because extending two equal states by the same
     generators keeps them equal.
+
+    It needs no exit for the pairs _dead_pairs rules out: s in MD and
+    s = a mod Z M0 give a in Z MD and f(a) = f(s) >= 0 for f through C.
     """
     M0, MD = mcc.monoids[source.key], mcc.monoids[target.key]
     if not M0.generators:
         return monoid_member(MD, a) is not None
-    in_group = (None, target.key)   # a in Z MD, asked once per D
-    if in_group not in memo:
-        memo[in_group] = solve_in_lattice(MD.group, a) is not None
-    if not memo[in_group]:
-        return False
     if source.key not in MD._face_weights:   # none depends on a
         through = facets_through(target, source)
         phi = combine([1] * len(through), through, len(a))
@@ -117,14 +120,9 @@ def _decide_one(mcc: MonoidalComplex, source: Cone, target: Cone, a,
             raise RuntimeError(
                 f"facet weight of {source.key} in {target.key} is negative "
                 f"on a generator")
-        MD._face_weights[source.key] = (through, phi, [
+        MD._face_weights[source.key] = (phi, [
             (g, dot(phi, g)) for g in MD.generators if dot(phi, g) > 0])
-    through, phi, pos = MD._face_weights[source.key]
-    if any(dot(f, a) < 0 for f in through):
-        return False
-    if not through:
-        # the source is the target itself; the group test was the test
-        return True
+    phi, pos = MD._face_weights[source.key]
     group = M0.group
     weight = dot(phi, a)
     target_rep = reduce_mod_lattice(group, a)
@@ -156,13 +154,14 @@ def _decide_one(mcc: MonoidalComplex, source: Cone, target: Cone, a,
 def _decide(mcc: MonoidalComplex, source: Cone, targets, a, state_cap: int,
             memo: dict) -> bool:
     """Does _decide_one hold for some target?  memo keeps each (source key,
-    target key) answer in degree a, so no pair is searched twice."""
+    target key) answer in degree a, _dead_pairs' first, so no pair is
+    searched twice."""
     pairs = [((source.key, d.key), d) for d in targets]
     if any(memo.get(k) for k, _ in pairs):
         return True
     for k, d in pairs:
         if k not in memo:
-            memo[k] = _decide_one(mcc, source, d, a, state_cap, memo)
+            memo[k] = _decide_one(mcc, source, d, a, state_cap)
             if memo[k]:
                 return True
     return False
@@ -179,10 +178,10 @@ def _witness(mcc: MonoidalComplex, source: Cone, targets, a, memo: dict):
 
     Adding the sum sigma of the source generators to the numerator is
     monotone, so scanning t upward finds the least z = a + t*sigma in a
-    target monoid.  No such z lies in a target that memo holds as
-    decided empty, so those are skipped.  The witness is returned only
-    once z re-sums from the coefficients monoid_member gave and y = t*sigma
-    from t times each source generator.
+    target monoid.  No such z lies in a target that memo holds as empty,
+    searched or ruled out by _dead_pairs, so those are skipped.  The
+    witness is returned only once z re-sums from the coefficients
+    monoid_member gave and y = t*sigma from t times each source generator.
     """
     gens = mcc.monoids[source.key].generators
     sigma = combine([1] * len(gens), gens, len(a))
@@ -201,17 +200,40 @@ def _witness(mcc: MonoidalComplex, source: Cone, targets, a, memo: dict):
     raise RuntimeError("witness scan passed its cap after a positive decision")
 
 
+def _dead_pairs(mcc: MonoidalComplex, a, memo: dict) -> set:
+    """Answer in memo the pairs degree a rules out, and return the keys of
+    the cones left with a live target.  (D, D) is a in Z MD = MD - MD,
+    tested once per distinct group; a face of D on a facet negative on a,
+    or on any facet when that fails, is dead for D."""
+    in_group: dict = {}
+    live = set()
+    for key in mcc.fan.maximal:
+        d, group = mcc.fan.by_key(key), mcc.monoids[key].group
+        if group.basis not in in_group:
+            in_group[group.basis] = solve_in_lattice(group, a) is not None
+        ok = memo[key, key] = in_group[group.basis]
+        on_facet = face_lattice(d).on_facet
+        dead = set().union(*(on for f, on in zip(d.facets, on_facet)
+                             if not ok or dot(f, a) < 0))
+        for k in dead:
+            memo[k, key] = False
+        if ok:
+            live |= {key}.union(*on_facet) - dead
+    return live
+
+
 def localization_piece(mcc: MonoidalComplex, cone, a,
                        state_cap: Optional[int] = None,
                        memo: Optional[dict] = None) -> PieceResult:
     """The degree-a piece of the ring localized at a cone of the complex,
     decided against the maximal cones above it; cech_slice passes one memo
-    of _decide's answers in degree a to all."""
+    of answers in degree a, filled by _dead_pairs first, to all."""
     cap = DEFAULT_STATE_CAP if state_cap is None else state_cap
     if not isinstance(cone, Cone):
         cone = mcc.fan.by_key(tuple(cone))
     a = vec(a)
-    memo = {} if memo is None else memo
+    if memo is None:
+        _dead_pairs(mcc, a, memo := {})
     targets = mcc.fan.maximal_above(cone)
     if not _decide(mcc, cone, targets, a, cap, memo):
         return PieceResult(0)
@@ -250,11 +272,13 @@ def cech_slice(mcc: MonoidalComplex, a,
     fan = mcc.fan
     cap = DEFAULT_STATE_CAP if state_cap is None else state_cap
     memo: dict = {}
+    live = _dead_pairs(mcc, a, memo)
     pieces = {}
     for c in fan.cones:
-        pr = localization_piece(mcc, c, a, state_cap, memo)
-        if pr.value:
-            pieces[c] = pr
+        if c.key in live:
+            pr = localization_piece(mcc, c, a, state_cap, memo)
+            if pr.value:
+                pieces[c] = pr
 
     def linked(small, big):
         # nonzero where a = z - y, y in small's monoid, z in one above big

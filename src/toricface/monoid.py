@@ -72,7 +72,7 @@ class AffineMonoid:
 
     def __post_init__(self):
         object.__setattr__(self, "_member_memo", {})
-        # face key -> (facets through it, phi, phi-positive gens), for cech
+        # face key -> (phi, phi-positive gens), for cech
         object.__setattr__(self, "_face_weights", {})
 
     def degree(self, v) -> int:

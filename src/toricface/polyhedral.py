@@ -329,7 +329,8 @@ def facets_through(cone: Cone, face: "Cone"):
 @record
 class FaceLattice:
     cone: Cone
-    faces: tuple  # all faces as Cones, sorted by (dim, rays)
+    faces: tuple     # all faces as Cones, sorted by (dim, rays)
+    on_facet: tuple  # per facet normal of the cone, the keys of faces on it
 
     def dims(self):
         return tuple(f.dim for f in self.faces)
@@ -350,18 +351,19 @@ def face_lattice(cone: Cone, known: Optional[dict] = None) -> FaceLattice:
     if cone._lattice is not None:
         return cone._lattice
     known = {} if known is None else known
-    ray_idx = range(len(cone.rays))
-    all_set = frozenset(ray_idx)
-    zero_sets = [
-        frozenset(i for i in ray_idx if dot(f, cone.rays[i]) == 0)
-        for f in cone.facets
-    ]
+
+    def zero_sets(c, s):
+        return [frozenset(i for i in s if dot(f, cone.rays[i]) == 0)
+                for f in c.facets]
+
+    all_set = frozenset(range(len(cone.rays)))
+    zeros = zero_sets(cone, all_set)
     found = {all_set}
     frontier = [all_set]
     while frontier:
         nxt = []
         for s in frontier:
-            for z in zero_sets:
+            for z in zeros:
                 t = s & z
                 if t not in found:
                     found.add(t)
@@ -371,22 +373,26 @@ def face_lattice(cone: Cone, known: Optional[dict] = None) -> FaceLattice:
     for s in found:
         sub = tuple(cone.rays[i] for i in sorted(s))
         if s == all_set:
-            faces.append(cone)
+            face = cone
         elif sub in known:
-            faces.append(known[sub])
+            face = known[sub]
         else:
-            faces.append(cone_build(sub, cone.ambient_dim) if sub else zero_cone(cone.ambient_dim))
-    faces.sort(key=lambda c: (c.dim, c.rays))
-    for f in faces:
-        assert set(f.rays) <= set(cone.rays)
-    lattice = FaceLattice(cone, tuple(faces))
+            face = cone_build(sub, cone.ambient_dim) if sub else zero_cone(cone.ambient_dim)
+        assert face.rays == sub
+        faces.append((s, face))
+    faces.sort(key=lambda sf: (sf[1].dim, sf[1].rays))
+
+    def lattice_of(c, s):
+        inside = [(t, f) for t, f in faces if t <= s]
+        return FaceLattice(c, tuple(f for _, f in inside), tuple(
+            tuple(f.key for t, f in inside if t <= z) for z in zero_sets(c, s)))
+
+    lattice = lattice_of(cone, all_set)
     object.__setattr__(cone, "_lattice", lattice)
     # the faces of a face are the faces of the cone lying inside it
-    for f in faces:
+    for s, f in faces:
         if f._lattice is None:
-            rs = set(f.rays)
-            object.__setattr__(f, "_lattice", FaceLattice(
-                f, tuple(g for g in faces if set(g.rays) <= rs)))
+            object.__setattr__(f, "_lattice", lattice_of(f, s))
     return lattice
 
 

@@ -154,12 +154,15 @@ def test_negative_facet_weight_is_an_error(monkeypatch):
     mcc = fix_b()
     source, target = mcc.fan.by_key(RAY_T), mcc.fan.by_key(CONE_BP)
     with pytest.raises(RuntimeError, match="negative"):
-        cech_module._decide_one(mcc, source, target, (0, -1), 1000, {})
+        cech_module._decide_one(mcc, source, target, (0, -1), 1000)
 
 
 def test_witness_scan_stops_at_its_cap(monkeypatch):
-    # a wrong positive decision must end in an error, also under python -O
+    # a wrong positive decision must end in an error, also under python -O;
+    # the pass would rule every pair of this piece out before the search,
+    # so the forged decision makes it a no-op too
     monkeypatch.setattr(cech_module, "WITNESS_HARD_CAP", 3)
+    monkeypatch.setattr(cech_module, "_dead_pairs", lambda *args: None)
     monkeypatch.setattr(cech_module, "_decide_one", lambda *args: True)
     r = localization_piece(fix_b(), RAY_X, (0, -1))
     assert r.value == 1
