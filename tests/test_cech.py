@@ -26,10 +26,10 @@ from toricface.cli import main
 from toricface.cohomology import (complex_avoiding, local_cohomology_degree,
                                   zero_table)
 from toricface.frobenius import excluded_primes
-from toricface.lattice import vadd, vneg
+from toricface.lattice import dot, solve_in_lattice, vadd, vneg
 from toricface.moncomplex import restrict, seminormalize_complex
 from toricface.monoid import monoid_member
-from toricface.polyhedral import cochain, skeleton_fan
+from toricface.polyhedral import cochain, facets_through, skeleton_fan
 
 RAY_T = ((0, 1),)
 RAY_X = ((1, 0),)
@@ -116,7 +116,8 @@ def test_piece_witnesses_over_box():
 
 def up_set_slice(mcc, a):
     """A slice by the rule that asks every cone of fan.up_set, not only the
-    maximal ones: (witness by nonzero piece key, sizes, mats)."""
+    maximal ones: (witness by nonzero piece key, sizes, mats).  Its memo
+    starts empty and no pass rules a pair out, so every pair is searched."""
     fan, memo = mcc.fan, {}
     cap = cech_module.DEFAULT_STATE_CAP
 
@@ -133,7 +134,9 @@ def test_maximal_targets_match_every_target():
     """Deciding pieces and maps against the maximal cones above a cone
     gives the slice, and the witnesses, of deciding against all of them."""
     cusp = crosspoly(2, (2, 3))
-    inputs = ([(build(), 2) for build in ALL_FIXTURES.values()]
+    radius = {"fix_a": 3, "octant_boundary": 3}
+    inputs = ([(build(), radius.get(name, 4))
+               for name, build in ALL_FIXTURES.items()]
               + [(crosspoly(2), 2), (crosspoly(3), 1), (cusp, 2),
                  (seminormalize_complex(cusp), 2)])
     for mcc, radius in inputs:
@@ -143,6 +146,63 @@ def test_maximal_targets_match_every_target():
             assert {c.key: pr.witness for c, pr in sl.pieces.items()} \
                 == witnesses, a
             assert (sl.sizes, sl.mats) == (sizes, mats), a
+
+
+def ruled_out(mcc, source, target, a):
+    """Is a outside Z MD, or a facet of D through the source negative on a?"""
+    return (solve_in_lattice(mcc.monoids[target.key].group, a) is None
+            or any(dot(f, a) < 0 for f in facets_through(target, source)))
+
+
+def test_search_runs_only_on_live_pairs(monkeypatch):
+    """Over the sweep's boxes, the per-degree pass leaves the search no pair
+    that a cheap exit refuses and no pair of a cone with itself, and asks
+    no piece whose every target it has ruled out."""
+    searched, asked = [], []
+    decide_one, piece = cech_module._decide_one, localization_piece
+
+    def counted_decide(mcc, source, target, a, *rest):
+        searched.append((mcc, source, target, a))
+        return decide_one(mcc, source, target, a, *rest)
+
+    def counted_piece(mcc, cone, a, *rest):
+        asked.append((mcc, cone, a))
+        return piece(mcc, cone, a, *rest)
+
+    monkeypatch.setattr(cech_module, "_decide_one", counted_decide)
+    monkeypatch.setattr(cech_module, "localization_piece", counted_piece)
+    cones = 0
+    for build in ALL_FIXTURES.values():
+        mcc = build()
+        for a in box(mcc.ambient_dim, 4):
+            cech_slice(mcc, a)
+            cones += len(mcc.fan.cones)
+    assert searched and 0 < len(asked) < cones
+    for mcc, source, target, a in searched:
+        assert source != target and not ruled_out(mcc, source, target, a)
+    for mcc, cone, a in asked:
+        assert not all(ruled_out(mcc, cone, d, a)
+                       for d in mcc.fan.maximal_above(cone))
+
+
+def test_slice_tests_each_distinct_group_once(monkeypatch):
+    """The pass solves a in Z MD once per distinct group of a maximal cone:
+    once per slice on the cusp fan, whose 8 maximal cones share Z^3."""
+    calls = []
+    solve = cech_module.solve_in_lattice
+    monkeypatch.setattr(cech_module, "solve_in_lattice",
+                        lambda L, v: calls.append(L.basis) or solve(L, v))
+    cusp = crosspoly(3, (2, 3))
+    assert len(cusp.fan.maximal) == 8
+    counts = []
+    for mcc in [cusp] + [build() for build in ALL_FIXTURES.values()]:
+        groups = {mcc.monoids[k].group.basis for k in mcc.fan.maximal}
+        counts.append(len(groups))
+        for a in box(mcc.ambient_dim, 1):
+            calls.clear()
+            cech_slice(mcc, a)
+            assert sorted(calls) == sorted(groups), a
+    assert counts[0] == 1 and max(counts) > 1
 
 
 def test_negative_facet_weight_is_an_error(monkeypatch):

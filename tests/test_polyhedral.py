@@ -518,6 +518,25 @@ def test_up_set_matches_face_lattices():
             assert {d.key for d in fan.up_set(c)} == want, c.key
 
 
+def test_faces_on_each_facet_match_a_ray_check():
+    """on_facet lists, per facet normal of the cone, the faces whose rays
+    the normal vanishes on, and every proper face lies on some facet: on
+    every cone of the fixture fans and the cross-polytope fans up to d=4,
+    whose lattices come from their maximal cones', and on the faces of the
+    non-simplicial square cone."""
+    fans = ([build().fan for build in ALL_FIXTURES.values()]
+            + [crosspoly_fan(d) for d in (2, 3, 4)])
+    cones = [c for fan in fans for c in fan.cones]
+    cones += face_lattice(cone_build(SQUARE)).faces
+    for c in cones:
+        fl = face_lattice(c)
+        assert len(fl.on_facet) == len(c.facets)
+        for f, on in zip(c.facets, fl.on_facet):
+            assert on == tuple(h.key for h in fl.faces
+                               if all(dot(f, r) == 0 for r in h.rays))
+        assert set().union(*fl.on_facet) == {h.key for h in fl.faces} - {c.key}
+
+
 def test_maximal_cones_of_subfans():
     """fan.maximal lists the cones lying in no other cone's face lattice,
     for fans, their skeleta and the subfans away from a star;
