@@ -45,7 +45,6 @@ from .lattice import (
     mat_vec,
     rank_mod,
     reduce_mod_lattice,
-    solve_in_lattice,
     vadd,
     vec,
     vscale,
@@ -125,10 +124,10 @@ def _decide_one(mcc: MonoidalComplex, source: Cone, target: Cone, a,
     phi, pos = MD._face_weights[source.key]
     group = M0.group
     weight = dot(phi, a)
-    target_rep = reduce_mod_lattice(group, a)
-    start = reduce_mod_lattice(group, tuple([0] * len(a)))
     if weight == 0:
-        return target_rep == start
+        return group.contains(a)
+    target_rep = reduce_mod_lattice(group, a)
+    start = (0,) * len(a)
     seen = {(start, 0)}
     frontier = [(start, 0)]
     while frontier:
@@ -210,7 +209,7 @@ def _dead_pairs(mcc: MonoidalComplex, a, memo: dict) -> set:
     for key in mcc.fan.maximal:
         d, group = mcc.fan.by_key(key), mcc.monoids[key].group
         if group.basis not in in_group:
-            in_group[group.basis] = solve_in_lattice(group, a) is not None
+            in_group[group.basis] = group.contains(a)
         ok = memo[key, key] = in_group[group.basis]
         on_facet = face_lattice(d).on_facet
         dead = set().union(*(on for f, on in zip(d.facets, on_facet)

@@ -27,6 +27,7 @@ from typing import Optional
 
 from .lattice import (
     LatticeBasis,
+    dot,
     elementary_divisors,
     intersect,
     is_prime,
@@ -340,16 +341,6 @@ class StarClass:
     class_count_within_carrier: int
 
 
-def _push_into_relint(cone: Cone, v, step):
-    out = vec(v)
-    guard = 0
-    while not relint_contains(cone, out):
-        out = vadd(out, step)
-        guard += 1
-        assert guard <= 10000, "relative-interior push did not terminate"
-    return out
-
-
 def star_classes(mcc: MonoidalComplex) -> tuple:
     """StarClass decomposition of Z^d, one entry per coset per carrier.
 
@@ -380,7 +371,10 @@ def star_classes(mcc: MonoidalComplex) -> tuple:
         quotient = quotient_invariants(K, c.lin_basis)
         step = vscale(math.lcm(*quotient.divisors), c.interior_point())
         for rep in sorted(quotient.representatives()):
-            b = _push_into_relint(c, rep, step)
+            # the least t >= 0 with t*f(step) > -f(rep) on every facet f
+            t = max([-dot(f, rep) // dot(f, step) + 1 for f in c.facets] + [0])
+            b = vadd(rep, vscale(t, step))
+            assert relint_contains(c, b)
             st = (_star_at(mcc, c, b) if any(rep)
                   else Star(b, fan.up_set(c)))
             out.append(StarClass(c, b, st, K, quotient.index))

@@ -526,7 +526,12 @@ class LatticeBasis:
         return tuple(zip(cols, rows))
 
     def contains(self, v) -> bool:
-        return solve_in_lattice(self, v) is not None
+        """Is the int vector v in the lattice?  U*v is divisible by the
+        divisors of the Smith form verified at construction."""
+        uv = _smith_image(self, v)
+        if uv is None or not self.basis:
+            return uv is not None
+        return not any(map(mod, uv, self.col_snf.divisors))
 
 
 def _hnf_pivot_columns(rows):
@@ -573,21 +578,15 @@ def _smith_image(L: LatticeBasis, v: Vector) -> Optional[Vector]:
 
 
 def solve_in_lattice(L: LatticeBasis, v) -> Optional[list]:
-    """Integer coefficients expressing v over L's basis, or None."""
-    return _solve(L, vec(v))
-
-
-def _solve(L: LatticeBasis, v: Vector) -> Optional[list]:
-    """solve_in_lattice for v already a tuple of ints."""
-    uv = _smith_image(L, v)
-    if uv is None:
+    """Integer coefficients expressing v over L's basis, or None; the
+    back-substitution through V is checked."""
+    v = vec(v)
+    if not L.contains(v):
         return None
     if not L.basis:
         return []
     res = L.col_snf
-    if any(map(mod, uv, res.divisors)):
-        return None
-    c = mat_vec(res.V, list(map(floordiv, uv, res.divisors)))
+    c = mat_vec(res.V, list(map(floordiv, _smith_image(L, v), res.divisors)))
     assert combine(c, L.basis, L.ambient_dim) == v
     return list(c)
 

@@ -2,7 +2,8 @@
 
 A monoidal complex attaches an affine monoid to every cone of a fan so that
 the monoid of a face is exactly the restriction of the monoid of any cone
-containing it.  Validation checks this generator-wise in both directions.
+containing it.  Validation checks this generator-wise in both directions,
+for each face against every maximal cone above it, which implies the rest.
 The module also computes the graded support, cone-wise seminormalization,
 and a bounded presentation of the associated ring as a quotient of a
 polynomial ring: squarefree monomials whose variable support fits in no
@@ -63,6 +64,9 @@ class MonoidalComplex:
 
 
 def _validate(fan: Fan, monoids: dict) -> None:
+    """Check M_F = M_P ∩ F for each face F of each maximal cone P.  A cone
+    c lies in a maximal P, (P, c) gives M_c = M_P ∩ c, so M_c ∩ F = M_P ∩ F
+    for a face F of c, which (P, F) checks."""
     for c in fan.cones:
         M = monoids.get(c.key)
         if M is None:
@@ -71,7 +75,7 @@ def _validate(fan: Fan, monoids: dict) -> None:
             raise ComplexError(
                 f"monoid generators for cone {c.key} span {M.cone.key} instead"
             )
-    for c in fan.cones:
+    for c in map(fan.by_key, fan.maximal):
         Mc = monoids[c.key]
         for d_ in fan.faces_of(c):
             if d_.key == c.key:

@@ -19,7 +19,6 @@ from typing import Optional
 
 from .lattice import (
     LatticeBasis,
-    _solve,
     combine,
     content,
     dot,
@@ -156,8 +155,8 @@ def monoid_member(M: AffineMonoid, v) -> Optional[tuple]:
         raise ValueError("vector dimension mismatch")
     if is_zero(v):
         return (0,) * len(M.generators)
-    # the cone test is cheap and rules out most candidates before the solve
-    if not M.cone._holds(v) or _solve(M.group, v) is None:
+    # the cone test is cheap and rules out most candidates before the group's
+    if not M.cone._holds(v) or not M.group.contains(v):
         return None
     memo = M._member_memo
     gens = M.generators
@@ -422,8 +421,8 @@ def seminormalize(M: AffineMonoid, bound: Optional[int] = None) -> Seminormaliza
               for f in face_lattice(M.cone).faces}
 
     big = generated_points(hb, ell, 2 * bound, M.ambient_dim)
-    plus2 = sorted(x for x in big if not is_zero(x) and solve_in_lattice(
-        groups[face_at(M.cone, x)], x) is not None)
+    plus2 = sorted(x for x in big if not is_zero(x)
+                   and groups[face_at(M.cone, x)].contains(x))
     plus1 = [x for x in plus2 if dot(ell, x) <= bound]
 
     pset = set(plus1)
@@ -466,8 +465,9 @@ class NormalityCheck:
 def check_seminormal_normal(M: AffineMonoid) -> NormalityCheck:
     """Decide normality and seminormality, with a witness element when false.
 
-    The seminormality decision is cross-checked against the definition:
-    within the search box there is no x with 2x and 3x in M but x outside.
+    A seminormal decision, the one case a scan can contradict, is checked
+    against the definition: within the search box there is no x with 2x
+    and 3x in M but x outside.
     """
     hb, maxdeg = M.hilbert_data
     nwit = next((h for h in hb if monoid_member(M, h) is None), None)
@@ -478,16 +478,14 @@ def check_seminormal_normal(M: AffineMonoid) -> NormalityCheck:
         raise RuntimeError("normality certificate failed: a normal monoid "
                            "was decided not seminormal")
 
-    scan_bound = max(2 * maxdeg, 1)
-    for x in generated_points(hb, M.grading, scan_bound, M.ambient_dim):
-        if is_zero(x):
-            continue
-        two = tuple(2 * c for c in x)
-        three = tuple(3 * c for c in x)
-        if monoid_member(M, two) is not None and monoid_member(M, three) is not None:
-            if seminormal and monoid_member(M, x) is None:
-                raise RuntimeError("seminormality certificate failed: the "
-                                   "definition scan contradicts the decision")
+    scan = (generated_points(hb, M.grading, max(2 * maxdeg, 1), M.ambient_dim)
+            if seminormal else ())
+    for x in scan:
+        if (not is_zero(x) and monoid_member(M, x) is None
+                and monoid_member(M, vscale(2, x)) is not None
+                and monoid_member(M, vscale(3, x)) is not None):
+            raise RuntimeError("seminormality certificate failed: the "
+                               "definition scan contradicts the decision")
 
     witness = swit if not seminormal else (nwit if not normal else None)
     return NormalityCheck(seminormal, normal, witness)

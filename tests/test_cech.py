@@ -26,7 +26,7 @@ from toricface.cli import main
 from toricface.cohomology import (complex_avoiding, local_cohomology_degree,
                                   zero_table)
 from toricface.frobenius import excluded_primes
-from toricface.lattice import dot, solve_in_lattice, vadd, vneg
+from toricface.lattice import LatticeBasis, dot, solve_in_lattice, vadd, vneg
 from toricface.moncomplex import restrict, seminormalize_complex
 from toricface.monoid import monoid_member
 from toricface.polyhedral import cochain, facets_through, skeleton_fan
@@ -186,12 +186,25 @@ def test_search_runs_only_on_live_pairs(monkeypatch):
 
 
 def test_slice_tests_each_distinct_group_once(monkeypatch):
-    """The pass solves a in Z MD once per distinct group of a maximal cone:
-    once per slice on the cusp fan, whose 8 maximal cones share Z^3."""
-    calls = []
-    solve = cech_module.solve_in_lattice
-    monkeypatch.setattr(cech_module, "solve_in_lattice",
-                        lambda L, v: calls.append(L.basis) or solve(L, v))
+    """The pass tests a in Z MD once per distinct group of a maximal cone:
+    once per slice on the cusp fan, whose 8 maximal cones share Z^3.  The
+    test is LatticeBasis.contains, counted while _dead_pairs runs."""
+    calls, in_pass = [], []
+    contains, dead_pairs = LatticeBasis.contains, cech_module._dead_pairs
+
+    def counted_contains(L, v):
+        if in_pass:
+            calls.append(L.basis)
+        return contains(L, v)
+
+    def counted_pass(*args):
+        in_pass.append(True)
+        try:
+            return dead_pairs(*args)
+        finally:
+            in_pass.pop()
+    monkeypatch.setattr(LatticeBasis, "contains", counted_contains)
+    monkeypatch.setattr(cech_module, "_dead_pairs", counted_pass)
     cusp = crosspoly(3, (2, 3))
     assert len(cusp.fan.maximal) == 8
     counts = []

@@ -275,10 +275,56 @@ def test_solve_in_lattice_made_solutions():
         assert recon == v
 
 
+def _in_lattice_by_rational_coords(L, v):
+    """v = sum (c_i / den) b_i over independent b_i, so v is in L exactly
+    when den divides every c_i; no Smith divisor is read."""
+    coords = rational_coords(L, v)
+    return coords is not None and all(c % coords[1] == 0 for c in coords[0])
+
+
+def test_contains_matches_solve_in_lattice():
+    """contains reads the Smith image and the divisors only; it agrees with
+    the back-substituted solve and with rational coordinates on seeded
+    lattices: the empty basis, rank < d, non-saturated lattices from
+    dependent rows, and vectors off the span, in the saturation and not."""
+    rng = random.Random(19072)
+    seen = set()
+    for trial in range(300):
+        d = rng.randint(1, 4)
+        m = rng.randint(0, d + 2)
+        rows = random_product(rng, m, d, rng.randint(0, min(m, d)))
+        L = lattice_from_rows(d, rows)
+        sat = row_saturation(L.basis, d)
+        seen.add(("empty" if not L.basis else "rank < d" if L.rank < d
+                  else "full rank", "dependent rows" if m > L.rank else
+                  "independent rows", "saturated" if lattice_equal(
+                      L, LatticeBasis(d, tuple(map(tuple, sat))))
+                  else "not saturated"))
+        for _ in range(12):
+            shift = tuple(rng.randint(-1, 1) for _ in range(d))
+            for v in (combine([rng.randint(-4, 4) for _ in L.basis],
+                              L.basis, d),
+                      combine([rng.randint(-4, 4) for _ in sat], sat, d),
+                      vadd(combine([rng.randint(-4, 4) for _ in L.basis],
+                                   L.basis, d), shift),
+                      tuple(rng.randint(-9, 9) for _ in range(d))):
+                got = L.contains(v)
+                assert got == (solve_in_lattice(L, v) is not None), (L, v)
+                assert got == _in_lattice_by_rational_coords(L, v), (L, v)
+                off = rational_coords(L, v) is None
+                seen.add((got, off))
+    assert {(True, False), (False, False), (False, True)} <= seen
+    assert {("empty", "dependent rows", "saturated"),
+            ("rank < d", "dependent rows", "not saturated"),
+            ("full rank", "dependent rows", "not saturated"),
+            ("rank < d", "independent rows", "saturated")} <= seen
+
+
 def test_zero_lattice():
     L = LatticeBasis(3, ())
     assert solve_in_lattice(L, (0, 0, 0)) == []
     assert solve_in_lattice(L, (1, 0, 0)) is None
+    assert L.contains((0, 0, 0)) and not L.contains((1, 0, 0))
     assert rational_coords(L, (0, 0, 0)) == ([], 1)
     assert rational_coords(L, (1, 0, 0)) is None
     assert L.rank == 0

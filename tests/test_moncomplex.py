@@ -286,6 +286,46 @@ def test_build_rejects_inconsistent_shared_face():
         })
 
 
+def test_validate_restricts_maximal_pairs_only(monkeypatch):
+    """Each face is checked against every maximal cone above it, which
+    implies the rest: on the d=3 cross-polytope that is 8 octants times 7
+    proper faces, 56 restrictions, not one per (cone, face) pair, 98."""
+    mcc = crosspoly(3)
+    pairs = []
+    face_gens = moncomplex.monoid_face_gens
+    monkeypatch.setattr(moncomplex, "monoid_face_gens", lambda M, face: (
+        pairs.append((M.cone.key, face.key)) or face_gens(M, face)))
+    moncomplex._validate(mcc.fan, mcc.monoids)
+    maximal = set(mcc.fan.maximal)
+    assert len(pairs) == len(set(pairs)) == 56
+    assert {c for c, _ in pairs} == maximal and len(maximal) == 8
+    assert sum(len(mcc.fan.faces_of(c)) - 1 for c in mcc.fan.cones) == 98
+
+
+def test_build_rejects_monoids_differing_only_on_a_shared_2_face():
+    """The two octant monoids agree on every ray, <2e1> and <2e2>, and
+    differ on the 2-face they share, where only the first has e1 + e2."""
+    up = cone_build([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    down = cone_build([(1, 0, 0), (0, 1, 0), (0, 0, -1)])
+    fan = fan_build([up, down])
+    with pytest.raises(ComplexError, match=r"face \(\(0, 1, 0\), \(1, 0, 0\)\)"):
+        build_complex(fan, {
+            up.key: [(2, 0, 0), (0, 2, 0), (1, 1, 0), (0, 0, 1)],
+            down.key: [(2, 0, 0), (0, 2, 0), (0, 0, -1)],
+        })
+
+
+def test_validate_catches_a_wrong_ray_monoid_from_the_maximal_cones():
+    """A ray monoid that no 2-face restricts to is refused by the octants
+    above it alone."""
+    mcc = crosspoly(3)
+    ray = ((1, 0, 0),)
+    monoids = dict(mcc.monoids)
+    monoids[ray] = monoid_build([(2, 0, 0)], 3, mcc.fan.by_key(ray))
+    with pytest.raises(ComplexError, match=r"face \(\(1, 0, 0\),\)"):
+        moncomplex._validate(mcc.fan, monoids)
+
+
 # ---------------------------------------------------------------------------
 # restriction
 
