@@ -155,7 +155,7 @@ def monoid_member(M: AffineMonoid, v) -> Optional[tuple]:
         raise ValueError("vector dimension mismatch")
     if is_zero(v):
         return (0,) * len(M.generators)
-    # the cone test is cheap and rules out most candidates before the group's
+    # the cheap cone test rules out most candidates before the group test
     if not M.cone._holds(v) or not M.group.contains(v):
         return None
     memo = M._member_memo
