@@ -1,9 +1,11 @@
 """Rational pointed cones, fans, and the cellular chain complex of a fan.
 
-Cones are built from integer generators by Fourier-Motzkin elimination and
-carry both descriptions (extreme rays and inward facet normals); the
-generator/facet duality is re-verified by a second elimination round.  Fans
-check face-closure and the common-face condition pairwise.  The chain
+Cones are built from integer generators and carry both descriptions
+(extreme rays and inward facet normals).  One routine, `extreme_rays`,
+converts in both directions: the facet normals are the extreme rays of the
+dual cone the generators cut out, and the generator/facet duality is
+re-verified by applying it to the facets.  Fans check the common-face
+condition on every pair of input cones.  The chain
 complex assigns incidence signs through per-cone orientation bases and
 verifies that consecutive boundaries compose to zero; one builder makes
 the cochain matrices of every cone-indexed complex in the package.
@@ -46,94 +48,37 @@ class ConeNotPointedError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Fourier-Motzkin elimination
+# extreme rays
 
-def _canon_rows(rows):
-    out = []
-    seen = set()
-    for r in rows:
-        p = primitive(r)
-        if is_zero(p) or p in seen:
-            continue
-        seen.add(p)
-        out.append(p)
-    return out
+def extreme_rays(rows, k: int) -> list:
+    """Extreme rays of the pointed cone {y in Q^k : r·y >= 0 for every row r}.
 
-
-def fm_eliminate(ineqs, eqs, elim_indices):
-    """Eliminate the given variable indices from a·u >= 0 / e·u = 0 systems."""
-    ineqs = _canon_rows(ineqs)
-    eqs = _canon_rows(eqs)
-    for j in elim_indices:
-        pivot = None
-        for e in eqs:
-            if e[j] != 0 and (pivot is None or abs(e[j]) < abs(pivot[j])):
-                pivot = e
-        if pivot is not None:
-            pj = pivot[j]
-            s = 1 if pj > 0 else -1
-
-            def clear(row):
-                # row*|pj| - pivot*(row_j*sign(pj)) kills coordinate j and
-                # keeps inequality direction (|pj| > 0)
-                return tuple(a * abs(pj) - b * (row[j] * s) for a, b in zip(row, pivot))
-
-            ineqs = _canon_rows(clear(r) for r in ineqs)
-            eqs = _canon_rows(clear(e) for e in eqs if e is not pivot)
-            continue
-        pos = [r for r in ineqs if r[j] > 0]
-        neg = [r for r in ineqs if r[j] < 0]
-        zero = [r for r in ineqs if r[j] == 0]
-        combos = []
-        for p in pos:
-            for n in neg:
-                combos.append(tuple(a * (-n[j]) + b * p[j] for a, b in zip(p, n)))
-        ineqs = _canon_rows(zero + combos)
-        eqs = _canon_rows(e for e in eqs if e[j] == 0)
-    return ineqs, eqs
-
-
-def dual_description(generators, ambient_dim):
-    """H-description (inequalities, equalities) of the cone the rows generate.
-
-    Runs Fourier-Motzkin on {x = sum_i lam_i g_i, lam >= 0}, eliminating the
-    lam block.
+    Each is the line cut out by k-1 independent rows, taken with the sign
+    that every row is >= 0 on (Ziegler, Lectures on Polytopes, §2.1); it
+    comes back as the primitive integer vector on that line.  Applied to a
+    cone's generators it gives the facet normals of the cone, and applied
+    to the facet normals it gives the rays.  The cost is C(m, k-1) kernels
+    of (k-1) x k matrices for m rows.  Sorted, without repeats.
     """
-    n = len(generators)
-    d = ambient_dim
-    ineqs = []
-    for i in range(n):
-        row = [0] * (n + d)
-        row[i] = 1
-        ineqs.append(tuple(row))
-    eqs = []
-    for j in range(d):
-        row = [-g[j] for g in generators] + [0] * d
-        row[n + j] = 1
-        eqs.append(tuple(row))
-    ineqs, eqs = fm_eliminate(ineqs, eqs, range(n))
-    out_i = _canon_rows(r[n:] for r in ineqs)
-    out_e = _canon_rows(e[n:] for e in eqs)
-    return out_i, out_e
+    out = set()
+    for sub in itertools.combinations(rows, k - 1):
+        line = kernel_basis(sub, k)
+        if len(line) != 1:
+            continue
+        # a saturated kernel basis vector is primitive
+        y = line[0]
+        signs = {dot(r, y) for r in rows}
+        if min(signs, default=0) >= 0:
+            out.add(y)
+        elif max(signs) <= 0:
+            out.add(vneg(y))
+    return sorted(out)
 
 
 def generators_from_h(ineqs, eqs, ambient_dim):
-    """Generators of {x : ineqs·x >= 0, eqs·x = 0} by double polarity."""
-    dual_gens = [vec(r) for r in ineqs]
-    for e in eqs:
-        dual_gens.append(vec(e))
-        dual_gens.append(vneg(e))
-    dual_gens = _canon_rows(dual_gens)
-    if not dual_gens:
-        # no constraints: the whole space
-        basis = [tuple(r) for r in identity(ambient_dim)]
-        return basis + [vneg(b) for b in basis]
-    out_i, out_e = dual_description(dual_gens, ambient_dim)
-    gens = list(out_i)
-    for e in out_e:
-        gens.append(e)
-        gens.append(vneg(e))
-    return _canon_rows(gens)
+    """Extreme rays of the pointed cone {x : ineqs·x >= 0, eqs·x = 0}, each
+    equation taken as two opposite inequalities."""
+    return extreme_rays([*ineqs, *eqs, *map(vneg, eqs)], ambient_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +167,8 @@ def cone_build(generators, ambient_dim: Optional[int] = None) -> Cone:
     """Build a pointed cone from integer generators.
 
     Raises ConeNotPointedError (with a witness line) for non-pointed input;
-    the generator/facet duality is re-verified by eliminating in the other
-    direction before returning.
+    the generator/facet duality is re-verified by recovering the rays from
+    the facets with extreme_rays before returning.
     """
     gens_in = [vec(g) for g in generators]
     if ambient_dim is None:
@@ -243,62 +188,28 @@ def cone_build(generators, ambient_dim: Optional[int] = None) -> Cone:
     dim = lin.rank
     perp = lattice_from_rows(d, N)
 
-    ineqs, _ = dual_description(gens, d)
-    # canonical facet normals: restrict to the span, reduce, lift, reduce mod perp
-    facets = []
-    seen = set()
-    for f in ineqs:
-        w = primitive(mat_vec(lin.basis, f))
-        if is_zero(w):
-            continue
-        zero_set = [g for g in gens if dot(f, g) == 0]
-        r = rank_int([list(g) for g in zero_set])
-        if r != dim - 1:
-            continue
-        fc = reduce_mod_lattice(perp, _lift_functional(lin, w))
-        if fc in seen:
-            continue
-        seen.add(fc)
-        facets.append(fc)
-    facets.sort()
+    # facet normals on the span's coordinates, lifted and reduced mod perp
+    coords = {g: solve_in_lattice(lin, g) for g in gens}
+    facets = sorted(reduce_mod_lattice(perp, _lift_functional(lin, w))
+                    for w in extreme_rays(list(coords.values()), dim))
 
     for f in facets:
         assert all(dot(f, g) >= 0 for g in gens)
 
     # pointedness: the facet functionals must have full rank on the span
-    W = [list(mat_vec(lin.basis, f)) for f in facets]
-    if dim > 0 and (not W or rank_int(W) < dim):
-        null = kernel_basis(W, dim)
-        y = null[0]
-        x = combine(y, lin.basis, d)
+    W = [mat_vec(lin.basis, f) for f in facets]
+    if not W or rank_int(W) < dim:
+        x = combine(kernel_basis(W, dim)[0], lin.basis, d)
         raise ConeNotPointedError((x, vneg(x)))
 
-    rays = []
-    for g in gens:
-        zf = [list(mat_vec(lin.basis, f)) for f in facets if dot(f, g) == 0]
-        r = rank_int(zf)
-        if r == dim - 1:
-            rays.append(g)
-    rays = sorted(set(rays))
+    # a generator is a ray when the facets through it have rank dim-1
+    rays = [g for g in gens if rank_int(
+        [w for f, w in zip(facets, W) if dot(f, g) == 0]) == dim - 1]
 
     # duality round trip: extreme rays recovered from the facet description
-    if dim > 0:
-        back_i, back_e = dual_description(W, dim)
-        assert not back_e
-        recovered = set()
-        for f in back_i:
-            zs = [w for w in W if dot(f, w) == 0]
-            if rank_int([list(z) for z in zs]) != dim - 1:
-                continue
-            recovered.add(primitive(f))
-        ray_coords = set()
-        for r in rays:
-            c = solve_in_lattice(lin, r)
-            assert c is not None
-            ray_coords.add(primitive(c))
-        if recovered != ray_coords:
-            raise RuntimeError("cone certificate failed: facet/ray duality "
-                               "verification failed")
+    if set(extreme_rays(W, dim)) != {tuple(coords[r]) for r in rays}:
+        raise RuntimeError("cone certificate failed: facet/ray duality "
+                           "verification failed")
 
     return Cone(d, tuple(gens), tuple(rays), tuple(facets), dim, lin,
                 perp.basis)
@@ -485,8 +396,9 @@ def _meet_in_common_face(a: Cone, b: Cone) -> bool:
     Otherwise the general test: with F the smallest face of a containing
     K = a ∩ b, K is a face of a exactly when F lies in b (then
     F ⊆ K ⊆ F); likewise with a and b swapped.  The sum s of K's
-    generators, found by Fourier-Motzkin, lies in the relative interior of
-    K, so F is the smallest face of a holding s.
+    extreme rays, found by extreme_rays from the facets and equations of
+    both cones, lies in the relative interior of K, so F is the smallest
+    face of a holding s.
     """
     h = vsub(_separator(a, b), _separator(b, a))
     if ([r for r in a.rays if dot(h, r) == 0]
@@ -504,9 +416,11 @@ def _meet_in_common_face(a: Cone, b: Cone) -> bool:
 def fan_build(maximal_cones: Sequence[Cone]) -> Fan:
     """Assemble a fan from maximal cones, verifying the common-face condition.
 
-    Every pair of maximal cones is checked by _meet_in_common_face: a
-    separating functional certifies most pairs, and Fourier-Motzkin
-    decides the rest.
+    Every pair of distinct input cones is checked by _meet_in_common_face,
+    so an input that is a face of another is kept as that face and any
+    other overlap is refused: a separating functional certifies most
+    pairs, and the extreme rays of the intersection decide the rest, at
+    C(m, d-1) kernels for m inequalities in dimension d.
     """
     if not maximal_cones:
         raise ValueError("empty cone list")
@@ -517,9 +431,7 @@ def fan_build(maximal_cones: Sequence[Cone]) -> Fan:
     uniq = {}
     for c in maximal_cones:
         uniq.setdefault(c.key, c)
-    tops = [c for c in uniq.values()
-            if not any(o.key != c.key and set(c.rays) <= set(o.rays)
-                       for o in uniq.values())]
+    tops = list(uniq.values())
 
     cones = {}
     for c in tops:

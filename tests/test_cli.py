@@ -476,3 +476,101 @@ def test_run_command_refuses_unknown_options(monkeypatch):
                    "oracle does not take 'seed'")
     refused_option(monkeypatch, "check", {"box": None, "Bound": 2},
                    "check does not take --box, 'Bound'")
+
+
+def _mutated(fixture, mutate):
+    data = json.loads(fixture_text(fixture))
+    mutate(data)
+    return json.dumps(data)
+
+
+SQUARE_DOC = {
+    "dimension": 3,
+    "rays": {"a": [1, 1, 1], "b": [1, -1, 1], "c": [-1, 1, 1],
+             "d": [-1, -1, 1]},
+    "cones": [{"name": "S", "generators": ["a", "b", "c", "d"]},
+              {"name": "D", "generators": ["a", "d"]}],
+    "monoids": {"stanley": True},
+}
+
+REFUSED_DOCUMENTS = [
+    # (document text, the diagnostic main prints)
+    ("[1, 2]", "top level: expected an object"),
+    (_mutated("fix-c", lambda d: d.pop("rays")),
+     "top level: missing key 'rays'"),
+    (_mutated("fix-c", lambda d: d.update(rays={})),
+     "rays: expected a nonempty name-to-vector object"),
+    (_mutated("fix-c", lambda d: d["cones"][1].update(generators=[])),
+     "cones[1].generators: expected a nonempty list"),
+    (_mutated("fix-c", lambda d: d.update(monoids=[])),
+     "monoids: expected an object"),
+    (_mutated("fix-c", lambda d: d.update(options={"bounds": {},
+                                                    "cap": 1})),
+     'options: only a "bounds" object is allowed'),
+    (_mutated("fix-c", lambda d: d.update(options={"bounds": [3]})),
+     "options.bounds: expected an object"),
+    (_mutated("fix-c", lambda d: (d["rays"].update(w=[-1, 0]),
+                                  d["cones"][0]["generators"].append("w"))),
+     "cone C: cone is not pointed"),
+    (_mutated("fix-c", lambda d: (
+        d["cones"].append({"name": "C2", "generators": ["t", "x", "y"]}),
+        d["monoids"].update(C2=d["monoids"]["C"]))),
+     "cones: two cones have the same ray set"),
+    # the diagonal's rays are rays of the square cone, but it is no face
+    (json.dumps(SQUARE_DOC), "do not meet in a common face"),
+]
+
+
+@pytest.mark.parametrize("case", range(len(REFUSED_DOCUMENTS)))
+def test_main_refuses_a_bad_document(case, tmp_path, capsys):
+    text, message = REFUSED_DOCUMENTS[case]
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("toricface: ") and message in out.err, out.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["oracle", "fix-b", "--degree", "0,-1", "--box", "2"],
+     "--degree and --box conflict; pick one"),
+    (["frobenius", "fix-c", "--degree", "0,-1", "-p", "4"], "4 is not a prime"),
+    (["depth", "fix-c", "--char", "x"],
+     "argument --char: expected 0, a prime, or 'all', got 'x'"),
+])
+def test_main_refuses_bad_flags(argv, message, capsys):
+    argv = [argv[0], fixture_path(argv[1]), *argv[2:]]
+    assert main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"toricface: {message}\n"
+
+
+def test_main_refuses_input_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_bytes(b'{"dimension": \xff}')
+    assert main(["validate", str(path)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("toricface: input is not UTF-8: ")
+
+
+def test_document_bounds_apply_unless_a_flag_overrides(tmp_path, capsys):
+    """A document's options.bounds sets the presentation degree, --bound
+    overrides it, and the canonical text keeps it."""
+    text = _mutated("fix-a", lambda d: d.update(
+        options={"bounds": {"presentation": 3}}))
+    doc = parse_input(text)
+    assert doc.bounds == (("presentation", 3),)
+    assert parse_input(render_document(doc)) == doc
+    assert json.loads(render_document(doc))["options"] == {
+        "bounds": {"presentation": 3}}
+    path = tmp_path / "doc.json"
+    path.write_text(render_document(doc))
+    for flags, want in (([], 3), (["--bound", "2"], 2)):
+        assert main(["presentation", str(path), *flags]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["bounds"] == {"degree": want}
+        assert report == run_command(doc, "presentation",
+                                     {"bound": int(flags[1])} if flags else {})

@@ -326,6 +326,30 @@ def test_validate_catches_a_wrong_ray_monoid_from_the_maximal_cones():
         moncomplex._validate(mcc.fan, monoids)
 
 
+def _plane_pair(a_gens, b_gens):
+    """The fan of A = cone(e1, e2) and B = cone(e1, -e2), whose ray e1 has B
+    as its least maximal parent, with the monoids built on A and B."""
+    a = cone_build([(1, 0), (0, 1)])
+    b = cone_build([(1, 0), (0, -1)])
+    assert b.key < a.key
+    return build_complex(fan_build([a, b]), {a.key: a_gens, b.key: b_gens})
+
+
+def test_validate_refuses_a_face_generator_the_other_parent_misses():
+    """The ray monoid is <e1>, restricted from B; A restricts to <2e1, 3e1>,
+    which lies in it but does not generate e1."""
+    with pytest.raises(ComplexError, match=r"face generator \(1, 0\) is not "
+                       "generated by the restriction"):
+        _plane_pair([(2, 0), (3, 0), (0, 1)], [(1, 0), (0, -1)])
+
+
+def test_validate_accepts_a_restriction_with_a_redundant_generator():
+    """A restricts to <2e1, 3e1, 4e1>, whose generator list differs from the
+    ray monoid's but which generates the same monoid."""
+    mcc = _plane_pair([(2, 0), (3, 0), (4, 0), (0, 1)], [(2, 0), (3, 0), (0, -1)])
+    assert mcc.monoids[((1, 0),)].generators == ((2, 0), (3, 0))
+
+
 # ---------------------------------------------------------------------------
 # restriction
 
@@ -524,15 +548,14 @@ def test_face_membership_through_the_shared_memo(faces_first):
 # certificates of a build and of a lattice meet, which raise under
 # python -O as well
 
-def _lose_the_round_trip(dual_description):
-    """dual_description with the second call of each cone_build, the
+def _lose_the_round_trip(extreme_rays):
+    """extreme_rays with the second call of each cone_build, the
     facet-to-ray round trip, returning no rays."""
     calls = []
 
-    def patched(rows, d):
-        calls.append(d)
-        ineqs, eqs = dual_description(rows, d)
-        return ([], eqs) if len(calls) % 2 == 0 else (ineqs, eqs)
+    def patched(rows, k):
+        calls.append(k)
+        return [] if len(calls) % 2 == 0 else extreme_rays(rows, k)
     return patched
 
 
@@ -560,7 +583,7 @@ BUILD_CERTIFICATES = [
     (moncomplex, "seminormalized_monoid", lambda f: lambda M: M,
      lambda: seminormalize_complex(fix_b()),
      "the seminormalized complex is not seminormal"),
-    (toricface.polyhedral, "dual_description", _lose_the_round_trip,
+    (toricface.polyhedral, "extreme_rays", _lose_the_round_trip,
      lambda: cone_build([(1, 0), (1, 2)]),
      "facet/ray duality verification failed"),
     # a left kernel whose row reaches (0, 1), in the first lattice only

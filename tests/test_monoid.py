@@ -13,8 +13,8 @@ import pytest
 from test_polyhedral import solve_exact
 
 from conftest import full_lattice
-from toricface.lattice import (dot, lattice_from_rows, primitive, rank_int,
-                               solve_in_lattice, vadd, vsub)
+from toricface.lattice import (det_int, dot, lattice_from_rows, primitive,
+                               rank_int, solve_in_lattice, vadd, vsub)
 from toricface.monoid import (
     BoundTooSmallError,
     check_seminormal_normal,
@@ -246,6 +246,28 @@ def test_triangulation_covers_cone():
     parts = [cone_build(s, 3) for s in tri]
     for v in itertools.product(range(-3, 4), repeat=3):
         assert sq.contains(v) == any(p.contains(v) for p in parts)
+
+
+@pytest.mark.parametrize("polygon, volume", [
+    ([(1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)], 6),
+    ([(1, 0), (1, 1), (0, 1), (-1, 0), (0, -1)], 5),
+])
+def test_triangulation_with_interior_facets(polygon, volume):
+    """Placing a ray past the first simplex leaves facets shared by two
+    simplices, which no new simplex may use: the simplices of the cone
+    over a lattice hexagon or pentagon have normalized volumes summing to
+    twice its area, and the Hilbert basis is the set of irreducible cone
+    points in a box holding every cone point of height at most 2."""
+    cone = cone_build([(x, y, 1) for x, y in polygon])
+    tri = triangulate_cone(cone)
+    assert len(tri) > 2
+    assert sum(abs(det_int([list(r) for r in s])) for s in tri) == volume
+    pts = [v for v in itertools.product(range(-2, 3), range(-2, 3), range(3))
+           if any(v) and cone.contains(v)]
+    irreducible = {v for v in pts
+                   if not any(any(vsub(v, u)) and cone.contains(vsub(v, u))
+                              for u in pts)}
+    assert set(hilbert_basis(cone, full_lattice(3))) == irreducible
 
 
 def test_seminormalize_frozen():

@@ -2,7 +2,7 @@
 
 Membership is cross-checked by Caratheodory search over exact rational
 solves; face sets are cross-checked by a supporting-functional box search.
-Both oracles avoid the library's Fourier-Motzkin path entirely.
+Both oracles avoid the library's extreme_rays path entirely.
 """
 
 import itertools
@@ -225,6 +225,56 @@ def test_low_dimensional_cone_facets():
     assert c.contains((1, 1, 2)) and not c.contains((1, 1, 1))
 
 
+RHOMBIC_DODECAHEDRON = (
+    [(*s, 1) for s in itertools.product((1, -1), repeat=3)]
+    + [tuple(v if j == i else 0 for j in range(3)) + (1,)
+       for i in range(3) for v in (2, -2)])
+TWELVE_GON = [(3, 0), (3, 1), (2, 2), (1, 3), (0, 3), (-1, 3), (-3, 0),
+              (-3, -1), (-2, -2), (-1, -3), (0, -3), (1, -3)]
+
+
+@pytest.mark.parametrize("gens, n_rays, n_facets, box", [
+    # the 4-D cone over the rhombic dodecahedron, with its box points of
+    # height 1 in one chamber of its signed-permutation symmetry
+    (RHOMBIC_DODECAHEDRON, 14, 12,
+     [(x, y, z, 1) for x, y, z in itertools.product(range(3), repeat=3)
+      if x >= y >= z]),
+    # the 3-D cone over a centrally symmetric 12-gon at height 4, with the
+    # height-4 box points of one half-plane
+    ([(x, y, 4) for x, y in TWELVE_GON], 8, 8,
+     [(x, y, 4) for x, y in itertools.product(range(-4, 5), repeat=2)
+      if (x, y) >= (0, 0)]),
+])
+def test_cones_with_many_rays_and_facets(gens, n_rays, n_facets, box):
+    """Cones with many generators and facets: the ray and facet counts,
+    every facet cut out by dim-1 independent rays, and membership against
+    the Caratheodory oracle."""
+    cone = cone_build(gens)
+    assert cone.dim == len(gens[0])
+    assert (len(cone.rays), len(cone.facets)) == (n_rays, n_facets)
+    for f in cone.facets:
+        assert rank_int([list(r) for r in cone.rays if dot(f, r) == 0]) \
+            == cone.dim - 1
+    inside = 0
+    for x in box:
+        want = oracle_in_cone(gens, x)
+        assert cone.contains(x) == want, x
+        inside += want
+    assert 0 < inside < len(box)
+
+
+def test_extreme_rays_of_a_pointed_cone_and_its_dual():
+    """The facets of the square cone are the extreme rays of its dual, and
+    the rays those of the facets; repeated and redundant rows are ignored."""
+    square = cone_build(SQUARE)
+    rows = [*square.rays, (0, 0, 1), (0, 0, 1)]
+    assert tuple(polyhedral.extreme_rays(rows, 3)) == square.facets
+    assert tuple(polyhedral.extreme_rays(square.facets, 3)) == square.rays
+    # the half-line in Q^1, and a cone {0}, which has no extreme rays
+    assert polyhedral.extreme_rays([(2,), (5,)], 1) == [(1,)]
+    assert polyhedral.extreme_rays([(1, 0), (0, 1), (-1, -1)], 2) == []
+
+
 def random_cone_of_dim(rng, d, k, tries=50):
     """A pointed cone spanning a random k-dimensional subspace of R^d."""
     for _ in range(tries):
@@ -351,7 +401,8 @@ def test_fan_rejects_improper_intersection():
 def test_common_face_check_matches_intersection_cone(d, monkeypatch):
     """fan_build's common-face test agrees with building a ∩ b itself; at
     d=3 the pairs include some the separating certificate accepts and
-    some the Fourier-Motzkin fallback accepts or refuses."""
+    some the fallback through the extreme rays of a ∩ b accepts or
+    refuses."""
     rng = random.Random(5200 + d)
     fallbacks = _fallbacks(monkeypatch)
     outcomes = set()
@@ -378,7 +429,8 @@ def test_common_face_check_matches_intersection_cone(d, monkeypatch):
 
 
 def _fallbacks(monkeypatch):
-    """A list that records each Fourier-Motzkin fallback of fan_build."""
+    """A list that records each fallback of fan_build to the extreme rays
+    of a ∩ b (generators_from_h, which calls extreme_rays)."""
     calls = []
 
     def counted(*args):
@@ -391,7 +443,7 @@ def _fallbacks(monkeypatch):
 
 def test_every_shipped_and_ladder_fan_meet_is_certified(monkeypatch):
     """The fixtures, the Stanley ladder up to d=4 and the cusps up to d=3
-    need no Fourier-Motzkin fallback: a separator certifies every pair."""
+    need no extreme-ray fallback: a separator certifies every pair."""
     fallbacks = _fallbacks(monkeypatch)
     for build in [*ALL_FIXTURES.values(),
                   *(lambda d=d: crosspoly(d) for d in (2, 3, 4)),
@@ -436,6 +488,22 @@ def test_fan_drops_redundant_input():
     fan = fan_build([c, c, r])
     assert fan.maximal == (c.key,)
     assert len(fan.cones) == 4
+
+
+def test_fan_keeps_a_face_input_and_refuses_an_inner_one():
+    """An input that is a face of another is kept as that face; one whose
+    rays lie in another input's without being a face of it is refused."""
+    square = cone_build(SQUARE)
+    edge = cone_build([(1, 1, 1), (1, -1, 1)])
+    for order in ([square, edge], [edge, square]):
+        fan = fan_build(order)
+        assert fan.maximal == (square.key,)
+        assert len(fan.cones) == 10
+    diagonal = cone_build([(1, 1, 1), (-1, -1, 1)])
+    assert set(diagonal.rays) <= set(square.rays)
+    for order in ([square, diagonal], [diagonal, square]):
+        with pytest.raises(ValueError, match="do not meet in a common face"):
+            fan_build(order)
 
 
 def test_fan_carrier():
