@@ -24,9 +24,11 @@ least z = a + t*sigma of a witness lies in a maximal target as soon as
 it lies in any, so every witness is unchanged as well.
 
 Most pairs are empty for a cheap reason, found per degree in one pass
-over the maximal cones D before any search: a is not in Z M_D, or a
-facet normal f of D through c is negative on a (f is 0 on M_c and >= 0
-on M_D, so f(z - y) = f(z) >= 0).  The search is sound without it.
+over the maximal cones D before any search: a is not in Z M_D (by the
+group's membership rows), or a facet normal f of D through c is negative
+on a (f is 0 on M_c and >= 0 on M_D, so f(z - y) = f(z) >= 0).  Their
+pairs are indexed once per complex; a degree left with no live cone is
+the zero complex at once.  The search is sound without the pass.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from functools import cached_property
 from typing import Callable, Optional
 
 from .cohomology import CohomologyTable, check_characteristic, \
-    table_from_cochain
+    table_from_cochain, zero_table
 from .lattice import (
     combine,
     dot,
@@ -203,21 +205,33 @@ def _dead_pairs(mcc: MonoidalComplex, a, memo: dict) -> set:
     """Answer in memo the pairs degree a rules out, and return the keys of
     the cones left with a live target.  (D, D) is a in Z MD = MD - MD,
     tested once per distinct group; a face of D on a facet negative on a,
-    or on any facet when that fails, is dead for D."""
-    in_group: dict = {}
+    or on any facet when that fails, is dead for D.  The pairs each test
+    refuses are built once per complex, per group and per facet."""
+    if mcc._pass_index is None:
+        index: dict = {}
+        for key in mcc.fan.maximal:
+            d, group = mcc.fan.by_key(key), mcc.monoids[key].group
+            on_facet = face_lattice(d).on_facet
+            faces = frozenset({key}.union(*on_facet))
+            _, refused, cones = index.setdefault(group.basis, (group, {}, []))
+            refused.update(dict.fromkeys([(k, key) for k in faces], False))
+            cones.append((key, faces, [
+                (f, dict.fromkeys([(k, key) for k in on], False), on)
+                for f, on in zip(d.facets, on_facet)]))
+        mcc._pass_index = tuple(index.values())
     live = set()
-    for key in mcc.fan.maximal:
-        d, group = mcc.fan.by_key(key), mcc.monoids[key].group
-        if group.basis not in in_group:
-            in_group[group.basis] = group.contains(a)
-        ok = memo[key, key] = in_group[group.basis]
-        on_facet = face_lattice(d).on_facet
-        dead = set().union(*(on for f, on in zip(d.facets, on_facet)
-                             if not ok or dot(f, a) < 0))
-        for k in dead:
-            memo[k, key] = False
-        if ok:
-            live |= {key}.union(*on_facet) - dead
+    for group, refused, cones in mcc._pass_index:
+        if not group.contains(a):
+            memo.update(refused)
+            continue
+        for key, faces, facets in cones:
+            memo[key, key] = True
+            dead = set()
+            for f, pairs, on in facets:
+                if dot(f, a) < 0:
+                    memo.update(pairs)
+                    dead.update(on)
+            live |= faces - dead
     return live
 
 
@@ -272,6 +286,8 @@ def cech_slice(mcc: MonoidalComplex, a,
     cap = DEFAULT_STATE_CAP if state_cap is None else state_cap
     memo: dict = {}
     live = _dead_pairs(mcc, a, memo)
+    if not live:   # every piece is zero, so the complex is
+        return CechSlice(a, {}, {}, {})
     pieces = {}
     for c in fan.cones:
         if c.key in live:
@@ -297,6 +313,8 @@ def cech_degree(mcc: MonoidalComplex, a, characteristic,
     """H^i_m(R)_a from the localized pieces; no seminormality needed."""
     check_characteristic(characteristic)
     sl = cech_slice(mcc, a, state_cap)
+    if not sl.pieces:
+        return zero_table(characteristic)
     return table_from_cochain(sl.sizes, sl.mats, characteristic)
 
 

@@ -11,7 +11,7 @@ from collections import defaultdict
 from functools import cached_property
 from itertools import compress
 from math import gcd
-from operator import add, floordiv, mod, mul, neg, sub
+from operator import add, floordiv, mul, neg, sub
 from typing import Optional, Sequence
 
 from .record import record
@@ -493,9 +493,9 @@ class LatticeBasis:
     """A sublattice of Z^d given by linearly independent basis rows.
 
     The Smith form of the column matrix (basis transposed) is computed and
-    verified once, at construction; it certifies independence and answers
-    every membership query.  The Hermite pivots used for coset reduction
-    are computed on first use and kept.
+    verified once, at construction; it certifies independence, and its
+    rows answer every membership query.  Those rows and the Hermite pivots
+    used for coset reduction are computed on first use and kept.
     """
 
     ambient_dim: int
@@ -525,13 +525,23 @@ class LatticeBasis:
             cols = _hnf_pivot_columns(rows)
         return tuple(zip(cols, rows))
 
+    @cached_property
+    def _membership_rows(self) -> tuple:
+        """(u, d) per row u of U that v must satisfy: u*v = 0 past the rank
+        (d = 0), u*v = 0 mod d for a divisor d > 1; d = 1 always holds."""
+        if not self.basis:
+            return tuple((u, 0) for u in identity(self.ambient_dim))
+        res = self.col_snf
+        ds = res.divisors + (0,) * (self.ambient_dim - self.rank)
+        return tuple((u, d) for u, d in zip(res.U, ds) if d != 1)
+
     def contains(self, v) -> bool:
-        """Is the int vector v in the lattice?  U*v is divisible by the
-        divisors of the Smith form verified at construction."""
-        uv = _smith_image(self, v)
-        if uv is None or not self.basis:
-            return uv is not None
-        return not any(map(mod, uv, self.col_snf.divisors))
+        """Is the int vector v in the lattice?  Its membership rows, read
+        from the Smith form verified at construction, hold on v."""
+        if len(v) != self.ambient_dim:
+            raise ValueError("vector of wrong dimension")
+        return not any(dot(u, v) % d if d else dot(u, v)
+                       for u, d in self._membership_rows)
 
 
 def _hnf_pivot_columns(rows):

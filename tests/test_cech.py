@@ -19,14 +19,15 @@ from pathlib import Path
 import pytest
 
 import toricface.cech as cech_module
-from conftest import ALL_FIXTURES, crosspoly, fix_b, fix_c, stanley_r1
+from conftest import (ALL_FIXTURES, crosspoly, fix_a, fix_b, fix_c,
+                      stanley_r1)
 from toricface.cech import (BoundExhausted, CechSlice, cech_degree,
                             cech_slice, frobenius_check, localization_piece)
 from toricface.cli import main
 from toricface.cohomology import (complex_avoiding, local_cohomology_degree,
-                                  zero_table)
+                                  table_from_cochain, zero_table)
 from toricface.frobenius import excluded_primes
-from toricface.lattice import LatticeBasis, dot, solve_in_lattice, vadd, vneg
+from toricface.lattice import LatticeBasis, dot, rational_coords, vadd, vneg
 from toricface.moncomplex import restrict, seminormalize_complex
 from toricface.monoid import monoid_member
 from toricface.polyhedral import cochain, facets_through, skeleton_fan
@@ -148,10 +149,76 @@ def test_maximal_targets_match_every_target():
             assert (sl.sizes, sl.mats) == (sizes, mats), a
 
 
+def in_group(mcc, target, a):
+    """Is a in Z MD?  By rational coordinates over the group's basis,
+    den*a = sum c_i*b_i, which never calls LatticeBasis.contains."""
+    coords = rational_coords(mcc.monoids[target.key].group, a)
+    return coords is not None and all(c % coords[1] == 0 for c in coords[0])
+
+
 def ruled_out(mcc, source, target, a):
     """Is a outside Z MD, or a facet of D through the source negative on a?"""
-    return (solve_in_lattice(mcc.monoids[target.key].group, a) is None
+    return (not in_group(mcc, target, a)
             or any(dot(f, a) < 0 for f in facets_through(target, source)))
+
+
+def test_dead_pair_index_matches_the_cheap_exits():
+    """On every fixture over [-4, 4]^d, the d=3 cusp and the d=3
+    cross-polytope over [-2, 2]^3, the pass read from the per-complex index
+    answers False exactly for the pairs (cone, maximal D above it) that
+    ruled_out refuses, True for (D, D) with a in Z MD, and nothing else;
+    its live set is the cones with a target not ruled out."""
+    inputs = ([(build(), 4) for build in ALL_FIXTURES.values()]
+              + [(crosspoly(3, (2, 3)), 2), (crosspoly(3), 2)])
+    kinds = set()
+    for mcc, radius in inputs:
+        for a in box(mcc.ambient_dim, radius):
+            memo = {}
+            live = cech_module._dead_pairs(mcc, a, memo)
+            expected, open_ = {}, set()
+            for c in mcc.fan.cones:
+                for d in mcc.fan.maximal_above(c):
+                    if ruled_out(mcc, c, d, a):
+                        expected[c.key, d.key] = False
+                    else:
+                        open_.add(c.key)
+                        if c == d:
+                            expected[c.key, d.key] = True
+            assert memo == expected, a
+            assert live == open_, a
+            kinds.add((bool(live), len(live) < len(mcc.fan.cones)))
+    assert kinds == {(False, True), (True, True), (True, False)}
+
+
+def test_slice_with_no_live_cone_exits_empty(monkeypatch, capsys):
+    """fix-a's three maximal groups miss (1, 2, 3), so the pass leaves no
+    live cone: the slice is empty with no piece asked and no cochain built,
+    its table is table_from_cochain's of the empty complex, and the oracle
+    command renders what it renders when every cone is asked."""
+    mcc, a = fix_a(), (1, 2, 3)
+    assert not any(in_group(mcc, d, a) for d in map(
+        mcc.fan.by_key, mcc.fan.maximal))
+    path = importlib.resources.files("toricface") / "fixtures" / "fix-a.json"
+    args = ["oracle", str(path), "--degree", "1,2,3"]
+    dead_pairs = cech_module._dead_pairs
+    with monkeypatch.context() as m:   # every cone live: the full path
+        m.setattr(cech_module, "_dead_pairs", lambda mcc, a, memo: (
+            dead_pairs(mcc, a, memo), {c.key for c in mcc.fan.cones})[1])
+        m.setattr(cech_module, "zero_table",
+                  lambda ch: table_from_cochain({}, {}, ch))
+        assert main(args) == 0
+        full = capsys.readouterr()
+    assert json.loads(full.out)["payload"]["table"]["entries"] == []
+
+    def refuse(*args):
+        raise AssertionError("called on an empty slice")
+    monkeypatch.setattr(cech_module, "localization_piece", refuse)
+    monkeypatch.setattr(cech_module, "cochain", refuse)
+    assert cech_slice(mcc, a) == CechSlice(a, {}, {}, {})
+    for ch in (0, 2, "all"):
+        assert cech_degree(mcc, a, ch) == table_from_cochain({}, {}, ch)
+    assert main(args) == 0
+    assert capsys.readouterr() == full
 
 
 def test_search_runs_only_on_live_pairs(monkeypatch):

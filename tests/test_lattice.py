@@ -282,11 +282,25 @@ def _in_lattice_by_rational_coords(L, v):
     return coords is not None and all(c % coords[1] == 0 for c in coords[0])
 
 
+def _in_lattice_by_smith_image(L, v):
+    """Every row of the full Smith image U*v: zero past the rank, and row i
+    divisible by the divisor d_i, rows of divisor 1 included."""
+    if not L.basis:
+        return is_zero(v)
+    res = L.col_snf
+    uv = mat_vec(res.U, v)
+    return (not any(uv[res.rank:])
+            and all(x % d == 0 for x, d in zip(uv, res.divisors)))
+
+
 def test_contains_matches_solve_in_lattice():
-    """contains reads the Smith image and the divisors only; it agrees with
-    the back-substituted solve and with rational coordinates on seeded
-    lattices: the empty basis, rank < d, non-saturated lattices from
-    dependent rows, and vectors off the span, in the saturation and not."""
+    """contains reads only the membership rows that can fail: the rows of
+    U past the rank and those of divisor d > 1, so a saturated lattice of
+    rank k tests d - k equations.  It agrees with the full Smith image,
+    with rational coordinates (neither calls contains) and with the
+    back-substituted solve on seeded lattices: the empty basis, rank < d,
+    non-saturated lattices from dependent rows, and vectors off the span,
+    in the saturation and not."""
     rng = random.Random(19072)
     seen = set()
     for trial in range(300):
@@ -295,11 +309,13 @@ def test_contains_matches_solve_in_lattice():
         rows = random_product(rng, m, d, rng.randint(0, min(m, d)))
         L = lattice_from_rows(d, rows)
         sat = row_saturation(L.basis, d)
+        saturated = lattice_equal(L, LatticeBasis(d, tuple(map(tuple, sat))))
         seen.add(("empty" if not L.basis else "rank < d" if L.rank < d
                   else "full rank", "dependent rows" if m > L.rank else
-                  "independent rows", "saturated" if lattice_equal(
-                      L, LatticeBasis(d, tuple(map(tuple, sat))))
-                  else "not saturated"))
+                  "independent rows",
+                  "saturated" if saturated else "not saturated"))
+        if saturated:
+            assert len(L._membership_rows) == d - L.rank, L
         for _ in range(12):
             shift = tuple(rng.randint(-1, 1) for _ in range(d))
             for v in (combine([rng.randint(-4, 4) for _ in L.basis],
@@ -309,8 +325,9 @@ def test_contains_matches_solve_in_lattice():
                                    L.basis, d), shift),
                       tuple(rng.randint(-9, 9) for _ in range(d))):
                 got = L.contains(v)
-                assert got == (solve_in_lattice(L, v) is not None), (L, v)
+                assert got == _in_lattice_by_smith_image(L, v), (L, v)
                 assert got == _in_lattice_by_rational_coords(L, v), (L, v)
+                assert got == (solve_in_lattice(L, v) is not None), (L, v)
                 off = rational_coords(L, v) is None
                 seen.add((got, off))
     assert {(True, False), (False, False), (False, True)} <= seen
@@ -325,6 +342,10 @@ def test_zero_lattice():
     assert solve_in_lattice(L, (0, 0, 0)) == []
     assert solve_in_lattice(L, (1, 0, 0)) is None
     assert L.contains((0, 0, 0)) and not L.contains((1, 0, 0))
+    with pytest.raises(ValueError, match="wrong dimension"):
+        L.contains((0, 0))
+    with pytest.raises(ValueError, match="wrong dimension"):
+        full_lattice(2).contains((0, 0, 0))
     assert rational_coords(L, (0, 0, 0)) == ([], 1)
     assert rational_coords(L, (1, 0, 0)) is None
     assert L.rank == 0
