@@ -24,11 +24,10 @@ least z = a + t*sigma of a witness lies in a maximal target as soon as
 it lies in any, so every witness is unchanged as well.
 
 Most pairs are empty for a cheap reason, found per degree in one pass
-over the maximal cones D before any search: a is not in Z M_D (by the
-group's membership rows), or a facet normal f of D through c is negative
-on a (f is 0 on M_c and >= 0 on M_D, so f(z - y) = f(z) >= 0).  Their
-pairs are indexed once per complex; a degree left with no live cone is
-the zero complex at once.  The search is sound without the pass.
+over the maximal cones D, from pairs indexed once: a is not in Z M_D
+(by its membership rows), or a facet normal f of D through c is negative
+on a (f is 0 on M_c and >= 0 on M_D, so f(z - y) = f(z) >= 0).  With no
+live cone left, the complex is zero.  The search is sound without it.
 """
 
 from __future__ import annotations
@@ -205,26 +204,27 @@ def _dead_pairs(mcc: MonoidalComplex, a, memo: dict) -> set:
     """Answer in memo the pairs degree a rules out, and return the keys of
     the cones left with a live target.  (D, D) is a in Z MD = MD - MD,
     tested once per distinct group; a face of D on a facet negative on a,
-    or on any facet when that fails, is dead for D.  The pairs each test
-    refuses are built once per complex, per group and per facet."""
+    or on any facet when that fails, is dead for D (pairs built once)."""
     if mcc._pass_index is None:
         index: dict = {}
         for key in mcc.fan.maximal:
-            d, group = mcc.fan.by_key(key), mcc.monoids[key].group
-            on_facet = face_lattice(d).on_facet
-            faces = frozenset({key}.union(*on_facet))
-            _, refused, cones = index.setdefault(group.basis, (group, {}, []))
-            refused.update(dict.fromkeys([(k, key) for k in faces], False))
-            cones.append((key, faces, [
-                (f, dict.fromkeys([(k, key) for k in on], False), on)
-                for f, on in zip(d.facets, on_facet)]))
-        mcc._pass_index = tuple(index.values())
+            d, M = mcc.fan.by_key(key), mcc.monoids[key]
+            if not M._refusals:   # D's alone, so kept for every complex
+                on_facet = face_lattice(d).on_facet
+                faces = frozenset({key}.union(*on_facet))
+                M._refusals[:] = key, faces, dict.fromkeys(
+                    [(k, key) for k in faces], False), [
+                    (f, dict.fromkeys([(k, key) for k in on], False), on)
+                    for f, on in zip(d.facets, on_facet)]
+            index.setdefault(M.group, []).append(M._refusals)
+        mcc._pass_index = tuple(index.items())
     live = set()
-    for group, refused, cones in mcc._pass_index:
+    for group, cones in mcc._pass_index:
         if not group.contains(a):
-            memo.update(refused)
+            for _, _, refused, _ in cones:
+                memo.update(refused)
             continue
-        for key, faces, facets in cones:
+        for key, faces, _, facets in cones:
             memo[key, key] = True
             dead = set()
             for f, pairs, on in facets:

@@ -536,8 +536,7 @@ class LatticeBasis:
         return tuple((u, d) for u, d in zip(res.U, ds) if d != 1)
 
     def contains(self, v) -> bool:
-        """Is the int vector v in the lattice?  Its membership rows, read
-        from the Smith form verified at construction, hold on v."""
+        """Is the int vector v in the lattice: do its membership rows hold?"""
         if len(v) != self.ambient_dim:
             raise ValueError("vector of wrong dimension")
         return not any(dot(u, v) % d if d else dot(u, v)

@@ -71,8 +71,9 @@ class AffineMonoid:
 
     def __post_init__(self):
         object.__setattr__(self, "_member_memo", {})
-        # face key -> (phi, phi-positive gens), for cech
+        # for cech: face key -> (phi, phi-positive gens); the cone's dead pairs
         object.__setattr__(self, "_face_weights", {})
+        object.__setattr__(self, "_refusals", [])
 
     def degree(self, v) -> int:
         return dot(self.grading, v)

@@ -167,9 +167,14 @@ def test_dead_pair_index_matches_the_cheap_exits():
     cross-polytope over [-2, 2]^3, the pass read from the per-complex index
     answers False exactly for the pairs (cone, maximal D above it) that
     ruled_out refuses, True for (D, D) with a in Z MD, and nothing else;
-    its live set is the cones with a target not ruled out."""
+    its live set is the cones with a target not ruled out.  The cusp's
+    restrictions share its monoids, and with them the pairs kept on each,
+    so they are checked after it."""
+    cusp = crosspoly(3, (2, 3))
     inputs = ([(build(), 4) for build in ALL_FIXTURES.values()]
-              + [(crosspoly(3, (2, 3)), 2), (crosspoly(3), 2)])
+              + [(cusp, 2), (crosspoly(3), 2),
+                 (complex_avoiding(cusp, (1, 1, 0)), 2),
+                 (restrict(cusp, skeleton_fan(cusp.fan, 2)), 2)])
     kinds = set()
     for mcc, radius in inputs:
         for a in box(mcc.ambient_dim, radius):
