@@ -277,7 +277,7 @@ def test_solve_in_lattice_made_solutions():
 
 def _in_lattice_by_rational_coords(L, v):
     """v = sum (c_i / den) b_i over independent b_i, so v is in L exactly
-    when den divides every c_i; no Smith divisor is read."""
+    when den divides every c_i; contains is not called."""
     coords = rational_coords(L, v)
     return coords is not None and all(c % coords[1] == 0 for c in coords[0])
 
