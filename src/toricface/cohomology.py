@@ -29,7 +29,6 @@ from .lattice import (
     LatticeBasis,
     dot,
     elementary_divisors,
-    intersect,
     is_prime,
     lattice_equal,
     prime_factors,
@@ -202,10 +201,15 @@ def star(mcc: MonoidalComplex, a) -> Star:
 
 def _star_at(mcc: MonoidalComplex, carrier: Optional[Cone], a) -> Star:
     """star(mcc, a) for a given as an int tuple with its carrier: a cone
-    holds a exactly when a's carrier is one of its faces."""
+    holds a exactly when a's carrier is one of its faces.  Z M_C lies in
+    Z M_D for each D above C, so a carrier whose group holds a puts its
+    whole up-set in the star; otherwise the up-set is scanned."""
+    if carrier is None:
+        return Star(a, ())
     fan = mcc.fan
-    members = () if carrier is None else tuple(
-        d_ for d_ in fan.up_set(carrier) if mcc.monoids[d_.key].group.contains(a))
+    ups = fan.up_set(carrier)
+    members = ups if mcc.monoids[carrier.key].group.contains(a) else tuple(
+        d_ for d_ in ups if mcc.monoids[d_.key].group.contains(a))
     keys = {c.key for c in members}
     for d_ in members:
         for e in fan.up_set(d_):
@@ -344,30 +348,18 @@ class StarClass:
 def star_classes(mcc: MonoidalComplex) -> tuple:
     """StarClass decomposition of Z^d, one entry per coset per carrier.
 
-    For each cone C the lattice K_C is the intersection of the monoid
-    groups of all cones above C, cut to lin C; degrees of Z^d inside
-    relint C have equal stars exactly when they agree mod K_C.  Top down,
-    K_C is group(C) cut to lin C, met with K_D for each cone D covering C;
-    on a Stanley complex each meet holds one lattice inside the other, so
-    `intersect` takes no kernel.  Each coset of K_C in lin C is pushed
+    For each cone C the lattice K_C is Z M_C: degrees of Z^d inside
+    relint C that agree mod Z M_C have equal stars, since Z M_C lies in
+    Z M_D for every cone D above C.  Each coset of K_C in lin C is pushed
     into relint C along a multiple `step` of an interior point that lies
-    in K_C, and its star is taken once there, from C's up-set.  The zero
-    coset needs no solve: its point b is a multiple of `step`, so b lies
-    in K_C, and K_C lies in K_D, hence in group(D), for every D above C
-    (each D is reached through a chain of covers), so its star is the
-    whole up-set of C.
+    in K_C, and its star is taken once there, by `_star_at`: the zero
+    coset's point lies in K_C, so its star is C's whole up-set, and any
+    other coset's is found by a scan of the up-set.
     """
     fan = mcc.fan
-    lattices = {}
-    for c in reversed(fan.cones):
-        K = intersect(c.lin_basis, mcc.monoids[c.key].group)
-        for d_ in fan.up_set(c):
-            if d_.dim == c.dim + 1:
-                K = intersect(K, lattices[d_.key])
-        lattices[c.key] = K
     out = []
     for c in fan.cones:
-        K = lattices[c.key]
+        K = mcc.monoids[c.key].group
         quotient = quotient_invariants(K, c.lin_basis)
         step = vscale(math.lcm(*quotient.divisors), c.interior_point())
         for rep in sorted(quotient.representatives()):
@@ -375,9 +367,7 @@ def star_classes(mcc: MonoidalComplex) -> tuple:
             t = max([-dot(f, rep) // dot(f, step) + 1 for f in c.facets] + [0])
             b = vadd(rep, vscale(t, step))
             assert relint_contains(c, b)
-            st = (_star_at(mcc, c, b) if any(rep)
-                  else Star(b, fan.up_set(c)))
-            out.append(StarClass(c, b, st, K, quotient.index))
+            out.append(StarClass(c, b, _star_at(mcc, c, b), K, quotient.index))
     out.append(StarClass(None, None, None, None, 1))
     return tuple(out)
 
@@ -514,9 +504,10 @@ class BbrReport:
 
 
 def _is_stanley(mcc: MonoidalComplex) -> bool:
+    """Every monoid normal and saturated: M_F = M_C ∩ F passes both to faces."""
     return all(mcc.monoids[c.key].flags.normal
                and lattice_equal(mcc.monoids[c.key].group, c.lin_basis)
-               for c in mcc.fan.cones)
+               for c in map(mcc.fan.by_key, mcc.fan.maximal))
 
 
 def _order_complex_cochain(fan: Fan, verts) -> tuple:

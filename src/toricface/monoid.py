@@ -23,7 +23,6 @@ from .lattice import (
     content,
     dot,
     independent_rows,
-    intersect,
     is_zero,
     kernel_basis,
     lattice_from_rows,
@@ -286,15 +285,17 @@ def minimal_ray_point(ray, lattice: LatticeBasis):
 
 
 def parallelepiped_points(simplex_points, lattice: LatticeBasis, ambient_dim):
-    """Lattice points of {sum q_i s_i : 0 <= q_i < 1}, including the origin."""
+    """Lattice points of {sum q_i s_i : 0 <= q_i < 1}, including the origin,
+    for k independent simplex points of a lattice of rank k: one point per
+    coset of the simplex lattice."""
     spts = [vec(s) for s in simplex_points]
-    span_lin = LatticeBasis(ambient_dim, tuple(row_saturation(spts, ambient_dim)))
-    lat = intersect(lattice, span_lin)
-    assert lat.rank == len(spts)
+    if lattice.rank != len(spts):
+        raise ValueError(f"a lattice of rank {lattice.rank} for "
+                         f"{len(spts)} simplex points")
     simplex = LatticeBasis(ambient_dim, tuple(spts))
     # one point per coset of the simplex lattice, moved into the half-open
     # parallelepiped by the floors of its coordinates over the simplex
-    reps = quotient_invariants(simplex, lat).representatives()
+    reps = quotient_invariants(simplex, lattice).representatives()
     out = set()
     for z in reps:
         c, den = rational_coords(simplex, z)
@@ -333,6 +334,12 @@ def _simplex_lattice_points(spts, ppts, ell, bound):
     return out
 
 
+def _irreducible(points, member):
+    """The sorted points z with no other point c where member(z - c)."""
+    return tuple(sorted(z for z in points if not any(
+        c != z and member(vsub(z, c)) for c in points)))
+
+
 def _hilbert_data(cone: Cone, lattice: LatticeBasis):
     """(sorted Hilbert basis of cone ∩ lattice, max candidate degree)."""
     if cone.dim == 0:
@@ -351,16 +358,7 @@ def _hilbert_data(cone: Cone, lattice: LatticeBasis):
     cands.discard((0,) * d)
     maxdeg = max(dot(ell, c) for c in cands)
 
-    elems = []
-    for z in sorted(cands):
-        reducible = False
-        for c in cands:
-            y = vsub(z, c)
-            if not is_zero(y) and c != z and cone.contains(y):
-                reducible = True
-                break
-        if not reducible:
-            elems.append(z)
+    elems = _irreducible(cands, cone.contains)
 
     # generation check: the basis reaches every cone-lattice point up to
     # twice the candidate degree, by two independent enumerations
@@ -372,7 +370,7 @@ def _hilbert_data(cone: Cone, lattice: LatticeBasis):
     if reach != pts:
         raise RuntimeError("Hilbert basis certificate failed: the basis "
                            "does not generate the intersection")
-    return tuple(sorted(elems)), maxdeg
+    return elems, maxdeg
 
 
 def hilbert_basis(cone: Cone, lattice: LatticeBasis):
@@ -426,14 +424,7 @@ def seminormalize(M: AffineMonoid, bound: Optional[int] = None) -> Seminormaliza
                    and groups[face_at(M.cone, x)].contains(x))
     plus1 = [x for x in plus2 if dot(ell, x) <= bound]
 
-    pset = set(plus1)
-    gens_out = []
-    for z in sorted(plus1, key=lambda v: (dot(ell, v), v)):
-        reducible = any(vsub(z, a) in pset and not is_zero(vsub(z, a)) and a != z
-                        for a in pset)
-        if not reducible:
-            gens_out.append(z)
-    gens_out = tuple(sorted(gens_out))
+    gens_out = _irreducible(plus1, set(plus1).__contains__)
 
     # certification by re-decomposition up to twice the bound
     reach = generated_points(gens_out, ell, 2 * bound, M.ambient_dim)

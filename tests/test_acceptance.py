@@ -256,7 +256,8 @@ def test_criterion_7_reports_byte_identical():
 
 
 def test_criteria_hold_under_python_O():
-    """Every criterion above, run again in a `python -O` interpreter.  The
+    """Every criterion above, and the face-group nesting that star
+    classes rest on, run again in a `python -O` interpreter.  The
     library's asserts are stripped there, so no answer may rest on them;
     pytest still checks the tests' own asserts, which it rewrites."""
     here = Path(__file__).resolve()
@@ -264,12 +265,15 @@ def test_criteria_hold_under_python_O():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     env.pop("PYTHONOPTIMIZE", None)
-    criteria = [name for name in globals() if name.startswith("test_criterion_")]
+    criteria = [f"{here}::{name}" for name in globals()
+                if name.startswith("test_criterion_")] + [
+        f"{here.parent / 'test_cohomology.py'}"
+        "::test_face_groups_nest_in_their_up_sets"]
     script = ("import sys, pytest; print('optimize', sys.flags.optimize); "
               "sys.exit(pytest.main(sys.argv[1:]))")
     run = subprocess.run(
         [sys.executable, "-O", "-c", script, "-q", "-p", "no:cacheprovider",
-         *[f"{here}::{name}" for name in criteria]],
+         *criteria],
         cwd=here.parents[1], capture_output=True, text=True, env=env,
         check=False)
     assert run.returncode == 0, run.stdout[-3000:] + run.stderr[-3000:]

@@ -672,14 +672,17 @@ def test_class_stars_match_star_at_their_representatives():
 
 
 def test_star_index_call_counts(monkeypatch):
-    """On the d=4 cross-polytope: one intersect per cone and per cover
-    pair and one quotient per cone in star_classes, and no star solve,
-    since every class is the zero coset of its carrier; on fix-a, fix-b
-    and fix-c one star solve per class of a nonzero coset.  Then one
-    star_classes and no skeleton rebuild in depth."""
+    """K_C is Z M_C, so star_classes meets no lattices: one quotient per
+    cone and one `_star_at` per class.  A zero coset's point lies in its
+    carrier's group, so its star takes exactly one group test; any other
+    coset's takes one more per cone above its carrier.  On fix-a, fix-b
+    and fix-c 10, 8 and 5 classes have a nonzero coset; on the d=4
+    cross-polytope none has.  Then one star_classes and no skeleton
+    rebuild in depth."""
     mcc = crosspoly(4)
     fan = mcc.fan
     assert len(fan.cones) == 81
+    assert not hasattr(cohomology_module, "intersect")
     calls = collections.Counter()
 
     def count(module, name, fn):
@@ -689,26 +692,40 @@ def test_star_index_call_counts(monkeypatch):
         # raising=False: depth once imported skeleton_fan into cohomology
         monkeypatch.setattr(module, name, counted, raising=False)
 
-    for name in ("intersect", "quotient_invariants", "star", "_star_at"):
+    for name in ("quotient_invariants", "star"):
         count(cohomology_module, name, getattr(cohomology_module, name))
+    for name in ("intersect", "row_saturation"):
+        count(lattice_module, name, getattr(lattice_module, name))
+    count(lattice_module.LatticeBasis, "contains",
+          lattice_module.LatticeBasis.contains)
+    star_at = cohomology_module._star_at
+    tests = {}
 
-    def nonzero_cosets(classes):
-        return sum(1 for sc in classes if sc.carrier is not None
-                   and not sc.class_lattice.contains(sc.coset_rep))
+    def counted_star_at(mcc, carrier, a):
+        before = calls["contains"]
+        st = star_at(mcc, carrier, a)
+        tests[carrier.key, a] = calls["contains"] - before
+        return st
+    monkeypatch.setattr(cohomology_module, "_star_at", counted_star_at)
 
-    for build, solved in ((fix_a, 10), (fix_b, 8), (fix_c, 5)):
+    def check(mcc, nonzero):
         calls.clear()
-        classes = star_classes(build())
-        assert calls["star"] == 0
-        assert calls["_star_at"] == nonzero_cosets(classes) == solved
-    calls.clear()
-    classes = star_classes(mcc)
-    covers = sum(1 for c in fan.cones for d in fan.cones
-                 if d.dim == c.dim + 1 and set(c.rays) < set(d.rays))
-    assert calls["intersect"] == len(fan.cones) + covers
-    assert calls["quotient_invariants"] == len(fan.cones)
-    assert len(classes) - 1 == len(fan.cones)
-    assert calls["star"] == calls["_star_at"] == nonzero_cosets(classes) == 0
+        tests.clear()
+        classes = star_classes(mcc)[:-1]
+        assert calls["intersect"] == calls["row_saturation"] == 0
+        assert calls["quotient_invariants"] == len(mcc.fan.cones)
+        assert calls["star"] == 0 and len(tests) == len(classes)
+        zero = [sc for sc in classes
+                if sc.class_lattice.contains(sc.coset_rep)]
+        assert len(classes) - len(zero) == nonzero
+        for sc in classes:
+            ups = len(mcc.fan.up_set(sc.carrier))
+            assert tests[sc.carrier.key, sc.coset_rep] == (
+                1 if sc in zero else 1 + ups)
+
+    for build, nonzero in ((fix_a, 10), (fix_b, 8), (fix_c, 5)):
+        check(build(), nonzero)
+    check(mcc, 0)
     calls.clear()
     count(cohomology_module, "star_classes", star_classes)
     for module in (cohomology_module, moncomplex_module):
@@ -718,6 +735,36 @@ def test_star_index_call_counts(monkeypatch):
     cohomology_module.depth(mcc, "all")
     assert calls["star_classes"] == 1
     assert calls["restrict"] == 0 and calls["skeleton_fan"] == 0
+
+
+def test_face_groups_nest_in_their_up_sets():
+    """The face axiom M_C = M_D ∩ C puts Z M_C inside Z M_D for every cone
+    D above C, which star_classes and `_star_at` rest on.  Each class
+    lattice is Z M_C and equals the meet of the groups above C cut to
+    lin C, and each star over a degree box equals a scan of every cone of
+    the fan.  Also run under `python -O` (test_acceptance.py), since the
+    shortcut must not rest on an assert."""
+    cusp = crosspoly(3, (2, 3))
+    inputs = [(build(), 3) for build in ALL_FIXTURES.values()] + [
+        (crosspoly(2), 3), (crosspoly(3), 2), (crosspoly(4), 1),
+        (cusp, 2), (seminormalize_complex(cusp), 2),
+        (restrict(cusp, skeleton_fan(cusp.fan, 2)), 2)]
+    for mcc, radius in inputs:
+        fan = mcc.fan
+        group = {c.key: mcc.monoids[c.key].group for c in fan.cones}
+        for c in fan.cones:
+            meet = c.lin_basis
+            for d_ in fan.up_set(c):
+                assert all(group[d_.key].contains(b)
+                           for b in group[c.key].basis), (c.key, d_.key)
+                meet = lattice_module.intersect(meet, group[d_.key])
+            assert meet.basis == group[c.key].basis
+        for sc in star_classes(mcc)[:-1]:
+            assert sc.class_lattice.basis == group[sc.carrier.key].basis
+        for a in box(mcc.ambient_dim, radius):
+            scan = tuple(c.key for c in fan.cones
+                         if c.contains(a) and group[c.key].contains(a))
+            assert star(mcc, a).keys == scan, a
 
 
 def test_coreduced_divisors_match_snf_on_star_and_slice_cochains():
@@ -787,8 +834,8 @@ def test_second_report_and_depth_reuse_the_caches(monkeypatch):
     elementary divisors."""
     for mcc in [fix_c(), octant_boundary(), crosspoly(3)]:
         first = cohomology_report(mcc, "all")
-        calls = _counting(monkeypatch,
-                          ("elementary_divisors", "intersect", "star"))
+        calls = _counting(monkeypatch, ("elementary_divisors",
+                                        "quotient_invariants", "star"))
         assert cohomology_report(mcc, "all") == first
         depth(mcc, "all")
         assert not calls
@@ -929,6 +976,23 @@ def test_bbr_stanley_line():
     assert by_key[()].cellular.entries == ((1, 1),)
     assert by_key[((1,),)].cellular.entries == ((1, 1),)
     assert by_key[((-1,),)].cellular.entries == ((1, 1),)
+
+
+def test_bbr_reads_the_maximal_monoids_only(monkeypatch):
+    """Normality and a saturated group pass from a cone to its faces, so
+    the Stanley check tests one group per maximal cone, and refusing a
+    complex decides no face monoid's flags."""
+    for mcc in (fix_a(), fix_c(), crosspoly(2, (2, 3))):
+        decided = {k for k, M in mcc.monoids.items() if "flags" in vars(M)}
+        with pytest.raises(ValueError):
+            bbr_formula(mcc, 0)
+        assert {k for k, M in mcc.monoids.items()
+                if "flags" in vars(M)} == decided
+    for mcc in (octant_boundary(), crosspoly(3)):
+        calls = _counting(monkeypatch, ("lattice_equal",))
+        bbr_formula(mcc, 0)
+        assert calls["lattice_equal"] == len(mcc.fan.maximal)
+        monkeypatch.undo()
 
 
 def test_bbr_rejects_non_stanley():

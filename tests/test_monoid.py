@@ -172,14 +172,14 @@ def test_normalization_idempotent():
         assert set(again) == set(hb)
 
 
-def random_lattice_and_points(rng, d, k):
-    """A random lattice of rank r >= k in Z^d, mostly not saturated, and k
-    independent points of it."""
+def random_lattice_and_points(rng, d, k, rank=None):
+    """A random lattice in Z^d, mostly not saturated, of rank r >= k (of
+    rank exactly `rank` when it is given), and k independent points of it."""
     while True:
         rows = [[rng.randint(-2, 2) for _ in range(d)]
-                for _ in range(rng.randint(k, d))]
+                for _ in range(rank or rng.randint(k, d))]
         L = lattice_from_rows(d, rows)
-        if L.rank < k:
+        if L.rank < k or rank not in (None, L.rank):
             continue
         coeffs = [[rng.randint(-2, 2) for _ in rows] for _ in range(k)]
         pts = [tuple(sum(c * b[j] for c, b in zip(cs, rows)) for j in range(d))
@@ -227,16 +227,21 @@ def test_parallelepiped_points():
     assert pts == {(0, 0), (1, 1)}
     pts1 = parallelepiped_points([(3, 0), (3, 3)], M1.group, 2)
     assert pts1 == {(0, 0), (3, 1), (3, 2)}
-    # against a box scan, on random lattices and simplices of every dimension
+    # against a box scan, on random rank-k lattices and k-simplices of
+    # every dimension k
     rng = random.Random(2207)
     sizes = set()
     for d in (1, 2, 3):
         for trial in range(12):
-            L, spts = random_lattice_and_points(rng, d, 1 + trial % d)
+            k = 1 + trial % d
+            L, spts = random_lattice_and_points(rng, d, k, rank=k)
             got = parallelepiped_points(spts, L, d)
             assert got == brute_parallelepiped(spts, L, d), (L, spts)
             sizes.add(len(got))
     assert max(sizes) > 2
+    # a lattice of higher rank than the simplex: a ValueError, not an assert
+    with pytest.raises(ValueError, match="rank 2 for 1 simplex points"):
+        parallelepiped_points([(1, 2)], full_lattice(2), 2)
 
 
 def test_triangulation_covers_cone():
