@@ -23,6 +23,7 @@ order-complex comparison for Stanley complexes.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import Optional
 
 from .lattice import (
@@ -189,7 +190,7 @@ class Star:
     degree: tuple
     cones: tuple   # Cone objects, sorted by (dim, rays)
 
-    @property
+    @cached_property
     def keys(self) -> tuple:
         return tuple(c.key for c in self.cones)
 
@@ -203,17 +204,23 @@ def _star_at(mcc: MonoidalComplex, carrier: Optional[Cone], a) -> Star:
     """star(mcc, a) for a given as an int tuple with its carrier: a cone
     holds a exactly when a's carrier is one of its faces.  Z M_C lies in
     Z M_D for each D above C, so a carrier whose group holds a puts its
-    whole up-set in the star; otherwise the up-set is scanned."""
+    whole up-set in the star, checked up-closed the first time it is
+    served; otherwise the up-set is scanned and checked on every call."""
     if carrier is None:
         return Star(a, ())
     fan = mcc.fan
     ups = fan.up_set(carrier)
-    members = ups if mcc.monoids[carrier.key].group.contains(a) else tuple(
+    whole = mcc.monoids[carrier.key].group.contains(a)
+    if whole and carrier.key in fan._closed_ups:
+        return Star(a, ups)
+    members = ups if whole else tuple(
         d_ for d_ in ups if mcc.monoids[d_.key].group.contains(a))
     keys = {c.key for c in members}
     for d_ in members:
         for e in fan.up_set(d_):
             assert e.key in keys
+    if whole:
+        fan._closed_ups.add(carrier.key)
     return Star(a, members)
 
 

@@ -668,13 +668,13 @@ class QuotientInvariants:
     """The quotient sup/sub of a sublattice sub of sup.
 
     All of it is read from one Smith form U*A*V = D of the coordinate rows
-    A of sub over sup's basis.
+    A of sub over sup's basis, unless sub is trivial or the quotient is.
     """
 
     divisors: tuple   # elementary divisors of the torsion part, including 1s
     free_rank: int
     _sup: LatticeBasis
-    _smith: Optional[SNFResult]   # None when sub is trivial
+    _smith: Optional[SNFResult]   # None when sub or the quotient is trivial
 
     @property
     def index(self) -> Optional[int]:
@@ -694,7 +694,7 @@ class QuotientInvariants:
         if self.free_rank:
             raise ValueError("the quotient is infinite")
         d, r = self._sup.ambient_dim, self._sup.rank
-        if not r:
+        if self._smith is None:
             return [(0,) * d]
         vinv = unimodular_inverse(self._smith.V)
         return [combine(combine(c, vinv, r), self._sup.basis, d)
@@ -702,18 +702,19 @@ class QuotientInvariants:
 
 
 def quotient_invariants(sub: LatticeBasis, sup: LatticeBasis) -> QuotientInvariants:
-    """The quotient sup/sub for a sublattice sub of sup."""
+    """The quotient sup/sub for a sublattice sub of sup; trivial with no
+    Smith form when sub is saturated (its own divisors are all 1) and has
+    sup's rank, since then sup lies in Z^d ∩ span(sub) = sub."""
     if sub.ambient_dim != sup.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    coords = []
     for b in sub.basis:
-        c = solve_in_lattice(sup, b)
-        if c is None:
+        if not sup.contains(b):
             raise ValueError(f"{b} is not in the ambient lattice of the quotient")
-        coords.append(c)
     if not sub.basis:
         return QuotientInvariants((), sup.rank, sup, None)
-    res = snf(coords)
+    if sub.rank == sup.rank and all(d == 1 for d in sub.col_snf.divisors):
+        return QuotientInvariants((1,) * sub.rank, 0, sup, None)
+    res = snf([solve_in_lattice(sup, b) for b in sub.basis])
     if res.rank != len(sub.basis):
         raise AssertionError("independent rows lost rank")
     return QuotientInvariants(res.divisors, sup.rank - sub.rank, sup, res)

@@ -126,6 +126,11 @@ class Cone:
         return (all(dot(e, v) == 0 for e in self.equations)
                 and all(dot(f, v) >= 0 for f in self.facets))
 
+    def _holds_inside(self, v) -> bool:
+        """relint_contains(self, v) for v already an int tuple."""
+        return (all(dot(e, v) == 0 for e in self.equations)
+                and all(dot(f, v) > 0 for f in self.facets))
+
     def facet_sign(self, small: "Cone") -> int:
         """incidence_sign(self, small), computed once per pair of cones."""
         s = self._signs.get(small.key)
@@ -217,9 +222,7 @@ def cone_build(generators, ambient_dim: Optional[int] = None) -> Cone:
 
 def relint_contains(cone: Cone, v) -> bool:
     """Is the integer vector v in the relative interior of the cone?"""
-    v = _checked(cone, v)
-    return (all(dot(e, v) == 0 for e in cone.equations)
-            and all(dot(f, v) > 0 for f in cone.facets))
+    return cone._holds_inside(_checked(cone, v))
 
 
 def face_at(cone: Cone, v) -> tuple:
@@ -322,6 +325,10 @@ class Fan:
         # (star keys, characteristic) -> the star's cochain table, filled
         # by cohomology.star_table; it depends on the cones alone
         object.__setattr__(self, "_star_tables", {})
+        # sign vector -> carrier, filled by carrier; and the keys of the
+        # cones whose up-set cohomology._star_at has checked up-closed
+        object.__setattr__(self, "_carriers", {})
+        object.__setattr__(self, "_closed_ups", set())
 
     @cached_property
     def _index(self) -> tuple:
@@ -364,15 +371,28 @@ class Fan:
         """The maximal cones of up_set(cone), in the same order."""
         return self._index[2][cone.key]
 
+    @cached_property
+    def _hyperplanes(self) -> tuple:
+        """The distinct facet normals and equations of the maximal cones,
+        each taken up to sign, sorted."""
+        return tuple(sorted({max(h, vneg(h)) for c in self._index[3]
+                             for h in (*c.facets, *c.equations)}))
+
     def carrier(self, v) -> Optional[Cone]:
-        """The unique cone with v in its relative interior, if any: the
-        smallest face holding v of a maximal cone holding v."""
+        """The unique cone with v in its relative interior, if any.  v is
+        in relint C when a maximal D above C holds v and D's facets tight
+        at v are those through C, which v's signs on the _hyperplanes fix;
+        so the carrier (the smallest face holding v of the first maximal
+        cone holding v) is found once per sign vector and kept."""
         v = _checked(self, v)
-        top = next((c for c in self._index[3] if c._holds(v)), None)
-        if top is None:
-            return None
-        c = self._by_key[face_at(top, v)]
-        assert relint_contains(c, v)
+        sig = tuple([(x > 0) - (x < 0) for x in map(dot, self._hyperplanes,
+                                                    itertools.repeat(v))])
+        if sig not in self._carriers:
+            top = next((c for c in self._index[3] if c._holds(v)), None)
+            self._carriers[sig] = (None if top is None
+                                   else self._by_key[face_at(top, v)])
+        c = self._carriers[sig]
+        assert c is None or c._holds_inside(v)
         return c
 
 

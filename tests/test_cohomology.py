@@ -232,8 +232,10 @@ def _check_index_against_scans(mcc, degrees):
         assert all(d is fan.by_key(d.key) for d in ups + faces)
     for a in degrees:
         want = next((c for c in fan.cones if relint_contains(c, a)), None)
-        got = fan.carrier(a)
-        assert (got is None and want is None) or got is want, a
+        # the first call may find the carrier, the second reads the memo
+        for _ in range(2):
+            got = fan.carrier(a)
+            assert (got is None and want is None) or got is want, a
         assert star(mcc, a).keys == tuple(
             c.key for c in fan.cones
             if c.contains(a) and mcc.monoids[c.key].group.contains(a)), a
@@ -241,15 +243,22 @@ def _check_index_against_scans(mcc, degrees):
 
 def test_star_index_matches_scans():
     """star, carrier, up_set and faces_of read from the index equal their
-    scan definitions on [-3,3]^d, for every shipped fixture, the d=2 and
-    d=3 cross-polytopes, the d=2 cusp, and the subcomplexes away from a
-    star (one per distinct star of the box)."""
-    inputs = ([build() for build in ALL_FIXTURES.values()]
-              + [crosspoly(2), crosspoly(3), crosspoly(2, (2, 3))])
+    scan definitions on a degree box, for every shipped fixture, the d=2
+    to d=4 cross-polytopes, the d=2 and d=3 cusps, and the subcomplexes
+    away from a star (one per distinct star of the box, below d=4, where
+    80 more restrictions would take seconds).  Each carrier is
+    asked twice, so the memo's hits are checked as well as its misses.
+    Also run under `python -O` (test_acceptance.py): there the carrier
+    rests on its sign vector alone, with no relint assert."""
+    inputs = ([(build(), 3) for build in ALL_FIXTURES.values()]
+              + [(crosspoly(2), 3), (crosspoly(3), 3), (crosspoly(4), 2),
+                 (crosspoly(2, (2, 3)), 3), (crosspoly(3, (2, 3)), 2)])
     subcomplexes = 0
-    for mcc in inputs:
-        degrees = list(box(mcc.ambient_dim, 3))
+    for mcc, radius in inputs:
+        degrees = list(box(mcc.ambient_dim, radius))
         _check_index_against_scans(mcc, degrees)
+        if mcc.ambient_dim == 4:
+            continue
         by_star = {}
         for b in degrees:
             by_star.setdefault(star(mcc, b).keys, b)
@@ -259,6 +268,41 @@ def test_star_index_matches_scans():
                 _check_index_against_scans(sub, degrees)
                 subcomplexes += 1
     assert subcomplexes > 50
+
+
+def test_carrier_memo_counts():
+    """The d=3 cross-polytope's 8 octants have 24 facet tests but 3
+    distinct hyperplanes, and [-5,5]^3 meets each of its 27 cones, so its
+    carriers take 27 memo entries, one per sign vector."""
+    fan = crosspoly(3).fan
+    for a in box(3, 5):
+        fan.carrier(a)
+    assert sum(len(fan.by_key(k).facets) for k in fan.maximal) == 24
+    assert fan._hyperplanes == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
+    assert len(fan._carriers) == len(fan.cones) == 27
+
+
+def test_star_checks_an_up_set_until_it_passes():
+    """A carrier's whole up-set is served as a star with no check only
+    after its up-closure has passed once.  An index whose up-set of the
+    origin misses a maximal cone fails the check on every call; an
+    intact one is marked on its first call."""
+    if not __debug__:
+        pytest.skip("the up-closure check is an assert")
+    mcc = crosspoly(2)
+    fan = mcc.fan
+    faces, ups, above, tops = fan._index
+    origin = fan.carrier((0, 0))
+    broken = dict(ups)
+    broken[origin.key] = ups[origin.key][:-1]
+    fan.__dict__["_index"] = (faces, broken, above, tops)
+    for _ in range(2):
+        with pytest.raises(AssertionError):
+            star(mcc, (0, 0))
+    assert origin.key not in fan._closed_ups
+    mcc = crosspoly(2)
+    assert star(mcc, (0, 0)).cones == mcc.fan.cones
+    assert mcc.fan._closed_ups == {origin.key}
 
 
 def test_star_classes_fix_c_frozen():

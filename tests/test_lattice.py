@@ -518,6 +518,64 @@ def test_quotient_index_and_representatives_share_one_smith_form(monkeypatch):
                                        // det_int([list(b) for b in sup.basis]))
 
 
+def _quotient_by_smith(sub, sup):
+    """The quotient read off one Smith form of sub's coordinates over sup."""
+    res = snf([solve_in_lattice(sup, b) for b in sub.basis])
+    return lattice_mod.QuotientInvariants(res.divisors, sup.rank - sub.rank,
+                                          sup, res)
+
+
+def test_saturated_quotients_skip_the_smith_form(monkeypatch):
+    """A saturated sub of sup's rank gives the trivial quotient with no
+    Smith form; any other sub takes one.  On seeded saturated lattices
+    given by non-Hermite bases, and on sublattices of index > 1 or of
+    lower rank, the index, divisors and representatives equal the Smith
+    path's, and a saturated sub outside sup still raises."""
+    rng = random.Random(2503)
+    real = lattice_mod.snf
+    calls = []
+    monkeypatch.setattr(lattice_mod, "snf",
+                        lambda A: calls.append(A) or real(A))
+    shortcuts = full = 0
+    for trial in range(120):
+        d = rng.randint(1, 4)
+        k = rng.randint(1, d)
+        # k rows of a unimodular matrix span a saturated lattice
+        rows = mat_mul(_unimodular(rng, k), _unimodular(rng, d)[:k])
+        sat = LatticeBasis(d, tuple(map(tuple, rows)))
+        kind = trial % 3
+        if kind == 0:
+            sub, sup = sat, lattice_from_rows(d, rows)
+        elif kind == 1:
+            T = random_matrix(rng, k, k, -3, 3)
+            if det_int(T) in (-1, 0, 1):
+                continue
+            sub = LatticeBasis(d, tuple(map(tuple, mat_mul(T, rows))))
+            sup = sat
+        else:
+            sub, sup = LatticeBasis(d, sat.basis[:k - 1]), sat
+        if not sub.basis:
+            continue
+        calls.clear()
+        q = quotient_invariants(sub, sup)
+        assert len(calls) == (kind != 0), (sub, sup)
+        want = _quotient_by_smith(sub, sup)
+        assert (q.divisors, q.free_rank, q.index) == (
+            want.divisors, want.free_rank, want.index), (sub, sup)
+        if not q.free_rank:
+            assert (sorted(q.representatives())
+                    == sorted(want.representatives()))
+        if kind == 0:
+            shortcuts += sub.basis != sup.basis
+            with pytest.raises(ValueError):
+                quotient_invariants(sub, lattice_from_rows(d, mat_mul(
+                    [[2 * (i == j) for j in range(k)] for i in range(k)],
+                    rows)))
+        else:
+            full += 1
+    assert shortcuts > 20 and full > 40
+
+
 def test_representatives_of_an_infinite_quotient_raise():
     for sub in (LatticeBasis(2, ()), lattice_from_rows(2, [[1, 0]])):
         q = quotient_invariants(sub, full_lattice(2))
