@@ -246,10 +246,10 @@ def test_star_index_matches_scans():
     scan definitions on a degree box, for every shipped fixture, the d=2
     to d=4 cross-polytopes, the d=2 and d=3 cusps, and the subcomplexes
     away from a star (one per distinct star of the box, below d=4, where
-    80 more restrictions would take seconds).  Each carrier is
-    asked twice, so the memo's hits are checked as well as its misses.
-    Also run under `python -O` (test_acceptance.py): there the carrier
-    rests on its sign vector alone, with no relint assert."""
+    80 more restrictions would take seconds).  Each carrier is asked
+    twice, so the memo's hits are checked as well as its misses.  Also
+    run under `python -O` (test_acceptance.py): there the carrier rests
+    on its sign vector alone, with no relint assert."""
     inputs = ([(build(), 3) for build in ALL_FIXTURES.values()]
               + [(crosspoly(2), 3), (crosspoly(3), 3), (crosspoly(4), 2),
                  (crosspoly(2, (2, 3)), 3), (crosspoly(3, (2, 3)), 2)])
