@@ -21,6 +21,13 @@ from .polyhedral import face_lattice
 from .record import record
 
 
+def _face_divisors(group, sub, face) -> tuple:
+    """Elementary divisors of the finite group (group cap lin face) / sub."""
+    inv = quotient_invariants(sub, intersect(group, face.lin_basis))
+    assert inv.free_rank == 0
+    return inv.divisors
+
+
 @record
 class PrimeExclusion:
     prime: int
@@ -62,14 +69,10 @@ def excluded_primes(mcc: MonoidalComplex) -> FPurityReport:
     for key in mcc.fan.maximal:
         c = mcc.fan.by_key(key)
         zc = mcc.monoids[key].group
-        for d_cone in mcc.fan.faces_of(c):
-            zd = mcc.monoids[d_cone.key].group
-            amb = intersect(zc, d_cone.lin_basis)
-            inv = quotient_invariants(zd, amb)
-            assert inv.free_rank == 0
-            for dv in inv.divisors:
+        for d_ in mcc.fan.faces_of(c):
+            for dv in _face_divisors(zc, mcc.monoids[d_.key].group, d_):
                 for p in prime_factors(dv):
-                    found.setdefault(p, []).append((key, d_cone.key, dv))
+                    found.setdefault(p, []).append((key, d_.key, dv))
     excluded = tuple(PrimeExclusion(p, tuple(found[p]))
                      for p in sorted(found))
     return FPurityReport(excluded)
@@ -95,10 +98,7 @@ def monoid_F_injective(M: AffineMonoid, p: int) -> MonoidFInjectivity:
                          "seminormal monoid")
     for f in face_lattice(M.cone).faces:
         sub = lattice_from_rows(M.ambient_dim, monoid_face_gens(M, f))
-        sup = intersect(M.group, f.lin_basis)
-        inv = quotient_invariants(sub, sup)
-        assert inv.free_rank == 0
-        if any(dv % p == 0 for dv in inv.divisors):
+        if any(dv % p == 0 for dv in _face_divisors(M.group, sub, f)):
             return MonoidFInjectivity(p, False, f.key)
     return MonoidFInjectivity(p, True, None)
 

@@ -84,8 +84,38 @@ def prime_factors(n: int):
     return out
 
 
+# The first 13 primes as strong-pseudoprime bases decide primality of
+# every n below _PRIME_LIMIT (Sorenson and Webster, "Strong pseudoprimes
+# to twelve prime bases", Math. Comp. 86 (2017)).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    return n >= 2 and prime_factors(n) == {n}
+    """Deterministic Miller-Rabin on _PRIME_BASES; ValueError for n at or
+    above _PRIME_LIMIT, where those bases no longer decide."""
+    if n < 2:
+        return False
+    if n >= _PRIME_LIMIT:
+        raise ValueError(f"cannot decide whether {n} is prime: only "
+                         f"numbers below {_PRIME_LIMIT} are tested")
+    for b in _PRIME_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

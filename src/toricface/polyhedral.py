@@ -4,11 +4,11 @@ Cones are built from integer generators and carry both descriptions
 (extreme rays and inward facet normals).  One routine, `extreme_rays`,
 converts in both directions: the facet normals are the extreme rays of the
 dual cone the generators cut out, and the generator/facet duality is
-re-verified by applying it to the facets.  Fans check the common-face
-condition on every pair of input cones.  The chain
-complex assigns incidence signs through per-cone orientation bases and
-verifies that consecutive boundaries compose to zero; one builder makes
-the cochain matrices of every cone-indexed complex in the package.
+re-verified by applying it to the facets.  Fans check each cone's face set
+against its facets' and every pair of input cones for a common face.  The
+chain complex assigns incidence signs through per-cone orientation bases
+and verifies that consecutive boundaries compose to zero; one builder
+makes the cochain matrices of every cone-indexed complex in the package.
 """
 
 from __future__ import annotations
@@ -325,10 +325,8 @@ class Fan:
         # (star keys, characteristic) -> the star's cochain table, filled
         # by cohomology.star_table; it depends on the cones alone
         object.__setattr__(self, "_star_tables", {})
-        # sign vector -> carrier, filled by carrier; and the keys of the
-        # cones whose up-set cohomology._star_at has checked up-closed
+        # sign vector -> carrier, filled by carrier
         object.__setattr__(self, "_carriers", {})
-        object.__setattr__(self, "_closed_ups", set())
 
     @cached_property
     def _index(self) -> tuple:
@@ -441,6 +439,13 @@ def fan_build(maximal_cones: Sequence[Cone]) -> Fan:
     other overlap is refused: a separating functional certifies most
     pairs, and the extreme rays of the intersection decide the rest, at
     C(m, d-1) kernels for m inequalities in dimension d.
+
+    First each cone E is certified: F(E) = {E} ∪ ⋃ F(G) over its facets G
+    (facet_keys), all cones of the fan, with F(E) the keys of
+    face_lattice(E).faces.  By induction on dim E, a face D ≠ E lies in
+    some F(G), so F(D) ⊆ F(G) ⊆ F(E): face sets are down-closed and
+    up-sets up-closed, here and in every subfan closed under faces
+    (skeleta, the faces of one cone, cohomology._avoiding's remainders).
     """
     if not maximal_cones:
         raise ValueError("empty cone list")
@@ -458,6 +463,12 @@ def fan_build(maximal_cones: Sequence[Cone]) -> Fan:
         # a face shared with an earlier cone is reused, not rebuilt
         for f in face_lattice(c, cones).faces:
             cones.setdefault(f.key, f)
+
+    F = {k: {f.key for f in face_lattice(c).faces} for k, c in cones.items()}
+    for k, c in cones.items():
+        G = face_lattice(c).facet_keys
+        if not F.keys() >= set(G) or F[k] != {k}.union(*map(F.get, G)):
+            raise RuntimeError(f"face lattice certificate failed at {k}")
 
     for a, b in itertools.combinations(tops, 2):
         if not _meet_in_common_face(a, b):

@@ -257,10 +257,11 @@ def test_criterion_7_reports_byte_identical():
 
 def test_criteria_hold_under_python_O():
     """Every criterion above, the face-group nesting that star classes
-    rest on, and the carrier memo checked against the relint scan, run
-    again in a `python -O` interpreter.  The library's asserts are
-    stripped there, so no answer may rest on them; pytest still checks
-    the tests' own asserts, which it rewrites."""
+    rest on, the carrier memo checked against the relint scan, and the
+    face-set certificate of fan_build, run again in a `python -O`
+    interpreter.  The library's asserts are stripped there, so no answer
+    may rest on them; pytest still checks the tests' own asserts, which
+    it rewrites."""
     here = Path(__file__).resolve()
     src = str(Path(toricface.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -268,9 +269,10 @@ def test_criteria_hold_under_python_O():
     env.pop("PYTHONOPTIMIZE", None)
     criteria = [f"{here}::{name}" for name in globals()
                 if name.startswith("test_criterion_")] + [
-        f"{here.parent / 'test_cohomology.py'}::{name}" for name in (
-            "test_face_groups_nest_in_their_up_sets",
-            "test_star_index_matches_scans")]
+        f"{here.parent / module}::{name}" for module, name in (
+            ("test_cohomology.py", "test_face_groups_nest_in_their_up_sets"),
+            ("test_cohomology.py", "test_star_index_matches_scans"),
+            ("test_polyhedral.py", "test_fan_build_certifies_face_sets"))]
     script = ("import sys, pytest; print('optimize', sys.flags.optimize); "
               "sys.exit(pytest.main(sys.argv[1:]))")
     run = subprocess.run(

@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -538,6 +539,12 @@ def test_main_refuses_a_bad_document(case, tmp_path, capsys):
     (["frobenius", "fix-c", "--degree", "0,-1", "-p", "4"], "4 is not a prime"),
     (["depth", "fix-c", "--char", "x"],
      "argument --char: expected 0, a prime, or 'all', got 'x'"),
+    (["depth", "fix-c", "--char", "3317044064679887385961981"],
+     "cannot decide whether 3317044064679887385961981 is prime: only "
+     "numbers below 3317044064679887385961981 are tested"),
+    (["frobenius", "fix-c", "--degree", "0,-1", "-p", str(10**30)],
+     f"cannot decide whether {10**30} is prime: only "
+     "numbers below 3317044064679887385961981 are tested"),
 ])
 def test_main_refuses_bad_flags(argv, message, capsys):
     argv = [argv[0], fixture_path(argv[1]), *argv[2:]]
@@ -545,6 +552,18 @@ def test_main_refuses_bad_flags(argv, message, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == f"toricface: {message}\n"
+
+
+def test_main_takes_a_large_prime_characteristic(capsys):
+    """A 19-digit prime is tested by Miller-Rabin, not trial division up
+    to its square root, so each command answers at once."""
+    p = "1000000000000000003"
+    for argv in (["cohomology", "--degree", "0,-1", "--char", p],
+                 ["frobenius", "--degree", "0,-1", "-p", p]):
+        t0 = time.process_time()
+        assert main([argv[0], fixture_path("fix-c"), *argv[1:]]) == 0
+        assert time.process_time() - t0 < 1.0
+        assert p in capsys.readouterr().out
 
 
 def test_main_refuses_input_that_is_not_utf8(tmp_path, capsys):

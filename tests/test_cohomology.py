@@ -87,7 +87,7 @@ def test_is_prime_and_factors():
 
 
 def test_check_characteristic_rejects_bad_values():
-    for bad in (4, -1, 1, "p", "2"):
+    for bad in (4, -1, 1, "p", "2", False, True, 0.0, 2.0):
         with pytest.raises(ValueError):
             check_characteristic(bad)
     assert check_characteristic("all") == "all"
@@ -280,29 +280,6 @@ def test_carrier_memo_counts():
     assert sum(len(fan.by_key(k).facets) for k in fan.maximal) == 24
     assert fan._hyperplanes == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
     assert len(fan._carriers) == len(fan.cones) == 27
-
-
-def test_star_checks_an_up_set_until_it_passes():
-    """A carrier's whole up-set is served as a star with no check only
-    after its up-closure has passed once.  An index whose up-set of the
-    origin misses a maximal cone fails the check on every call; an
-    intact one is marked on its first call."""
-    if not __debug__:
-        pytest.skip("the up-closure check is an assert")
-    mcc = crosspoly(2)
-    fan = mcc.fan
-    faces, ups, above, tops = fan._index
-    origin = fan.carrier((0, 0))
-    broken = dict(ups)
-    broken[origin.key] = ups[origin.key][:-1]
-    fan.__dict__["_index"] = (faces, broken, above, tops)
-    for _ in range(2):
-        with pytest.raises(AssertionError):
-            star(mcc, (0, 0))
-    assert origin.key not in fan._closed_ups
-    mcc = crosspoly(2)
-    assert star(mcc, (0, 0)).cones == mcc.fan.cones
-    assert mcc.fan._closed_ups == {origin.key}
 
 
 def test_star_classes_fix_c_frozen():

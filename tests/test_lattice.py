@@ -127,6 +127,28 @@ def test_snf_contract_random():
                     assert x == 0
 
 
+def test_is_prime_matches_sympy():
+    """Miller-Rabin on the first 13 prime bases against sympy: every n up
+    to 10^4, seeded large integers, primes and semiprimes, and the strong
+    pseudoprimes to the first 4 and the first 9 prime bases.  Numbers at
+    or above the limit where those bases decide are refused."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(26)
+    limit = lattice_mod._PRIME_LIMIT
+    ns = [*range(-2, 10**4 + 1), 3215031751, 3825123056546413051,
+          10**14 + 31, 10**18 + 3, limit - 1]
+    for _ in range(300):
+        x = rng.randrange(10**4, limit)
+        p = int(sympy.nextprime(rng.randrange(2, 10**12)))
+        q = int(sympy.nextprime(rng.randrange(2, 10**12)))
+        ns += [x, x | 1, int(sympy.prevprime(x)), p * q]
+    for n in ns:
+        assert lattice_mod.is_prime(n) == sympy.isprime(n), n
+    for n in (limit, limit + 2, 10**30):
+        with pytest.raises(ValueError, match="cannot decide"):
+            lattice_mod.is_prime(n)
+
+
 def test_snf_divisors_match_sympy():
     pytest.importorskip("sympy")
     from sympy import ZZ, Matrix

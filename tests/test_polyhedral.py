@@ -20,6 +20,7 @@ from toricface.polyhedral import (
     Cone,
     ConeNotPointedError,
     Fan,
+    FaceLattice,
     cell_complex,
     cochain,
     cone_build,
@@ -504,6 +505,34 @@ def test_fan_keeps_a_face_input_and_refuses_an_inner_one():
     for order in ([square, diagonal], [diagonal, square]):
         with pytest.raises(ValueError, match="do not meet in a common face"):
             fan_build(order)
+
+
+def test_fan_build_certifies_face_sets():
+    """fan_build refuses a cone whose face set is not itself and its
+    facets' face sets, with a RuntimeError, so also under `python -O`
+    (test_acceptance.py).  Two octants meeting in a facet: the first
+    one's face lattice is replaced before the build, losing a ray that
+    its facets' lattices hold, or gaining a ray that none of them holds.
+    Intact fans, and every fixture's, build as before."""
+    def build(change=None):
+        a = cone_build(OCTANT)
+        b = cone_build([(-1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        if change is not None:
+            lat = face_lattice(a)
+            object.__setattr__(a, "_lattice", FaceLattice(
+                a, tuple(change(lat.faces)), lat.on_facet))
+        return fan_build([a, b])
+
+    assert len(build().cones) == 12
+    for change in (lambda faces: [f for f in faces if f.rays != ((0, 1, 0),)],
+                   lambda faces: [*faces, cone_build([(-1, 0, 0)])]):
+        with pytest.raises(RuntimeError,
+                           match="face lattice certificate failed"):
+            build(change)
+    for name, fixture in ALL_FIXTURES.items():
+        fan = fixture().fan
+        again = fan_build([cone_build(fan.by_key(k).rays) for k in fan.maximal])
+        assert [c.key for c in again.cones] == [c.key for c in fan.cones], name
 
 
 def test_fan_carrier():
