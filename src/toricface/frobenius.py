@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .lattice import (intersect, is_prime, lattice_from_rows, prime_factors,
+from .lattice import (is_prime, lattice_from_rows, prime_factors,
                       quotient_invariants)
 from .moncomplex import ComplexError, MonoidalComplex
 from .monoid import AffineMonoid, monoid_face_gens
@@ -21,11 +21,10 @@ from .polyhedral import face_lattice
 from .record import record
 
 
-def _face_divisors(group, sub, face) -> tuple:
-    """Elementary divisors of the finite group (group cap lin face) / sub."""
-    inv = quotient_invariants(sub, intersect(group, face.lin_basis))
-    assert inv.free_rank == 0
-    return inv.divisors
+def _face_divisors(group, sub) -> tuple:
+    """Elementary divisors of (group cap lin D) / sub for sub = Z M_D of a
+    face D: the torsion of group / sub, as sub spans lin D."""
+    return quotient_invariants(sub, group).divisors
 
 
 @record
@@ -70,7 +69,7 @@ def excluded_primes(mcc: MonoidalComplex) -> FPurityReport:
         c = mcc.fan.by_key(key)
         zc = mcc.monoids[key].group
         for d_ in mcc.fan.faces_of(c):
-            for dv in _face_divisors(zc, mcc.monoids[d_.key].group, d_):
+            for dv in _face_divisors(zc, mcc.monoids[d_.key].group):
                 for p in prime_factors(dv):
                     found.setdefault(p, []).append((key, d_.key, dv))
     excluded = tuple(PrimeExclusion(p, tuple(found[p]))
@@ -98,7 +97,7 @@ def monoid_F_injective(M: AffineMonoid, p: int) -> MonoidFInjectivity:
                          "seminormal monoid")
     for f in face_lattice(M.cone).faces:
         sub = lattice_from_rows(M.ambient_dim, monoid_face_gens(M, f))
-        if any(dv % p == 0 for dv in _face_divisors(M.group, sub, f)):
+        if any(dv % p == 0 for dv in _face_divisors(M.group, sub)):
             return MonoidFInjectivity(p, False, f.key)
     return MonoidFInjectivity(p, True, None)
 

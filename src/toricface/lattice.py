@@ -660,28 +660,14 @@ def lattice_equal(L1: LatticeBasis, L2: LatticeBasis) -> bool:
 def intersect(L1: LatticeBasis, L2: LatticeBasis) -> LatticeBasis:
     """Hermite basis of the intersection of two sublattices of Z^d.
 
-    When one lattice holds every basis vector of the other, that one is
-    the meet, and no kernel is taken: its basis is returned as it stands
-    if it is in Hermite form, else its Hermite form is computed (when each
-    holds the other, a basis already in Hermite form is preferred).  The
-    Hermite basis of a lattice is unique, so this is the basis the general
-    path gives, which reads the meet off the left kernel of the stacked
-    bases and checks each of its basis vectors in both lattices.
+    The meet is read off the left kernel of the stacked bases, and each
+    of its basis vectors is checked in both lattices.
     """
     if L1.ambient_dim != L2.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     d = L1.ambient_dim
     if not L1.basis or not L2.basis:
         return LatticeBasis(d, ())
-    in_l2 = all(L2.contains(b) for b in L1.basis)
-    if in_l2 and _hnf_pivot_columns(L1.basis) is not None:
-        return L1
-    if all(L1.contains(b) for b in L2.basis):
-        if _hnf_pivot_columns(L2.basis) is not None:
-            return L2
-        return lattice_from_rows(d, L2.basis)
-    if in_l2:
-        return lattice_from_rows(d, L1.basis)
     stacked = [list(b) for b in L1.basis] + [list(b) for b in L2.basis]
     # u*stacked = 0, so u's first len(L1.basis) entries reach L1 ∩ L2
     gens = [combine(u, L1.basis, d) for u in left_kernel_basis(stacked)]
@@ -698,13 +684,13 @@ class QuotientInvariants:
     """The quotient sup/sub of a sublattice sub of sup.
 
     All of it is read from one Smith form U*A*V = D of the coordinate rows
-    A of sub over sup's basis, unless sub is trivial or the quotient is.
+    A of sub over sup's basis, unless sub is trivial or saturated.
     """
 
     divisors: tuple   # elementary divisors of the torsion part, including 1s
     free_rank: int
     _sup: LatticeBasis
-    _smith: Optional[SNFResult]   # None when sub or the quotient is trivial
+    _smith: Optional[SNFResult]   # None when sub is trivial or saturated
 
     @property
     def index(self) -> Optional[int]:
@@ -732,9 +718,9 @@ class QuotientInvariants:
 
 
 def quotient_invariants(sub: LatticeBasis, sup: LatticeBasis) -> QuotientInvariants:
-    """The quotient sup/sub for a sublattice sub of sup; trivial with no
-    Smith form when sub is saturated (its own divisors are all 1) and has
-    sup's rank, since then sup lies in Z^d ∩ span(sub) = sub."""
+    """The quotient sup/sub for a sublattice sub of sup; torsion-free with
+    no Smith form when sub is saturated (its own divisors are all 1), since
+    then sup ∩ span(sub) lies in Z^d ∩ span(sub) = sub."""
     if sub.ambient_dim != sup.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     for b in sub.basis:
@@ -742,8 +728,9 @@ def quotient_invariants(sub: LatticeBasis, sup: LatticeBasis) -> QuotientInvaria
             raise ValueError(f"{b} is not in the ambient lattice of the quotient")
     if not sub.basis:
         return QuotientInvariants((), sup.rank, sup, None)
-    if sub.rank == sup.rank and all(d == 1 for d in sub.col_snf.divisors):
-        return QuotientInvariants((1,) * sub.rank, 0, sup, None)
+    if all(d == 1 for d in sub.col_snf.divisors):
+        return QuotientInvariants((1,) * sub.rank, sup.rank - sub.rank, sup,
+                                  None)
     res = snf([solve_in_lattice(sup, b) for b in sub.basis])
     if res.rank != len(sub.basis):
         raise AssertionError("independent rows lost rank")

@@ -37,7 +37,7 @@ from .lattice import (
     vscale,
     vsub,
 )
-from .polyhedral import Cone, cone_build, face_at, face_lattice
+from .polyhedral import Cone, cone_build, face_at, face_lattice, fan_build
 from .record import record
 
 
@@ -112,6 +112,7 @@ def monoid_build(generators, ambient_dim: Optional[int] = None,
     gens = tuple(sorted({g for g in gens_in if not is_zero(g)}))
     if cone is None:
         cone = cone_build(gens, ambient_dim)  # raises if not pointed
+        fan_build([cone])  # certifies the cone
     else:
         outside = next((g for g in gens if not cone.contains(g)), None)
         if outside is not None:

@@ -1,19 +1,19 @@
 """Rational pointed cones, fans, and the cellular chain complex of a fan.
 
 Cones are built from integer generators and carry both descriptions
-(extreme rays and inward facet normals).  One routine, `extreme_rays`,
-converts in both directions: the facet normals are the extreme rays of the
-dual cone the generators cut out, and the generator/facet duality is
-re-verified by applying it to the facets.  Fans check each cone's face set
-against its facets' and every pair of input cones for a common face.  The
-chain complex assigns incidence signs through per-cone orientation bases
-and verifies that consecutive boundaries compose to zero; one builder
-makes the cochain matrices of every cone-indexed complex in the package.
+(extreme rays and inward facet normals); one routine, `extreme_rays`,
+finds the facet normals as the extreme rays of the dual cone.  Fans
+certify each cone by its face lattice (face sets, facet count, diamond)
+and check every pair of input cones for a common face.  The chain
+complex assigns incidence signs through per-cone orientation bases and
+verifies that consecutive boundaries compose to zero; one builder makes
+the cochain matrices of every cone-indexed complex in the package.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -57,8 +57,9 @@ def extreme_rays(rows, k: int) -> list:
     that every row is >= 0 on (Ziegler, Lectures on Polytopes, §2.1); it
     comes back as the primitive integer vector on that line.  Applied to a
     cone's generators it gives the facet normals of the cone, and applied
-    to the facet normals it gives the rays.  The cost is C(m, k-1) kernels
-    of (k-1) x k matrices for m rows.  Sorted, without repeats.
+    to inequalities (generators_from_h) the rays they cut out.  The cost is
+    C(m, k-1) kernels of (k-1) x k matrices for m rows.  Sorted, without
+    repeats.
     """
     out = set()
     for sub in itertools.combinations(rows, k - 1):
@@ -171,9 +172,10 @@ def zero_cone(ambient_dim: int) -> Cone:
 def cone_build(generators, ambient_dim: Optional[int] = None) -> Cone:
     """Build a pointed cone from integer generators.
 
-    Raises ConeNotPointedError (with a witness line) for non-pointed input;
-    the generator/facet duality is re-verified by recovering the rays from
-    the facets with extreme_rays before returning.
+    Raises ConeNotPointedError (with a witness line) for non-pointed input,
+    and RuntimeError when a facet normal is negative on a generator.  The
+    rays, facets and faces are certified once a fan is built on the cone
+    (fan_build); every cone of the package is built in one.
     """
     gens_in = [vec(g) for g in generators]
     if ambient_dim is None:
@@ -194,12 +196,12 @@ def cone_build(generators, ambient_dim: Optional[int] = None) -> Cone:
     perp = lattice_from_rows(d, N)
 
     # facet normals on the span's coordinates, lifted and reduced mod perp
-    coords = {g: solve_in_lattice(lin, g) for g in gens}
+    coords = [solve_in_lattice(lin, g) for g in gens]
     facets = sorted(reduce_mod_lattice(perp, _lift_functional(lin, w))
-                    for w in extreme_rays(list(coords.values()), dim))
-
-    for f in facets:
-        assert all(dot(f, g) >= 0 for g in gens)
+                    for w in extreme_rays(coords, dim))
+    if any(dot(f, g) < 0 for f in facets for g in gens):
+        raise RuntimeError("cone certificate failed: a facet normal is "
+                           "negative on a generator")
 
     # pointedness: the facet functionals must have full rank on the span
     W = [mat_vec(lin.basis, f) for f in facets]
@@ -210,11 +212,6 @@ def cone_build(generators, ambient_dim: Optional[int] = None) -> Cone:
     # a generator is a ray when the facets through it have rank dim-1
     rays = [g for g in gens if rank_int(
         [w for f, w in zip(facets, W) if dot(f, g) == 0]) == dim - 1]
-
-    # duality round trip: extreme rays recovered from the facet description
-    if set(extreme_rays(W, dim)) != {tuple(coords[r]) for r in rays}:
-        raise RuntimeError("cone certificate failed: facet/ray duality "
-                           "verification failed")
 
     return Cone(d, tuple(gens), tuple(rays), tuple(facets), dim, lin,
                 perp.basis)
@@ -440,12 +437,25 @@ def fan_build(maximal_cones: Sequence[Cone]) -> Fan:
     pairs, and the extreme rays of the intersection decide the rest, at
     C(m, d-1) kernels for m inequalities in dimension d.
 
-    First each cone E is certified: F(E) = {E} ∪ ⋃ F(G) over its facets G
-    (facet_keys), all cones of the fan, with F(E) the keys of
-    face_lattice(E).faces.  By induction on dim E, a face D ≠ E lies in
-    some F(G), so F(D) ⊆ F(G) ⊆ F(E): face sets are down-closed and
-    up-sets up-closed, here and in every subfan closed under faces
-    (skeleta, the faces of one cone, cohomology._avoiding's remainders).
+    First each cone E of the fan is certified by its face lattice, with
+    F(E) the keys of its faces and G those of its facets: F(E) = {E} ∪
+    ⋃ F(G); E has as many normals as G has members; and each facet of a
+    member of G lies in exactly two members of G (the diamond).  By
+    induction on dim E, a face D ≠ E lies in some F(G), so F(D) ⊆ F(E):
+    face sets are down-closed and up-sets up-closed, also in every subfan
+    closed under faces (skeleta, the faces of one cone, the remainders of
+    cohomology._avoiding).  Likewise E's normals, rays and G are those of
+    P = cone(E.generators); at dim E <= 1 pointedness forces it.  Each
+    normal is >= 0 on P (cone_build checks it), so each ray, cut out by
+    the normals tight on it, is extreme in P, and each member of G, made
+    of rays in the zero set of normals, lies in a facet T of P whose
+    normal is listed, one member per T, and is correct by induction.
+    Each facet Q of it lies in a member in another facet T' (the
+    diamond), so Q spans the ridge T ∩ T': its boundary lies in T's, and
+    it is T.  A ridge lies in two facets, and the facet-ridge graph of P
+    is connected (Balinski's theorem on the dual polytope), so G is every
+    facet of P; the count leaves no other normal, and the rays read off
+    P's facets are all of P's rays.
     """
     if not maximal_cones:
         raise ValueError("empty cone list")
@@ -465,9 +475,12 @@ def fan_build(maximal_cones: Sequence[Cone]) -> Fan:
             cones.setdefault(f.key, f)
 
     F = {k: {f.key for f in face_lattice(c).faces} for k, c in cones.items()}
+    G = {k: face_lattice(c).facet_keys for k, c in cones.items()}
     for k, c in cones.items():
-        G = face_lattice(c).facet_keys
-        if not F.keys() >= set(G) or F[k] != {k}.union(*map(F.get, G)):
+        ridges = Counter(r for g in G[k] for r in G.get(g, ()))
+        if (len(G[k]) != len(c.facets) or not F.keys() >= set(G[k])
+                or F[k] != {k}.union(*map(F.get, G[k]))
+                or any(n != 2 for n in ridges.values())):
             raise RuntimeError(f"face lattice certificate failed at {k}")
 
     for a, b in itertools.combinations(tops, 2):
@@ -560,21 +573,13 @@ class CellComplex:
 
 
 def cell_complex(fan: Fan) -> CellComplex:
+    """The augmented cellular chain complex of the fan, its boundaries
+    checked to compose to zero; fan_build has checked the diamond."""
     top = fan.dim
     cells = {t - 1: [c.key for c in fan.cones_of_dim(t)] for t in range(top + 1)}
     _, mats = cochain(fan.cones)
     boundary = {t: transpose(mats[t]) for t in range(top)}
-
-    # boundary-squared, and the diamond: between two cones two dimensions
-    # apart lie exactly two cones, each giving one nonzero term
     for t in range(1, top):
-        A, B = boundary[t - 1], boundary[t]
-        for small, row in zip(fan.cones_of_dim(t - 1), A):
-            rs = set(small.rays)
-            for j, big in enumerate(fan.cones_of_dim(t + 1)):
-                terms = [x * B[k][j] for k, x in enumerate(row) if x and B[k][j]]
-                assert sum(terms) == 0, "boundary composition is nonzero"
-                assert len(terms) == (2 if rs <= set(big.rays) else 0), \
-                    "face interval is not a diamond"
-
+        assert not any(map(any, mat_mul(boundary[t - 1], boundary[t]))), \
+            "boundary composition is nonzero"
     return CellComplex(fan, cells, boundary)

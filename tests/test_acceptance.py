@@ -142,7 +142,8 @@ def test_criterion_4_and_5_oracle_equivalence_and_vanishing():
 def test_criterion_6_property_suites():
     t0 = time.perf_counter()
 
-    # boundary-of-boundary and diamond counting on every fixture fan
+    # boundary-of-boundary on every fixture fan, whose build checked the
+    # diamond
     for build in ALL_FIXTURES.values():
         cell_complex(build().fan)
 
@@ -258,10 +259,10 @@ def test_criterion_7_reports_byte_identical():
 def test_criteria_hold_under_python_O():
     """Every criterion above, the face-group nesting that star classes
     rest on, the carrier memo checked against the relint scan, and the
-    face-set certificate of fan_build, run again in a `python -O`
-    interpreter.  The library's asserts are stripped there, so no answer
-    may rest on them; pytest still checks the tests' own asserts, which
-    it rewrites."""
+    face lattice certificate of fan_build on damaged lattices and cones,
+    run again in a `python -O` interpreter.  The library's asserts are
+    stripped there, so no answer may rest on them; pytest still checks
+    the tests' own asserts, which it rewrites."""
     here = Path(__file__).resolve()
     src = str(Path(toricface.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -272,7 +273,8 @@ def test_criteria_hold_under_python_O():
         f"{here.parent / module}::{name}" for module, name in (
             ("test_cohomology.py", "test_face_groups_nest_in_their_up_sets"),
             ("test_cohomology.py", "test_star_index_matches_scans"),
-            ("test_polyhedral.py", "test_fan_build_certifies_face_sets"))]
+            ("test_polyhedral.py", "test_fan_build_certifies_face_sets"),
+            ("test_polyhedral.py", "test_fan_build_refuses_damaged_cones"))]
     script = ("import sys, pytest; print('optimize', sys.flags.optimize); "
               "sys.exit(pytest.main(sys.argv[1:]))")
     run = subprocess.run(

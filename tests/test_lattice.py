@@ -396,17 +396,6 @@ def test_intersect_known():
     assert quotient_invariants(L, full_lattice(2)).index == 6
 
 
-def _intersect_by_kernel(L1, L2):
-    """The general intersection path on its own: the meet read off the
-    left kernel of the stacked bases, in Hermite form."""
-    d = L1.ambient_dim
-    if not L1.basis or not L2.basis:
-        return ()
-    stacked = [list(b) for b in L1.basis] + [list(b) for b in L2.basis]
-    gens = [combine(u, L1.basis, d) for u in left_kernel_basis(stacked)]
-    return lattice_from_rows(d, gens).basis
-
-
 def _independent_basis(rng, k, d):
     while True:
         rows = random_matrix(rng, k, d, -3, 3)
@@ -426,36 +415,25 @@ def _unimodular(rng, k):
     return U
 
 
-def test_intersect_matches_the_kernel_path():
-    """The same basis tuple as the left-kernel path, on random pairs,
-    nested pairs L1 = M*L2 in either order, and equal lattices on two
-    bases, Hermite or not, so the containment shortcut must return a
-    Hermite basis."""
+def test_intersect_of_nested_lattices_is_the_smaller():
+    """The meet of L1 = M*L2 (det M ≠ 0) and L2, in either order and with
+    L1 on its own basis or its Hermite one, is L1's Hermite basis; with M
+    unimodular the two are one lattice on two bases."""
     rng = random.Random(1808)
-    shortcut_non_hermite = 0
-    for trial in range(150):
+    checked = 0
+    for trial in range(100):
         d = rng.randint(1, 4)
         k = rng.randint(1, d)
         L2 = _independent_basis(rng, k, d)
-        kind = trial % 3
-        if kind == 0:
-            L1 = _independent_basis(rng, rng.randint(1, d), d)
-        else:
-            if kind == 1:
-                M = random_matrix(rng, k, k, -3, 3)
-                if det_int(M) == 0:
-                    continue
-            else:
-                M = _unimodular(rng, k)
-            L1 = LatticeBasis(d, tuple(map(tuple, mat_mul(M, L2.basis))))
-        pairs = [(L1, L2), (L2, L1)]
-        if kind:
-            H = lattice_from_rows(d, L1.basis)
-            pairs += [(H, L2), (L2, H)]
-            shortcut_non_hermite += L1.basis != H.basis
-        for A, B in pairs:
-            assert intersect(A, B).basis == _intersect_by_kernel(A, B), (A, B)
-    assert shortcut_non_hermite > 50
+        M = random_matrix(rng, k, k, -3, 3) if trial % 2 else _unimodular(rng, k)
+        if det_int(M) == 0:
+            continue
+        L1 = LatticeBasis(d, tuple(map(tuple, mat_mul(M, L2.basis))))
+        H = lattice_from_rows(d, L1.basis)
+        for A, B in ((L1, L2), (L2, L1), (H, L2), (L2, H)):
+            assert intersect(A, B).basis == H.basis, (A, B)
+        checked += 1
+    assert checked > 80
 
 
 # --- quotients -----------------------------------------------------------
@@ -548,39 +526,41 @@ def _quotient_by_smith(sub, sup):
 
 
 def test_saturated_quotients_skip_the_smith_form(monkeypatch):
-    """A saturated sub of sup's rank gives the trivial quotient with no
-    Smith form; any other sub takes one.  On seeded saturated lattices
-    given by non-Hermite bases, and on sublattices of index > 1 or of
-    lower rank, the index, divisors and representatives equal the Smith
-    path's, and a saturated sub outside sup still raises."""
+    """A saturated sub gives a torsion-free quotient with no Smith form,
+    of sup's rank or lower; any other sub takes one.  On seeded saturated
+    lattices given by non-Hermite bases, and on sublattices of index > 1
+    of sup's rank or lower, the index, divisors, free rank and
+    representatives equal the Smith path's, and a saturated sub outside
+    sup still raises."""
     rng = random.Random(2503)
     real = lattice_mod.snf
     calls = []
     monkeypatch.setattr(lattice_mod, "snf",
                         lambda A: calls.append(A) or real(A))
-    shortcuts = full = 0
-    for trial in range(120):
+    shortcuts = lower = full = 0
+    for trial in range(200):
         d = rng.randint(1, 4)
         k = rng.randint(1, d)
         # k rows of a unimodular matrix span a saturated lattice
         rows = mat_mul(_unimodular(rng, k), _unimodular(rng, d)[:k])
         sat = LatticeBasis(d, tuple(map(tuple, rows)))
-        kind = trial % 3
-        if kind == 0:
-            sub, sup = sat, lattice_from_rows(d, rows)
-        elif kind == 1:
-            T = random_matrix(rng, k, k, -3, 3)
+        # kinds 0 and 2 are saturated, 1 and 3 of index > 1 in their span;
+        # 2 and 3 have rank k - 1 in sup
+        kind = trial % 4
+        m = k if kind < 2 else k - 1
+        if kind % 2 == 0:
+            sub = LatticeBasis(d, sat.basis[:m])
+        else:
+            T = random_matrix(rng, m, m, -3, 3)
             if det_int(T) in (-1, 0, 1):
                 continue
-            sub = LatticeBasis(d, tuple(map(tuple, mat_mul(T, rows))))
-            sup = sat
-        else:
-            sub, sup = LatticeBasis(d, sat.basis[:k - 1]), sat
+            sub = LatticeBasis(d, tuple(map(tuple, mat_mul(T, rows[:m]))))
+        sup = lattice_from_rows(d, rows) if kind == 0 else sat
         if not sub.basis:
             continue
         calls.clear()
         q = quotient_invariants(sub, sup)
-        assert len(calls) == (kind != 0), (sub, sup)
+        assert len(calls) == kind % 2, (sub, sup)
         want = _quotient_by_smith(sub, sup)
         assert (q.divisors, q.free_rank, q.index) == (
             want.divisors, want.free_rank, want.index), (sub, sup)
@@ -593,9 +573,11 @@ def test_saturated_quotients_skip_the_smith_form(monkeypatch):
                 quotient_invariants(sub, lattice_from_rows(d, mat_mul(
                     [[2 * (i == j) for j in range(k)] for i in range(k)],
                     rows)))
+        elif kind == 2:
+            lower += 1
         else:
             full += 1
-    assert shortcuts > 20 and full > 40
+    assert shortcuts > 20 and lower > 20 and full > 40
 
 
 def test_representatives_of_an_infinite_quotient_raise():

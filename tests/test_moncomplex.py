@@ -46,12 +46,12 @@ import toricface.lattice
 import toricface.monoid
 import toricface.polyhedral
 from toricface.cli import build_from_document, main, parse_input
-from toricface.lattice import intersect, lattice_from_rows, vneg
+from toricface.lattice import intersect, lattice_from_rows, vadd, vneg
 from toricface.monoid import (NormalityCheck, SeminormalizationResult,
                               _hilbert_data, check_seminormal_normal,
                               lattice_monoid, monoid_build, monoid_member,
                               seminormalized_monoid)
-from toricface.polyhedral import (cone_build, face_lattice, fan_build,
+from toricface.polyhedral import (Cone, cone_build, face_lattice, fan_build,
                                   skeleton_fan, zero_cone)
 
 
@@ -548,15 +548,27 @@ def test_face_membership_through_the_shared_memo(faces_first):
 # certificates of a build and of a lattice meet, which raise under
 # python -O as well
 
-def _lose_the_round_trip(extreme_rays):
-    """extreme_rays with the second call of each cone_build, the
-    facet-to-ray round trip, returning no rays."""
-    calls = []
+SQUARE = [(1, 1, 1), (1, -1, 1), (-1, 1, 1), (-1, -1, 1)]
 
-    def patched(rows, k):
-        calls.append(k)
-        return [] if len(calls) % 2 == 0 else extreme_rays(rows, k)
-    return patched
+
+def _first_call(change):
+    """make(original) for BUILD_CERTIFICATES: the original with the result
+    of its first call changed, so the input cone is damaged and the faces
+    built from it are not."""
+    def make(f):
+        calls = []
+
+        def patched(*args):
+            calls.append(args)
+            out = f(*args)
+            return change(out) if len(calls) == 1 else out
+        return patched
+    return make
+
+
+def _without_first_ray(c):
+    return Cone(c.ambient_dim, c.generators, c.rays[1:], c.facets, c.dim,
+                c.lin_basis, c.equations)
 
 
 def _with_witness(result, witness):
@@ -583,9 +595,23 @@ BUILD_CERTIFICATES = [
     (moncomplex, "seminormalized_monoid", lambda f: lambda M: M,
      lambda: seminormalize_complex(fix_b()),
      "the seminormalized complex is not seminormal"),
-    (toricface.polyhedral, "extreme_rays", _lose_the_round_trip,
-     lambda: cone_build([(1, 0), (1, 2)]),
-     "facet/ray duality verification failed"),
+    # the square cone's forward call loses a facet, gains the sum of two
+    # (a normal of its apex), or gains a normal negative on a generator
+    (toricface.polyhedral, "extreme_rays", _first_call(lambda w: w[1:]),
+     lambda: fan_build([cone_build(SQUARE)]),
+     "face lattice certificate failed"),
+    (toricface.polyhedral, "extreme_rays",
+     _first_call(lambda w: [*w, vadd(w[0], w[-1])]),
+     lambda: fan_build([cone_build(SQUARE)]),
+     "face lattice certificate failed"),
+    (toricface.polyhedral, "extreme_rays",
+     _first_call(lambda w: [*w, vneg(w[0])]),
+     lambda: cone_build(SQUARE),
+     "a facet normal is negative on a generator"),
+    # the square cone loses an extreme ray
+    (toricface.polyhedral, "cone_build", _first_call(_without_first_ray),
+     lambda: fan_build([toricface.polyhedral.cone_build(SQUARE)]),
+     "face lattice certificate failed"),
     # a left kernel whose row reaches (0, 1), in the first lattice only
     (toricface.lattice, "left_kernel_basis",
      lambda f: lambda A: [(0, 1) + (0,) * (len(A) - 2)],

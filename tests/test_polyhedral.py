@@ -8,6 +8,7 @@ Both oracles avoid the library's extreme_rays path entirely.
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from conftest import ALL_FIXTURES, crosspoly
 
 from toricface import polyhedral
 from toricface.lattice import (LatticeBasis, dot, rank_int, rational_coords,
-                               solve_in_lattice)
+                               solve_in_lattice, vadd)
 from toricface.polyhedral import (
     Cone,
     ConeNotPointedError,
@@ -509,30 +510,101 @@ def test_fan_keeps_a_face_input_and_refuses_an_inner_one():
 
 def test_fan_build_certifies_face_sets():
     """fan_build refuses a cone whose face set is not itself and its
-    facets' face sets, with a RuntimeError, so also under `python -O`
+    facets' face sets, or whose facets in its lattice are fewer than its
+    normals, with a RuntimeError, so also under `python -O`
     (test_acceptance.py).  Two octants meeting in a facet: the first
     one's face lattice is replaced before the build, losing a ray that
-    its facets' lattices hold, or gaining a ray that none of them holds.
-    Intact fans, and every fixture's, build as before."""
-    def build(change=None):
-        a = cone_build(OCTANT)
-        b = cone_build([(-1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    its facets' lattices hold, or gaining a ray that none of them holds;
+    and a quadrant whose lattice loses its facet (1, 0), which leaves the
+    face sets closed.  Intact fans, and every fixture's, build as before."""
+    def build(first, change=None, *others):
+        a = cone_build(first)
         if change is not None:
             lat = face_lattice(a)
             object.__setattr__(a, "_lattice", FaceLattice(
                 a, tuple(change(lat.faces)), lat.on_facet))
-        return fan_build([a, b])
+        return fan_build([a, *map(cone_build, others)])
 
-    assert len(build().cones) == 12
-    for change in (lambda faces: [f for f in faces if f.rays != ((0, 1, 0),)],
-                   lambda faces: [*faces, cone_build([(-1, 0, 0)])]):
+    other = [(-1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    quadrant = [(1, 0), (0, 1)]
+    assert len(build(OCTANT, None, other).cones) == 12
+    assert len(build(quadrant).cones) == 4
+    for first, change, *others in (
+            (OCTANT, lambda faces: [f for f in faces
+                                    if f.rays != ((0, 1, 0),)], other),
+            (OCTANT, lambda faces: [*faces, cone_build([(-1, 0, 0)])], other),
+            (quadrant, lambda faces: [f for f in faces
+                                      if f.rays != ((1, 0),)])):
         with pytest.raises(RuntimeError,
                            match="face lattice certificate failed"):
-            build(change)
+            build(first, change, *others)
     for name, fixture in ALL_FIXTURES.items():
         fan = fixture().fan
         again = fan_build([cone_build(fan.by_key(k).rays) for k in fan.maximal])
         assert [c.key for c in again.cones] == [c.key for c in fan.cones], name
+
+
+def _cross_cone(n):
+    """The cone over the n-dimensional cross-polytope, in Z^(n+1)."""
+    return [tuple(s * (i == j) for j in range(n)) + (1,)
+            for i in range(n) for s in (1, -1)]
+
+
+DAMAGE_CONES = [[(1, 0), (1, 3)], OCTANT, SQUARE,
+                [(1, 0, 1), (0, 1, 1), (-1, 1, 1), (-1, -1, 1), (1, -1, 1)],
+                _cross_cone(3), [(a, b, c, 1) for a in (1, -1)
+                                 for b in (1, -1) for c in (1, -1)]]
+
+
+def _with_normals(gens, change):
+    """cone_build(gens) with the normals of its extreme_rays call, in the
+    span's coordinates, replaced by change(normals)."""
+    real = polyhedral.extreme_rays
+    polyhedral.extreme_rays = lambda rows, k: change(real(rows, k))
+    try:
+        return cone_build(gens)
+    finally:
+        polyhedral.extreme_rays = real
+
+
+def test_fan_build_refuses_damaged_cones():
+    """A cone that lost any one extreme ray, any one facet normal, or
+    gained a normal cutting out a face below a facet is refused by
+    fan_build with the face lattice certificate's RuntimeError, so also
+    under `python -O` (test_acceptance.py); a simplicial cone that lost a
+    facet normal is not pointed.  28 rays and 23 facets dropped, and 6
+    normals added, on 6 cones of dimension 2 to 4."""
+    refused = not_pointed = 0
+    for gens in DAMAGE_CONES:
+        c = cone_build(gens)
+        damaged = [Cone(c.ambient_dim, c.generators, c.rays[:i] + c.rays[i + 1:],
+                        c.facets, c.dim, c.lin_basis, c.equations)
+                   for i in range(len(c.rays))]
+        for i in range(len(c.facets)):
+            try:
+                damaged.append(_with_normals(gens,
+                                             lambda w: w[:i] + w[i + 1:]))
+            except ConeNotPointedError:
+                assert len(c.facets) == c.dim
+                not_pointed += 1
+        damaged.append(_with_normals(gens, lambda w: [*w, vadd(w[0], w[1])]))
+        for bad in damaged:
+            with pytest.raises(RuntimeError,
+                               match="face lattice certificate failed"):
+                fan_build([bad])
+            refused += 1
+    assert (refused, not_pointed) == (28 + 23 + 6, 5)
+
+
+def test_cone_over_the_cross_polytope_builds_in_a_second():
+    """The 6-D cone over the 5-cross-polytope: 10 rays, 32 facets and 244
+    cones, cone and fan built in under a second of CPU."""
+    t0 = time.process_time()
+    cone = cone_build(_cross_cone(5))
+    fan = fan_build([cone])
+    spent = time.process_time() - t0
+    assert (len(cone.rays), len(cone.facets), len(fan.cones)) == (10, 32, 244)
+    assert spent < 1.0, spent
 
 
 def test_fan_carrier():
