@@ -608,6 +608,10 @@ BUILD_CERTIFICATES = [
      _first_call(lambda w: [*w, vneg(w[0])]),
      lambda: cone_build(SQUARE),
      "a facet normal is negative on a generator"),
+    # the same lost facet where monoid_build builds the cone itself
+    (toricface.polyhedral, "extreme_rays", _first_call(lambda w: w[1:]),
+     lambda: monoid_build(SQUARE),
+     "face lattice certificate failed"),
     # the square cone loses an extreme ray
     (toricface.polyhedral, "cone_build", _first_call(_without_first_ray),
      lambda: fan_build([toricface.polyhedral.cone_build(SQUARE)]),
