@@ -496,17 +496,6 @@ def left_kernel_basis(A: Sequence[Sequence[int]]) -> list:
     return [tuple(row) for row in res.U[res.rank:]]
 
 
-def row_saturation(A: Sequence[Sequence[int]], ncols: Optional[int] = None) -> list:
-    """Basis of Z^n intersected with the rational row span of A."""
-    if not A:
-        return []
-    n = len(A[0]) if ncols is None else ncols
-    N = kernel_basis(A, n)
-    if not N:
-        return [tuple(r) for r in identity(n)]
-    return kernel_basis(N, n)
-
-
 def unimodular_inverse(M: Sequence[Sequence[int]]) -> Matrix:
     """Exact inverse of a unimodular integer matrix: the U of U*M = HNF = I."""
     res = hnf(M)

@@ -69,14 +69,6 @@ def _validate(fan: Fan, monoids: dict) -> None:
     """Check M_F = M_P ∩ F for each face F of each maximal cone P.  A cone
     c lies in a maximal P, (P, c) gives M_c = M_P ∩ c, so M_c ∩ F = M_P ∩ F
     for a face F of c, which (P, F) checks."""
-    for c in fan.cones:
-        M = monoids.get(c.key)
-        if M is None:
-            raise ComplexError(f"no monoid attached to cone {c.key}")
-        if M.cone.key != c.key:
-            raise ComplexError(
-                f"monoid generators for cone {c.key} span {M.cone.key} instead"
-            )
     for c in map(fan.by_key, fan.maximal):
         Mc = monoids[c.key]
         for d_ in fan.faces_of(c):

@@ -13,6 +13,7 @@ its value terminates.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from functools import cached_property
 from math import gcd
 from typing import Optional
@@ -22,22 +23,18 @@ from .lattice import (
     combine,
     content,
     dot,
-    independent_rows,
     is_zero,
-    kernel_basis,
     lattice_from_rows,
     primitive,
     quotient_invariants,
-    rank_int,
     rational_coords,
-    row_saturation,
-    solve_in_lattice,
     vadd,
     vec,
     vscale,
     vsub,
 )
-from .polyhedral import Cone, cone_build, face_at, face_lattice, fan_build
+from .polyhedral import (Cone, cone_build, face_at, face_lattice, fan_build,
+                         orientation_basis, side)
 from .record import record
 
 
@@ -227,51 +224,38 @@ def generated_points(gens, grading, bound, ambient_dim):
 # Hilbert bases
 
 def triangulate_cone(cone: Cone):
-    """Placing triangulation over the primitive rays in lexicographic order.
+    """Placing triangulation over the primitive rays in lexicographic order
+    (De Loera-Rambau-Santos, Triangulations, §4.3).
 
-    Returns maximal simplicial subcones as tuples of rays.
+    Returns maximal simplicial subcones as tuples of rays, each in placing
+    order.  A ray outside the span of the placed ones, the next ray of
+    orientation_basis, extends every simplex.  A ray v inside it, which
+    the first k rays of that basis span, is joined to each boundary facet
+    f that it sees: v and the ray opposite f lie on opposite sides of
+    lin f, which two `side` signs on the span tell.
     """
-    rays = list(cone.rays)
+    rays = cone.rays
     if not rays:
         return []
-    # a ray outside the span of the placed ones extends every simplex
-    independent = set(independent_rows(rays))
-    placed = [rays[0]]
+    basis = orientation_basis(cone)
     simplices = [(rays[0],)]
-    for i, v in enumerate(rays[1:], 1):
-        if i in independent:
+    for v in rays[1:]:
+        if v in basis:
             simplices = [s + (v,) for s in simplices]
-        else:
-            span = LatticeBasis(cone.ambient_dim,
-                                tuple(row_saturation(placed, cone.ambient_dim)))
-            k = span.rank
-            coords = {r: tuple(solve_in_lattice(span, r)) for r in placed + [v]}
-            facet_count = {}
-            facet_owner = {}
-            for s in simplices:
-                for f in itertools.combinations(s, len(s) - 1):
-                    key = frozenset(f)
-                    facet_count[key] = facet_count.get(key, 0) + 1
-                    facet_owner[key] = (f, s)
-            new = []
-            for key, cnt in facet_count.items():
-                if cnt != 1:
-                    continue
-                f, s = facet_owner[key]
-                n = kernel_basis([list(coords[r]) for r in f], k)
-                assert len(n) == 1
-                n = n[0]
-                opp = next(r for r in s if r not in key)
-                sgn = dot(n, coords[opp])
-                assert sgn != 0
-                if sgn < 0:
-                    n = tuple(-x for x in n)
-                if dot(n, coords[v]) < 0:
-                    new.append(f + (v,))
-            simplices = simplices + new
-        placed.append(v)
+            continue
+        k = len(simplices[0])
+        span = basis[:k]
+        # a simplex lists its rays in placing order, and so do its facets
+        facets = [(f, s) for s in simplices
+                  for f in itertools.combinations(s, k - 1)]
+        count = Counter(f for f, _ in facets)
+        for f, s in facets:
+            opp = next(r for r in s if r not in f)
+            if (count[f] == 1
+                    and side(span, [opp, *f]) * side(span, [v, *f]) < 0):
+                simplices.append(f + (v,))
     for s in simplices:
-        assert rank_int([list(r) for r in s]) == len(s) == cone.dim
+        assert len(s) == cone.dim and side(basis, s) != 0
     return simplices
 
 
@@ -300,10 +284,7 @@ def parallelepiped_points(simplex_points, lattice: LatticeBasis, ambient_dim):
     out = set()
     for z in reps:
         c, den = rational_coords(simplex, z)
-        for ci, s in zip(c, spts):
-            fl = ci // den
-            if fl:
-                z = vsub(z, vscale(fl, s))
+        z = vsub(z, combine([ci // den for ci in c], spts, ambient_dim))
         c, den = rational_coords(simplex, z)
         assert all(0 <= ci < den for ci in c)
         out.add(z)

@@ -1,19 +1,19 @@
-"""Rational pointed cones, fans, and the cellular chain complex of a fan.
+"""Rational pointed cones, fans, and the cochains of a fan.
 
 Cones are built from integer generators and carry both descriptions
 (extreme rays and inward facet normals); one routine, `extreme_rays`,
 finds the facet normals as the extreme rays of the dual cone.  Fans
-certify each cone by its face lattice (face sets, facet count, diamond)
-and check every pair of input cones for a common face.  The chain
-complex assigns incidence signs through per-cone orientation bases and
-verifies that consecutive boundaries compose to zero; one builder makes
-the cochain matrices of every cone-indexed complex in the package.
+certify each cone by its face lattice (face sets and facet count) and
+check every pair of input cones for a common face.  One determinant
+sign, `side`, orients cones: it gives the incidence signs, through
+per-cone orientation bases, and the visibility test of the placing
+triangulation (monoid.triangulate_cone).  One builder makes the cochain
+matrices of every cone-indexed complex in the package.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -174,8 +174,9 @@ def cone_build(generators, ambient_dim: Optional[int] = None) -> Cone:
 
     Raises ConeNotPointedError (with a witness line) for non-pointed input,
     and RuntimeError when a facet normal is negative on a generator.  The
-    rays, facets and faces are certified once a fan is built on the cone
-    (fan_build); every cone of the package is built in one.
+    rays, facets and faces are certified by the face sets and the facet
+    count of the cone's face lattice once a fan is built on it (fan_build);
+    every cone of the package is built in one.
     """
     gens_in = [vec(g) for g in generators]
     if ambient_dim is None:
@@ -439,23 +440,22 @@ def fan_build(maximal_cones: Sequence[Cone]) -> Fan:
 
     First each cone E of the fan is certified by its face lattice, with
     F(E) the keys of its faces and G those of its facets: F(E) = {E} ∪
-    ⋃ F(G); E has as many normals as G has members; and each facet of a
-    member of G lies in exactly two members of G (the diamond).  By
-    induction on dim E, a face D ≠ E lies in some F(G), so F(D) ⊆ F(E):
-    face sets are down-closed and up-sets up-closed, also in every subfan
-    closed under faces (skeleta, the faces of one cone, the remainders of
+    ⋃ F(G), and E has as many normals as G has members.  By induction on
+    dim E, a face D ≠ E lies in some F(G), so F(D) ⊆ F(E): face sets are
+    down-closed and up-sets up-closed, also in every subfan closed under
+    faces (skeleta, the faces of one cone, the remainders of
     cohomology._avoiding).  Likewise E's normals, rays and G are those of
     P = cone(E.generators); at dim E <= 1 pointedness forces it.  Each
     normal is >= 0 on P (cone_build checks it), so each ray, cut out by
-    the normals tight on it, is extreme in P, and each member of G, made
-    of rays in the zero set of normals, lies in a facet T of P whose
-    normal is listed, one member per T, and is correct by induction.
-    Each facet Q of it lies in a member in another facet T' (the
-    diamond), so Q spans the ridge T ∩ T': its boundary lies in T's, and
-    it is T.  A ridge lies in two facets, and the facet-ridge graph of P
-    is connected (Balinski's theorem on the dual polytope), so G is every
-    facet of P; the count leaves no other normal, and the rays read off
-    P's facets are all of P's rays.
+    the normals tight on it, is extreme in P, and each member L of G,
+    made of rays in the zero set of normals, lies in a facet T of P whose
+    normal is listed, one member per T; the count leaves no other normal.
+    Each facet of L lies in F(E), so a normal other than T's vanishes on
+    it, and it spans a ridge T ∩ T' of P with T' listed.  By induction L
+    is the cone on its rays, whose facets all lie in the boundary of T,
+    so L is T.  The facet-ridge graph of P is connected (Balinski's
+    theorem on the dual polytope), so G is every facet of P, and the rays
+    read off P's facets are all of P's rays.
     """
     if not maximal_cones:
         raise ValueError("empty cone list")
@@ -477,10 +477,8 @@ def fan_build(maximal_cones: Sequence[Cone]) -> Fan:
     F = {k: {f.key for f in face_lattice(c).faces} for k, c in cones.items()}
     G = {k: face_lattice(c).facet_keys for k, c in cones.items()}
     for k, c in cones.items():
-        ridges = Counter(r for g in G[k] for r in G.get(g, ()))
         if (len(G[k]) != len(c.facets) or not F.keys() >= set(G[k])
-                or F[k] != {k}.union(*map(F.get, G[k]))
-                or any(n != 2 for n in ridges.values())):
+                or F[k] != {k}.union(*map(F.get, G[k]))):
             raise RuntimeError(f"face lattice certificate failed at {k}")
 
     for a, b in itertools.combinations(tops, 2):
@@ -499,7 +497,7 @@ def skeleton_fan(fan: Fan, i: int) -> Fan:
 
 
 # ---------------------------------------------------------------------------
-# the cellular chain complex of a fan
+# orientations and cochains
 
 def orientation_basis(cone: Cone) -> tuple:
     """First dim(C) linearly independent rays in canonical order, kept on C."""
@@ -510,18 +508,23 @@ def orientation_basis(cone: Cone) -> tuple:
     return cone._basis
 
 
+def side(basis, rows) -> int:
+    """Sign of det(rows * basis^T) for k rows in the span of k independent
+    basis rows.  With rows = M * basis it is det(M) * det(basis * basis^T),
+    and a Gram determinant is > 0, so it is the sign of det(M): it tells
+    which side of the hyperplane through rows[1:] rows[0] lies on."""
+    det = det_int(mat_mul(rows, transpose(basis)))
+    return (det > 0) - (det < 0)
+
+
 def incidence_sign(big: Cone, small: Cone) -> int:
     """Incidence number between a cone and one of its facets."""
     if big.dim == small.dim + 1 and small.dim == 0:
         return 1  # augmentation: every ray meets the empty cell once
     w = next(r for r in big.rays if r not in set(small.rays))
-    rows = [w, *orientation_basis(small)]
-    basis = orientation_basis(big)
-    # rows = M * basis, so det(rows * basis^T) = det(M) * det(basis * basis^T)
-    # has the sign of det(M): a Gram determinant of independent rows is > 0
-    det = det_int(mat_mul(rows, transpose(basis)))
-    assert det != 0
-    return 1 if det > 0 else -1
+    sign = side(orientation_basis(big), [w, *orientation_basis(small)])
+    assert sign != 0
+    return sign
 
 
 def cochain(cones, linked=None) -> tuple:
@@ -555,31 +558,3 @@ def cochain(cones, linked=None) -> tuple:
             M.append(row)
         mats[t] = M
     return {t: len(v) for t, v in by_dim.items()}, mats
-
-
-@record
-class CellComplex:
-    """Augmented cellular chain complex of a fan.
-
-    Cells in degree i are the (i+1)-dimensional cones; the zero cone is the
-    empty cell in degree -1.  boundary[i] maps degree-i chains to degree
-    (i-1)-chains (rows indexed by the lower cells): the transpose of the
-    cochain map from the i-cones to the (i+1)-cones.
-    """
-
-    fan: Fan
-    cells: dict     # degree -> list of cone keys
-    boundary: dict  # degree -> integer matrix (rows: cells[deg-1], cols: cells[deg])
-
-
-def cell_complex(fan: Fan) -> CellComplex:
-    """The augmented cellular chain complex of the fan, its boundaries
-    checked to compose to zero; fan_build has checked the diamond."""
-    top = fan.dim
-    cells = {t - 1: [c.key for c in fan.cones_of_dim(t)] for t in range(top + 1)}
-    _, mats = cochain(fan.cones)
-    boundary = {t: transpose(mats[t]) for t in range(top)}
-    for t in range(1, top):
-        assert not any(map(any, mat_mul(boundary[t - 1], boundary[t]))), \
-            "boundary composition is nonzero"
-    return CellComplex(fan, cells, boundary)

@@ -8,9 +8,10 @@ import importlib.util
 from pathlib import Path
 
 from toricface.cli import build_from_document, parse_input
-from toricface.lattice import LatticeBasis, identity
+from toricface.lattice import LatticeBasis, identity, mat_mul, transpose
 from toricface.moncomplex import build_complex
-from toricface.polyhedral import cone_build, fan_build
+from toricface.polyhedral import Fan, cochain, cone_build, fan_build
+from toricface.record import record
 
 # three maximal cones in R^3 with a non-extreme generator on the 2-cone
 FIX_A_GENS = {
@@ -117,3 +118,31 @@ def full_lattice(ambient_dim):
     """Z^d as a LatticeBasis on the unit vectors."""
     return LatticeBasis(ambient_dim,
                         tuple(tuple(r) for r in identity(ambient_dim)))
+
+
+@record
+class CellComplex:
+    """Augmented cellular chain complex of a fan.
+
+    Cells in degree i are the (i+1)-dimensional cones; the zero cone is the
+    empty cell in degree -1.  boundary[i] maps degree-i chains to degree
+    (i-1)-chains (rows indexed by the lower cells): the transpose of the
+    cochain map from the i-cones to the (i+1)-cones.
+    """
+
+    fan: Fan
+    cells: dict     # degree -> list of cone keys
+    boundary: dict  # degree -> integer matrix (rows: cells[deg-1], cols: cells[deg])
+
+
+def cell_complex(fan):
+    """The augmented cellular chain complex of the fan, its boundaries
+    checked to compose to zero."""
+    top = fan.dim
+    cells = {t - 1: [c.key for c in fan.cones_of_dim(t)] for t in range(top + 1)}
+    _, mats = cochain(fan.cones)
+    boundary = {t: transpose(mats[t]) for t in range(top)}
+    for t in range(1, top):
+        assert not any(map(any, mat_mul(boundary[t - 1], boundary[t]))), \
+            "boundary composition is nonzero"
+    return CellComplex(fan, cells, boundary)

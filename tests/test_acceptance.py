@@ -12,7 +12,7 @@ import sys
 import time
 from pathlib import Path
 
-from conftest import (ALL_FIXTURES, FIX_C_GENS, fix_a, fix_b, fix_c,
+from conftest import (ALL_FIXTURES, cell_complex, fix_a, fix_b, fix_c,
                       octant_boundary, stanley_r1)
 import test_lattice
 import toricface
@@ -27,7 +27,7 @@ from toricface.moncomplex import presentation, seminormalize_complex
 from toricface.monoid import (check_seminormal_normal, generated_points,
                               monoid_build, monoid_member, normalization,
                               seminormalized_monoid)
-from toricface.polyhedral import cell_complex, cone_build
+from toricface.polyhedral import cone_build
 
 C_KEY = ((0, 1), (1, 0))
 CP_KEY = ((-1, 1), (0, 1))
@@ -142,8 +142,7 @@ def test_criterion_4_and_5_oracle_equivalence_and_vanishing():
 def test_criterion_6_property_suites():
     t0 = time.perf_counter()
 
-    # boundary-of-boundary on every fixture fan, whose build checked the
-    # diamond
+    # boundary-of-boundary on every fixture fan
     for build in ALL_FIXTURES.values():
         cell_complex(build().fan)
 

@@ -36,7 +36,6 @@ from toricface.lattice import (
     rank_mod,
     rational_coords,
     reduce_mod_lattice,
-    row_saturation,
     snf,
     solve_in_lattice,
     transpose,
@@ -229,16 +228,6 @@ def test_kernel_basis_random():
         assert len(ker) == n - rank_int(A)
 
 
-def test_row_saturation():
-    sat = row_saturation([[2, 0], [0, 2]])
-    assert lattice_equal(LatticeBasis(2, tuple(map(tuple, sat))), full_lattice(2))
-    sat = row_saturation([[2, 2, 0]])
-    L = LatticeBasis(3, tuple(map(tuple, sat)))
-    assert L.rank == 1
-    assert L.contains((1, 1, 0))
-    assert not L.contains((1, 0, 0))
-
-
 def test_unimodular_inverse():
     rng = random.Random(99)
     for trial in range(50):
@@ -330,7 +319,8 @@ def test_contains_matches_solve_in_lattice():
         m = rng.randint(0, d + 2)
         rows = random_product(rng, m, d, rng.randint(0, min(m, d)))
         L = lattice_from_rows(d, rows)
-        sat = row_saturation(L.basis, d)
+        # the saturation Z^d ∩ span L is the kernel of the kernel
+        sat = kernel_basis(kernel_basis(L.basis, d), d)
         saturated = lattice_equal(L, LatticeBasis(d, tuple(map(tuple, sat))))
         seen.add(("empty" if not L.basis else "rank < d" if L.rank < d
                   else "full rank", "dependent rows" if m > L.rank else

@@ -28,6 +28,7 @@ from conftest import (
 )
 
 from toricface import moncomplex
+from toricface.cohomology import complex_avoiding
 from toricface.moncomplex import (
     _ZERO,
     ComplexError,
@@ -324,6 +325,22 @@ def test_validate_catches_a_wrong_ray_monoid_from_the_maximal_cones():
     monoids[ray] = monoid_build([(2, 0, 0)], 3, mcc.fan.by_key(ray))
     with pytest.raises(ComplexError, match=r"face \(\(1, 0, 0\),\)"):
         moncomplex._validate(mcc.fan, monoids)
+
+
+def test_every_monoid_sits_on_its_own_fan_cone():
+    """_assemble builds each monoid on the fan's own cone object, so
+    _validate has no monoid cone to check: on the fixtures, the d=2 and
+    d=3 cusps, a seminormalized cusp and a remainder away from a star,
+    each cone's monoid has that very cone."""
+    cusps = [crosspoly(2, (2, 3)), crosspoly(3, (2, 3))]
+    semi = seminormalize_complex(cusps[0])
+    rest = complex_avoiding(cusps[1], (1, 1, 0))
+    assert not cusps[0].seminormal and semi.seminormal
+    assert rest is not None and len(rest.fan.cones) < len(cusps[1].fan.cones)
+    fixtures = [build() for build in ALL_FIXTURES.values()]
+    for mcc in [*fixtures, *cusps, semi, rest]:
+        for c in mcc.fan.cones:
+            assert mcc.monoids[c.key].cone is c, c.key
 
 
 def _plane_pair(a_gens, b_gens):

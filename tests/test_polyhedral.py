@@ -12,7 +12,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from conftest import ALL_FIXTURES, crosspoly
+from conftest import ALL_FIXTURES, cell_complex, crosspoly
 
 from toricface import polyhedral
 from toricface.lattice import (LatticeBasis, dot, rank_int, rational_coords,
@@ -22,7 +22,6 @@ from toricface.polyhedral import (
     ConeNotPointedError,
     Fan,
     FaceLattice,
-    cell_complex,
     cochain,
     cone_build,
     face_at,
@@ -572,28 +571,33 @@ def test_fan_build_refuses_damaged_cones():
     gained a normal cutting out a face below a facet is refused by
     fan_build with the face lattice certificate's RuntimeError, so also
     under `python -O` (test_acceptance.py); a simplicial cone that lost a
-    facet normal is not pointed.  28 rays and 23 facets dropped, and 6
-    normals added, on 6 cones of dimension 2 to 4."""
+    facet normal is not pointed.  So is a cone whose facet normal w_i is
+    swapped for w_i + w_(i+1), a non-facet, which keeps the count of
+    normals.  28 rays and 23 facets dropped, 6 normals added and 28
+    swapped, on 6 cones of dimension 2 to 4."""
     refused = not_pointed = 0
     for gens in DAMAGE_CONES:
         c = cone_build(gens)
+        n = len(c.facets)
         damaged = [Cone(c.ambient_dim, c.generators, c.rays[:i] + c.rays[i + 1:],
                         c.facets, c.dim, c.lin_basis, c.equations)
                    for i in range(len(c.rays))]
-        for i in range(len(c.facets)):
+        for i in range(n):
             try:
                 damaged.append(_with_normals(gens,
                                              lambda w: w[:i] + w[i + 1:]))
             except ConeNotPointedError:
-                assert len(c.facets) == c.dim
+                assert n == c.dim
                 not_pointed += 1
+            damaged.append(_with_normals(gens, lambda w: [
+                *w[:i], *w[i + 1:], vadd(w[i], w[(i + 1) % n])]))
         damaged.append(_with_normals(gens, lambda w: [*w, vadd(w[0], w[1])]))
         for bad in damaged:
             with pytest.raises(RuntimeError,
                                match="face lattice certificate failed"):
                 fan_build([bad])
             refused += 1
-    assert (refused, not_pointed) == (28 + 23 + 6, 5)
+    assert (refused, not_pointed) == (28 + 23 + 6 + 28, 5)
 
 
 def test_cone_over_the_cross_polytope_builds_in_a_second():
