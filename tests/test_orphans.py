@@ -2,6 +2,7 @@
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -9,11 +10,11 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def test_every_top_level_name_is_used():
     """A top-level function or class of src/toricface/ must be named in
-    src/, tests/ or bench/ outside its own def or class line; one that
-    nothing names is dead code, and a helper only tests call belongs in
-    the tests."""
+    src/, tests/ or bench/ outside its own def or class line: one that
+    nothing names is dead code."""
     texts = {p: p.read_text() for d in ("src", "tests", "bench")
              for p in sorted((ROOT / d).rglob("*.py"))}
+    words = Counter(w for t in texts.values() for w in re.findall(r"\w+", t))
     defs = 0
     orphans = []
     for path in sorted((ROOT / "src" / "toricface").glob("*.py")):
@@ -22,9 +23,8 @@ def test_every_top_level_name_is_used():
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             defs += 1
-            word = re.compile(rf"\b{node.name}\b")
-            uses = sum(len(word.findall(t)) for t in texts.values())
-            if uses == len(word.findall(lines[node.lineno - 1])):
+            own = re.findall(r"\w+", lines[node.lineno - 1]).count(node.name)
+            if words[node.name] == own:
                 orphans.append(f"{path.name}:{node.lineno} {node.name}")
     assert defs > 100
     assert not orphans, orphans

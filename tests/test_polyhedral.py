@@ -571,10 +571,10 @@ def test_fan_build_refuses_damaged_cones():
     gained a normal cutting out a face below a facet is refused by
     fan_build with the face lattice certificate's RuntimeError, so also
     under `python -O` (test_acceptance.py); a simplicial cone that lost a
-    facet normal is not pointed.  So is a cone whose facet normal w_i is
-    swapped for w_i + w_(i+1), a non-facet, which keeps the count of
-    normals.  28 rays and 23 facets dropped, 6 normals added and 28
-    swapped, on 6 cones of dimension 2 to 4."""
+    facet normal is not pointed.  A cone whose facet normal w_i is
+    swapped for w_i + w_(i+1), a non-facet, keeps the count of normals
+    and is refused too.  28 rays and 23 facets dropped, 6 normals added
+    and 28 swapped, on 6 cones of dimension 2 to 4."""
     refused = not_pointed = 0
     for gens in DAMAGE_CONES:
         c = cone_build(gens)
