@@ -271,9 +271,11 @@ def presentation(mcc: MonoidalComplex, degree_bound: int) -> PresentationIdeal:
     Monomial part: minimal squarefree monomials whose variable support lies
     in no single maximal cone.  Binomial part: equal-evaluation pairs within
     a maximal cone, chosen degree-by-degree.  Both parts are interreduced
-    (a generator implied by the others is dropped), then the closure of the
-    survivors is checked to produce exactly one class per achieved
-    multidegree, matching the graded dimension.
+    (a generator implied by the others is dropped), then a fresh closure
+    of the survivors is checked to send exactly the monomials in no single
+    maximal cone to zero and to give one class per achieved multidegree.
+    That one is the graded dimension there, certified once per (maximal
+    cone k, variable of cone k) by the variable's membership in M_k.
     """
     if degree_bound < 1:
         raise ValueError("degree bound must be at least 1")
@@ -308,14 +310,12 @@ def presentation(mcc: MonoidalComplex, degree_bound: int) -> PresentationIdeal:
     monomials = sorted(_exponent_tuples(n, degree_bound),
                        key=lambda e: (sum(e), e))
 
-    def evaluate(e):
-        return combine(e, variables, mcc.ambient_dim)
-
+    # each nonzero monomial past the constant one, with its multidegree
+    evals = {m: combine(m, variables, mcc.ambient_dim)
+             for m in monomials[1:] if in_one_cone(m)}
     groups = {}
-    for m in monomials:
-        if sum(m) == 0 or not in_one_cone(m):
-            continue
-        groups.setdefault(evaluate(m), []).append(m)
+    for m, ev in evals.items():
+        groups.setdefault(ev, []).append(m)
 
     parent = _closure(monomials, relations)
     for ev in sorted(groups, key=lambda ev: (sum(groups[ev][0]), groups[ev][0])):
@@ -342,24 +342,34 @@ def presentation(mcc: MonoidalComplex, degree_bound: int) -> PresentationIdeal:
                 and all(_find(par, m) == r for m, r in zip(monomials, roots))):
             relations = trial
 
-    # verification against the graded dimension
+    # verification against the graded dimension, which is 1 at every
+    # multidegree a nonzero monomial reaches: such a monomial has its
+    # support in supports[k] for a maximal k, and once each of those
+    # variables lies in M_k its multidegree ev is a sum of elements of M_k.
+    # The carrier F of ev is a face of k, and _validate checks
+    # M_F = M_k ∩ F, so ev lies in M_F and graded_dim(ev) is 1.
+    for k, s in supports.items():
+        for i in sorted(s):
+            if monoid_member(mcc.monoids[k], variables[i]) is None:
+                raise RuntimeError(
+                    f"presentation verification failed: variable "
+                    f"{variables[i]} lies in cone {k} but not in its monoid")
     parent = _closure(monomials, relations)
     class_of = {}
     for m in monomials[1:]:   # past the constant monomial
-        root, zero = _find(parent, m), not in_one_cone(m)
+        root, zero = _find(parent, m), m not in evals
         if (root == _ZERO) != zero:
             raise RuntimeError(
                 f"presentation verification failed: "
                 f"{'zero' if zero else 'nonzero'} monomial {m} "
                 f"{'not ' if zero else ''}derived to zero")
         if not zero:
-            class_of.setdefault(evaluate(m), set()).add(root)
+            class_of.setdefault(evals[m], set()).add(root)
     for ev, roots in sorted(class_of.items()):
-        want = graded_dim(mcc, ev).value
-        if len(roots) != want:
+        if len(roots) != 1:
             raise RuntimeError(
                 f"presentation verification failed at multidegree {ev}: "
-                f"{len(roots)} classes, graded dimension {want}"
+                f"{len(roots)} classes, graded dimension 1"
             )
 
     binomials = []

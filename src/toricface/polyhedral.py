@@ -374,19 +374,34 @@ class Fan:
         return tuple(sorted({max(h, vneg(h)) for c in self._index[3]
                              for h in (*c.facets, *c.equations)}))
 
+    @cached_property
+    def _sign_rows(self) -> tuple:
+        """Per maximal cone, per facet normal and per equation taken with
+        both signs: its position in _hyperplanes, its sign against that
+        hyperplane, and the cone's rays on it."""
+        at = {h: i for i, h in enumerate(self._hyperplanes)}
+        return tuple((c, [(at[max(f, vneg(f))], 1 if f in at else -1,
+                           {r for r in c.rays if dot(f, r) == 0})
+                          for f in (*c.facets, *c.equations,
+                                    *map(vneg, c.equations))])
+                     for c in self._index[3])
+
     def carrier(self, v) -> Optional[Cone]:
         """The unique cone with v in its relative interior, if any.  v is
         in relint C when a maximal D above C holds v and D's facets tight
         at v are those through C, which v's signs on the _hyperplanes fix;
         so the carrier (the smallest face holding v of the first maximal
-        cone holding v) is found once per sign vector and kept."""
+        cone holding v: its rays on every facet tight at v) is read off
+        the sign vector once and kept."""
         v = _checked(self, v)
         sig = tuple([(x > 0) - (x < 0) for x in map(dot, self._hyperplanes,
                                                     itertools.repeat(v))])
         if sig not in self._carriers:
-            top = next((c for c in self._index[3] if c._holds(v)), None)
-            self._carriers[sig] = (None if top is None
-                                   else self._by_key[face_at(top, v)])
+            self._carriers[sig] = next((self._by_key[tuple(
+                r for r in top.rays
+                if all(r in z for i, _, z in rows if not sig[i]))]
+                for top, rows in self._sign_rows
+                if all(s * sig[i] >= 0 for i, s, _ in rows)), None)
         c = self._carriers[sig]
         assert c is None or c._holds_inside(v)
         return c

@@ -856,6 +856,52 @@ def test_failed_presentation_certificate_is_not_bad_input(monkeypatch, capsys):
     assert "verification failed" in capsys.readouterr().err
 
 
+def test_variable_refused_by_its_cone_monoid_fails_the_certificate(
+        monkeypatch, capsys):
+    """The presentation certifies the graded dimension by each variable's
+    membership in the monoid of every maximal cone holding it; a monoid
+    that refuses one variable fails that check: RuntimeError from the
+    library, exit 3 from the CLI."""
+    refused = FIX_A_GENS["A4"]
+    real = moncomplex.monoid_member
+    mcc = fix_a()
+    monkeypatch.setattr(moncomplex, "monoid_member", lambda M, v: (
+        None if tuple(v) == refused else real(M, v)))
+    with pytest.raises(RuntimeError, match="verification failed"):
+        presentation(mcc, 6)
+    path = importlib.resources.files("toricface") / "fixtures" / "fix-a.json"
+    assert main(["presentation", str(path)]) == 3
+    assert "verification failed" in capsys.readouterr().err
+
+
+def test_reached_multidegrees_have_graded_dimension_one():
+    """Every multidegree a monomial with its support in one maximal cone
+    reaches has graded dimension 1, the fact the presentation's
+    (cone, variable) membership certificate rests on; graded_dim, which
+    the presentation no longer calls, is the reference."""
+    cases = [(build(), bound) for build in ALL_FIXTURES.values()
+             for bound in range(1, 5)]
+    cases += [(mcc, bound) for mcc in (crosspoly(2), crosspoly(3),
+                                       crosspoly(2, (2, 3)))
+              for bound in range(1, 5)]
+    cases.append((crosspoly(3, (2, 3)), 2))
+    reached = 0
+    for mcc, bound in cases:
+        variables = presentation(mcc, bound).variables
+        supports = [{g for g in variables if mcc.fan.by_key(k).contains(g)}
+                    for k in mcc.fan.maximal]
+        degrees = set()
+        for e in _exponent_tuples(len(variables), bound):
+            used = {g for g, t in zip(variables, e) if t}
+            if used and any(used <= s for s in supports):
+                degrees.add(tuple(sum(t * g[j] for t, g in zip(e, variables))
+                                  for j in range(mcc.ambient_dim)))
+        for ev in degrees:
+            assert graded_dim(mcc, ev).value == 1, (ev, bound)
+        reached += len(degrees)
+    assert reached > 500
+
+
 def _two_list_presentation(mcc, bound):
     """The presentation's generators as computed with monomials and
     binomials on two separate lists, kept as the reference for the one
