@@ -127,10 +127,7 @@ def table_from_cochain(sizes: dict, mats: dict,
     def entries_in(p):
         out = []
         for j in sorted(sizes):
-            n = sizes[j]
-            if n == 0:
-                continue
-            h = n - rank_in(j, p) - rank_in(j - 1, p)
+            h = sizes[j] - rank_in(j, p) - rank_in(j - 1, p)
             assert h >= 0
             if h:
                 out.append((j, h))

@@ -404,16 +404,6 @@ def kernel_mod(A, p: int, n: int) -> list:
             for col in list(zip(*res.V))[_units_mod(res.divisors, p):]]
 
 
-def independent_rows(rows) -> list:
-    """Indices of the rows outside the rational span of the rows before them.
-
-    They are the pivot columns of the Hermite form of the transposed rows.
-    """
-    if not rows:
-        return []
-    return [c for _, c in hnf(transpose(rows)).pivots]
-
-
 # ---------------------------------------------------------------------------
 # Hermite normal form (row style)
 
@@ -513,8 +503,9 @@ class LatticeBasis:
 
     The Smith form of the column matrix (basis transposed) is computed and
     verified once, at construction; it certifies independence, and its
-    rows answer every membership query.  Those rows and the Hermite pivots
-    used for coset reduction are computed on first use and kept.
+    rows answer every membership query.  Those rows are computed on first
+    use and kept, and so are the Hermite pivots used for coset reduction,
+    unless lattice_from_rows, which makes a Hermite basis, presets them.
     """
 
     ambient_dim: int
@@ -536,13 +527,8 @@ class LatticeBasis:
     @cached_property
     def hnf_pivots(self) -> tuple:
         """(pivot column, row) of each row of the basis's HNF, top to bottom."""
-        rows = self.basis
-        cols = _hnf_pivot_columns(rows)
-        if cols is None:
-            # basis rows are independent, so the HNF keeps them all
-            rows = hnf([list(b) for b in rows]).H
-            cols = _hnf_pivot_columns(rows)
-        return tuple(zip(cols, rows))
+        res = hnf([list(b) for b in self.basis])
+        return tuple((c, res.H[r]) for r, c in res.pivots)
 
     @cached_property
     def _membership_rows(self) -> tuple:
@@ -562,30 +548,15 @@ class LatticeBasis:
                        for u, d in self._membership_rows)
 
 
-def _hnf_pivot_columns(rows):
-    """Pivot columns of rows in Hermite normal form, or None if they are not.
-
-    Hermite form: leading entries positive in strictly increasing columns,
-    and every entry above a leading entry reduced into [0, leading entry).
-    """
-    cols = []
-    for i, r in enumerate(rows):
-        c = next((j for j, x in enumerate(r) if x != 0), None)
-        if (c is None or r[c] < 0 or (cols and c <= cols[-1])
-                or any(not 0 <= rows[k][c] < r[c] for k in range(i))):
-            return None
-        cols.append(c)
-    return cols
-
-
 def lattice_from_rows(ambient_dim: int, rows) -> LatticeBasis:
-    """Lattice generated by possibly dependent rows, with an HNF basis."""
+    """Lattice generated by possibly dependent rows, with an HNF basis whose
+    pivots are kept for reduce_mod_lattice."""
     rows = [list(vec(r)) for r in rows if not is_zero(r)]
-    if not rows:
-        return LatticeBasis(ambient_dim, ())
-    res = hnf(rows)
-    basis = tuple(row for row in res.H if not is_zero(row))
-    return LatticeBasis(ambient_dim, basis)
+    res = hnf(rows) if rows else HNFResult((), (), ())
+    pivots = tuple((c, res.H[r]) for r, c in res.pivots)
+    L = LatticeBasis(ambient_dim, tuple(r for _, r in pivots))
+    L.__dict__["hnf_pivots"] = pivots  # the cached slot
+    return L
 
 
 def _smith_image(L: LatticeBasis, v: Vector) -> Optional[Vector]:

@@ -47,14 +47,6 @@ class BoundTooSmallError(ValueError):
         )
 
 
-def grading_functional(cone: Cone):
-    """Sum of the facet normals; strictly positive on the cone minus 0."""
-    ell = combine([1] * len(cone.facets), cone.facets, cone.ambient_dim)
-    for r in cone.rays:
-        assert dot(ell, r) > 0
-    return ell
-
-
 @record
 class AffineMonoid:
     """A finitely generated positive submonoid of Z^d."""
@@ -119,11 +111,10 @@ def monoid_build(generators, ambient_dim: Optional[int] = None,
         if missed is not None:
             raise ValueError(f"no generator lies on the extreme ray {missed}")
     group = lattice_from_rows(ambient_dim, [list(g) for g in gens])
-    ell = grading_functional(cone)
     for g in gens:
-        assert dot(ell, g) >= 1
+        assert dot(cone.grading, g) >= 1
         assert group.contains(g)
-    return AffineMonoid(ambient_dim, gens, cone, group, ell)
+    return AffineMonoid(ambient_dim, gens, cone, group, cone.grading)
 
 
 def lattice_monoid(cone: Cone) -> AffineMonoid:
@@ -327,7 +318,7 @@ def _hilbert_data(cone: Cone, lattice: LatticeBasis):
     if cone.dim == 0:
         return (), 0
     d = cone.ambient_dim
-    ell = grading_functional(cone)
+    ell = cone.grading
     mins = {r: minimal_ray_point(r, lattice) for r in cone.rays}
     simplices = triangulate_cone(cone)
     per_simplex = []

@@ -4,11 +4,13 @@ Cones are built from integer generators and carry both descriptions
 (extreme rays and inward facet normals); one routine, `extreme_rays`,
 finds the facet normals as the extreme rays of the dual cone.  Fans
 certify each cone by its face lattice (face sets and facet count) and
-check every pair of input cones for a common face.  One determinant
-sign, `side`, orients cones: it gives the incidence signs, through
-per-cone orientation bases, and the visibility test of the placing
-triangulation (monoid.triangulate_cone).  One builder makes the cochain
-matrices of every cone-indexed complex in the package.
+check every pair of input cones for a common face.  Determinants
+(`det_int`) and facet zero sets decide a cone's lines, pointedness, rays
+and orientation; Smith and Hermite forms only make its lattices.  One
+determinant sign, `side`, orients cones: it gives the incidence signs,
+through per-cone orientation bases, and the visibility test of the
+placing triangulation (monoid.triangulate_cone).  One builder makes the
+cochain matrices of every cone-indexed complex in the package.
 """
 
 from __future__ import annotations
@@ -23,14 +25,12 @@ from .lattice import (
     det_int,
     dot,
     identity,
-    independent_rows,
     is_zero,
     kernel_basis,
     lattice_from_rows,
     mat_mul,
     mat_vec,
     primitive,
-    rank_int,
     reduce_mod_lattice,
     solve_in_lattice,
     transpose,
@@ -55,19 +55,21 @@ def extreme_rays(rows, k: int) -> list:
 
     Each is the line cut out by k-1 independent rows, taken with the sign
     that every row is >= 0 on (Ziegler, Lectures on Polytopes, §2.1); it
-    comes back as the primitive integer vector on that line.  Applied to a
-    cone's generators it gives the facet normals of the cone, and applied
-    to inequalities (generators_from_h) the rays they cut out.  The cost is
-    C(m, k-1) kernels of (k-1) x k matrices for m rows.  Sorted, without
-    repeats.
+    comes back as the primitive integer vector on that line, spanned by
+    the signed maximal minors y_j = (-1)^j det(sub without column j) of
+    the k-1 rows `sub` (Cramer's rule: r·y is det of r on top of sub, 0
+    for r in sub); y = 0 exactly when they are dependent, and y = (1,) at
+    k = 1.  Applied to a cone's generators it gives the facet normals of
+    the cone, and applied to inequalities (generators_from_h) the rays
+    they cut out, at C(m, k-1) times k determinants of order k-1 for m
+    rows.  Sorted, without repeats.
     """
     out = set()
     for sub in itertools.combinations(rows, k - 1):
-        line = kernel_basis(sub, k)
-        if len(line) != 1:
+        y = primitive(tuple((-1) ** j * det_int([r[:j] + r[j + 1:] for r in sub])
+                            for j in range(k)))
+        if is_zero(y):
             continue
-        # a saturated kernel basis vector is primitive
-        y = line[0]
         signs = {dot(r, y) for r in rows}
         if min(signs, default=0) >= 0:
             out.add(y)
@@ -104,6 +106,11 @@ class Cone:
         object.__setattr__(self, "_lattice", None)
         # the rays orienting the cone, filled by orientation_basis
         object.__setattr__(self, "_basis", None)
+        # the sum of the facet normals: > 0 on every generator (cone_build's
+        # pointedness test), so on the cone minus 0; set here, not on first
+        # read, since cones with two attribute layouts slow every read
+        object.__setattr__(self, "grading", combine(
+            [1] * len(self.facets), self.facets, self.ambient_dim))
 
     @property
     def key(self):
@@ -177,6 +184,15 @@ def cone_build(generators, ambient_dim: Optional[int] = None) -> Cone:
     rays, facets and faces are certified by the face sets and the facet
     count of the cone's face lattice once a fan is built on it (fan_build);
     every cone of the package is built in one.
+
+    The normals, the extreme rays of the (pointed) dual cone in span
+    coordinates, cut out C and vanish on its lineality space L, a face of
+    C that holds a generator when L != 0.  Each is >= 0 on every
+    generator, so C is pointed exactly when l·g > 0 for l their sum and
+    every generator g, and l·g = 0 puts -g in C.  The normals tight at g
+    cut out its smallest face; every ray of a pointed cone is one
+    primitive generator, so g spans a ray exactly when its tight set is
+    inclusion-maximal among the generators'.
     """
     gens_in = [vec(g) for g in generators]
     if ambient_dim is None:
@@ -204,18 +220,14 @@ def cone_build(generators, ambient_dim: Optional[int] = None) -> Cone:
         raise RuntimeError("cone certificate failed: a facet normal is "
                            "negative on a generator")
 
-    # pointedness: the facet functionals must have full rank on the span
-    W = [mat_vec(lin.basis, f) for f in facets]
-    if not W or rank_int(W) < dim:
-        x = combine(kernel_basis(W, dim)[0], lin.basis, d)
-        raise ConeNotPointedError((x, vneg(x)))
-
-    # a generator is a ray when the facets through it have rank dim-1
-    rays = [g for g in gens if rank_int(
-        [w for f, w in zip(facets, W) if dot(f, g) == 0]) == dim - 1]
-
-    return Cone(d, tuple(gens), tuple(rays), tuple(facets), dim, lin,
+    tight = [frozenset(f for f in facets if dot(f, g) == 0) for g in gens]
+    rays = [g for g, t in zip(gens, tight) if not any(t < u for u in tight)]
+    cone = Cone(d, tuple(gens), tuple(rays), tuple(facets), dim, lin,
                 perp.basis)
+    flat = next((g for g in gens if dot(cone.grading, g) == 0), None)
+    if flat is not None:
+        raise ConeNotPointedError((flat, vneg(flat)))
+    return cone
 
 
 def relint_contains(cone: Cone, v) -> bool:
@@ -242,7 +254,6 @@ def facets_through(cone: Cone, face: "Cone"):
 class FaceLattice:
     cone: Cone
     faces: tuple     # all faces as Cones, sorted by (dim, rays)
-    on_facet: tuple  # per facet normal of the cone, the keys of faces on it
 
     def dims(self):
         return tuple(f.dim for f in self.faces)
@@ -251,6 +262,14 @@ class FaceLattice:
     def facet_keys(self) -> tuple:
         """Keys of the faces one dimension below the cone."""
         return tuple(f.key for f in self.faces if f.dim == self.cone.dim - 1)
+
+    @cached_property
+    def on_facet(self) -> tuple:
+        """Per facet normal of the cone, the keys of the faces whose rays
+        it vanishes on."""
+        return tuple(tuple(h.key for h in self.faces
+                           if all(dot(f, r) == 0 for r in h.rays))
+                     for f in self.cone.facets)
 
 
 def face_lattice(cone: Cone, known: Optional[dict] = None) -> FaceLattice:
@@ -263,13 +282,9 @@ def face_lattice(cone: Cone, known: Optional[dict] = None) -> FaceLattice:
     if cone._lattice is not None:
         return cone._lattice
     known = {} if known is None else known
-
-    def zero_sets(c, s):
-        return [frozenset(i for i in s if dot(f, cone.rays[i]) == 0)
-                for f in c.facets]
-
     all_set = frozenset(range(len(cone.rays)))
-    zeros = zero_sets(cone, all_set)
+    zeros = [frozenset(i for i in all_set if dot(f, cone.rays[i]) == 0)
+             for f in cone.facets]
     found = {all_set}
     frontier = [all_set]
     while frontier:
@@ -293,18 +308,13 @@ def face_lattice(cone: Cone, known: Optional[dict] = None) -> FaceLattice:
         assert face.rays == sub
         faces.append((s, face))
     faces.sort(key=lambda sf: (sf[1].dim, sf[1].rays))
-
-    def lattice_of(c, s):
-        inside = [(t, f) for t, f in faces if t <= s]
-        return FaceLattice(c, tuple(f for _, f in inside), tuple(
-            tuple(f.key for t, f in inside if t <= z) for z in zero_sets(c, s)))
-
-    lattice = lattice_of(cone, all_set)
+    lattice = FaceLattice(cone, tuple(f for _, f in faces))
     object.__setattr__(cone, "_lattice", lattice)
     # the faces of a face are the faces of the cone lying inside it
     for s, f in faces:
         if f._lattice is None:
-            object.__setattr__(f, "_lattice", lattice_of(f, s))
+            object.__setattr__(f, "_lattice", FaceLattice(
+                f, tuple(g for t, g in faces if t <= s)))
     return lattice
 
 
@@ -515,9 +525,14 @@ def skeleton_fan(fan: Fan, i: int) -> Fan:
 # orientations and cochains
 
 def orientation_basis(cone: Cone) -> tuple:
-    """First dim(C) linearly independent rays in canonical order, kept on C."""
+    """First dim(C) linearly independent rays in canonical order, kept on C:
+    a ray is kept when it and the rays kept before it are independent,
+    which side(R, R), the sign of their Gram determinant, tells."""
     if cone._basis is None:
-        rows = tuple(cone.rays[i] for i in independent_rows(cone.rays))
+        rows = ()
+        for r in cone.rays:
+            if len(rows) < cone.dim and side(rows + (r,), rows + (r,)):
+                rows += (r,)
         assert len(rows) == cone.dim
         object.__setattr__(cone, "_basis", rows)
     return cone._basis
@@ -527,7 +542,10 @@ def side(basis, rows) -> int:
     """Sign of det(rows * basis^T) for k rows in the span of k independent
     basis rows.  With rows = M * basis it is det(M) * det(basis * basis^T),
     and a Gram determinant is > 0, so it is the sign of det(M): it tells
-    which side of the hyperplane through rows[1:] rows[0] lies on."""
+    which side of the hyperplane through rows[1:] rows[0] lies on.  For
+    any k rows R, side(R, R) is 1 when they are independent and 0 when
+    not: by Cauchy-Binet det(R * R^T) is the sum of the squares of R's
+    maximal minors."""
     det = det_int(mat_mul(rows, transpose(basis)))
     return (det > 0) - (det < 0)
 

@@ -258,9 +258,10 @@ def test_criterion_7_reports_byte_identical():
 def test_criteria_hold_under_python_O():
     """Every criterion above, the face-group nesting that star classes
     rest on, the carrier memo checked against the relint scan, the face
-    lattice certificate of fan_build on damaged lattices and cones, and
-    the presentation's certificate on a lost binomial and on a refused
-    variable, run again in a `python -O` interpreter.  The library's
+    lattice certificate of fan_build on damaged lattices and cones,
+    cone_build against the rank rules it replaced, and the presentation's
+    certificate on a lost binomial, a lost monomial relation and a
+    refused variable, run again in a `python -O` interpreter.  The library's
     asserts are stripped there, so no answer may rest on them; pytest
     still checks the tests' own asserts, which it rewrites."""
     here = Path(__file__).resolve()
@@ -275,8 +276,11 @@ def test_criteria_hold_under_python_O():
             ("test_cohomology.py", "test_star_index_matches_scans"),
             ("test_polyhedral.py", "test_fan_build_certifies_face_sets"),
             ("test_polyhedral.py", "test_fan_build_refuses_damaged_cones"),
+            ("test_polyhedral.py", "test_cone_build_matches_the_rank_rules"),
             ("test_moncomplex.py",
              "test_failed_presentation_certificate_is_not_bad_input"),
+            ("test_moncomplex.py",
+             "test_underived_zero_monomial_fails_the_certificate"),
             ("test_moncomplex.py",
              "test_variable_refused_by_its_cone_monoid_fails_the_certificate"))]
     script = ("import sys, pytest; print('optimize', sys.flags.optimize); "

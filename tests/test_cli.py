@@ -519,6 +519,13 @@ REFUSED_DOCUMENTS = [
      "cones: two cones have the same ray set"),
     # the diagonal's rays are rays of the square cone, but it is no face
     (json.dumps(SQUARE_DOC), "do not meet in a common face"),
+    # build_complex refusals, a ComplexError and a ValueError
+    (_mutated("fix-c", lambda d: d["monoids"].update(C=[[1, 0], [1, 1]])),
+     "span cone ((1, 0), (1, 1)), expected ((0, 1), (1, 0))"),
+    (_mutated("fix-c", lambda d: d["monoids"].update(Cp=[[0, 1], [-2, 2]])),
+     "face generator (0, 1) is not generated by the restriction"),
+    (_mutated("fix-c", lambda d: d["cones"][0].update(name=7)),
+     "cones[0].name: expected a nonempty name string"),
 ]
 
 

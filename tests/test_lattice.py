@@ -21,7 +21,6 @@ from toricface.lattice import (
     elementary_divisors,
     hnf,
     identity,
-    independent_rows,
     intersect,
     is_zero,
     kernel_basis,
@@ -38,7 +37,6 @@ from toricface.lattice import (
     reduce_mod_lattice,
     snf,
     solve_in_lattice,
-    transpose,
     unimodular_inverse,
     vadd,
     vec,
@@ -729,11 +727,35 @@ def test_basis_normal_forms_are_computed_once(monkeypatch):
         assert (rational_coords(L, v) is not None) == (v[2] * 6 == 3 * v[0] + 2 * v[1])
         assert reduce_mod_lattice(L, v) == reduce_mod_lattice(L2, v)
     assert 50 <= hits < 100
-    # a basis already in Hermite form is read as it is; the other needs
-    # one hnf, kept for every later reduction; every solve, rational or
-    # integral, reuses the Smith form
-    assert counts == {"snf": 2, "hnf": 1}
+    # a basis built directly takes one hnf, Hermite or not, kept for every
+    # later reduction; every solve, rational or integral, reuses the Smith
+    # form
+    assert counts == {"snf": 2, "hnf": 2}
     assert L.hnf_pivots == L2.hnf_pivots
+    # lattice_from_rows keeps the pivots of the Hermite form it makes
+    L3 = lattice_from_rows(3, [(2, 3, 2), (0, 3, 1), (2, 6, 3)])
+    assert counts == {"snf": 3, "hnf": 3}
+    assert reduce_mod_lattice(L3, (5, 7, 1)) == reduce_mod_lattice(L, (5, 7, 1))
+    assert L3.hnf_pivots == L.hnf_pivots and counts == {"snf": 3, "hnf": 3}
+
+
+def test_preset_hermite_pivots_match_a_direct_build():
+    """lattice_from_rows presets hnf_pivots from its own Hermite form; on
+    seeded row sets, of every rank and with dependent rows, they equal the
+    pivots hnf finds for the same basis built directly, and the pivot rows
+    are the basis."""
+    rng = random.Random(3000)
+    ranks = set()
+    for _ in range(150):
+        d = rng.randint(1, 5)
+        A = random_product(rng, rng.randint(1, 6), d, rng.randint(0, d))
+        L = lattice_from_rows(d, A)
+        direct = LatticeBasis(d, L.basis)
+        assert "hnf_pivots" not in direct.__dict__
+        assert L.hnf_pivots == direct.hnf_pivots, A
+        assert tuple(r for _, r in L.hnf_pivots) == L.basis
+        ranks.add(L.rank)
+    assert ranks == set(range(6))
 
 
 # --- ranks and kernels over F_p, from the Smith form -------------------
@@ -826,21 +848,3 @@ def test_sparse_products_match_dense():
             assert mat_mul(A, B) == [
                 [sum(row[i] * B[i][j] for i in range(k)) for j in range(n)]
                 for row in A]
-
-
-def test_independent_rows_match_rank_scan():
-    """The greedy scan: keep a row when it raises the rank of the kept ones."""
-    rng = random.Random(4200)
-    for _ in range(120):
-        d, n = rng.randint(1, 4), rng.randint(1, 7)
-        base = random_matrix(rng, rng.randint(1, d), d, -3, 3)
-        rows = [tuple(mat_vec(transpose(base), random_matrix(rng, 1, len(base), -2, 2)[0]))
-                if rng.random() < 0.5 else tuple(rng.randint(-3, 3) for _ in range(d))
-                for _ in range(n)]
-        want, kept = [], []
-        for i, r in enumerate(rows):
-            if rank_int(kept + [list(r)]) > len(kept):
-                want.append(i)
-                kept.append(list(r))
-        assert independent_rows(rows) == want, rows
-    assert independent_rows([]) == []

@@ -856,6 +856,22 @@ def test_failed_presentation_certificate_is_not_bad_input(monkeypatch, capsys):
     assert "verification failed" in capsys.readouterr().err
 
 
+def test_underived_zero_monomial_fails_the_certificate(monkeypatch, capsys):
+    """A closure that loses the monomial relations leaves a monomial that
+    lies in no cone (zero in the ring) with a nonzero class, which the
+    zero/nonzero check refuses: RuntimeError from the library, exit 3
+    from the CLI."""
+    real = moncomplex._closure
+    monkeypatch.setattr(moncomplex, "_closure",
+                        lambda monomials, relations: real(
+                            monomials, [r for r in relations if r[1] is not None]))
+    with pytest.raises(RuntimeError, match="zero monomial"):
+        presentation(fix_a(), 6)
+    path = importlib.resources.files("toricface") / "fixtures" / "fix-a.json"
+    assert main(["presentation", str(path)]) == 3
+    assert "zero monomial" in capsys.readouterr().err
+
+
 def test_variable_refused_by_its_cone_monoid_fails_the_certificate(
         monkeypatch, capsys):
     """The presentation certifies the graded dimension by each variable's

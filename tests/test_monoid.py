@@ -14,10 +14,9 @@ from test_polyhedral import solve_exact
 
 from conftest import full_lattice
 from toricface import monoid
-from toricface.lattice import (LatticeBasis, det_int, dot, independent_rows,
-                               kernel_basis, lattice_from_rows, mat_mul,
-                               primitive, rank_int, solve_in_lattice, vadd,
-                               vsub)
+from toricface.lattice import (LatticeBasis, det_int, dot, kernel_basis,
+                               lattice_from_rows, mat_mul, primitive,
+                               rank_int, solve_in_lattice, vadd, vsub)
 from toricface.monoid import (
     BoundTooSmallError,
     check_seminormal_normal,
@@ -282,12 +281,16 @@ def reference_triangulation(cone):
     """The placing triangulation computed in lattice coordinates: the
     saturated span of the placed rays, every ray's coordinates on it, and
     per boundary facet the kernel of its rays, signed positive on the ray
-    opposite; a ray sees the facet when that normal is negative on it."""
+    opposite; a ray sees the facet when that normal is negative on it.
+    A ray that raises the rank of the rays before it is coned over every
+    simplex."""
     rays = list(cone.rays)
     if not rays:
         return []
     d = cone.ambient_dim
-    independent = set(independent_rows(rays))
+    independent = {i for i in range(len(rays))
+                   if rank_int([list(r) for r in rays[:i + 1]]) > rank_int(
+                       [list(r) for r in rays[:i]])}
     placed = [rays[0]]
     simplices = [(rays[0],)]
     for i, v in enumerate(rays[1:], 1):
