@@ -17,8 +17,9 @@ from conftest import ALL_FIXTURES, cell_complex, crosspoly
 import toricface.lattice as lattice_mod
 from toricface import polyhedral
 from toricface.lattice import (LatticeBasis, dot, kernel_basis,
-                               lattice_from_rows, rank_int, rational_coords,
-                               reduce_mod_lattice, solve_in_lattice, vadd, vneg)
+                               lattice_from_rows, primitive, rank_int,
+                               rational_coords, reduce_mod_lattice,
+                               solve_in_lattice, vadd, vneg)
 from toricface.polyhedral import (
     Cone,
     ConeNotPointedError,
@@ -301,7 +302,7 @@ def reference_cone(gens, d):
     cone_build makes them, but the normals from reference_extreme_rays,
     pointedness by the rank of the normals on the span, and a generator
     a ray when the normals through it have rank dim - 1."""
-    gens = sorted({g for g in map(polyhedral.primitive, gens) if any(g)})
+    gens = sorted({g for g in map(primitive, gens) if any(g)})
     N = kernel_basis([list(g) for g in gens], d)
     lin = LatticeBasis(d, tuple(kernel_basis(N, d)))
     perp = lattice_from_rows(d, N)
