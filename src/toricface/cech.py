@@ -28,6 +28,22 @@ over the maximal cones D, from pairs indexed once: a is not in Z M_D
 (by its membership rows), or a facet normal f of D through c is negative
 on a (f is 0 on M_c and >= 0 on M_D, so f(z - y) = f(z) >= 0).  With no
 live cone left, the complex is zero.  The search is sound without it.
+
+When MD is normal the two cheap tests are the whole answer, so the pass
+accepts every pair (c, D) it does not rule out and no search runs on it:
+MD - Mc = Z MD cap (D + lin c), the localization of a normal monoid at a
+face (Bruns-Gubeladze, Polytopes, Rings, and K-Theory, ch. 2).  Take
+a in Z MD with f(a) >= 0 for each facet f of D through c, and let y0 be
+the sum of Mc's generators, in the relative interior of c.  A facet of D
+not through c is positive on y0, so for t large z = a + t*y0 is >= 0 on
+every facet of D; z is in D and in Z MD, hence in MD by normality, and
+y = t*y0 is in Mc.  (_witness still scans t upward for the least z.)
+
+On a complex whose maximal monoids are all normal, the pass then decides
+every pair, so the slice, and its cohomology table, depend only on the
+set of pairs it accepts.  cech_degree keeps one table per (accepted set,
+characteristic) on the complex and builds the slice only on a miss,
+from the same pass; other complexes build each degree's slice.
 """
 
 from __future__ import annotations
@@ -201,10 +217,11 @@ def _witness(mcc: MonoidalComplex, source: Cone, targets, a, memo: dict):
 
 
 def _dead_pairs(mcc: MonoidalComplex, a, memo: dict) -> set:
-    """Answer in memo the pairs degree a rules out, and return the keys of
+    """Answer in memo the pairs degree a decides, and return the keys of
     the cones left with a live target.  (D, D) is a in Z MD = MD - MD,
     tested once per distinct group; a face of D on a facet negative on a,
-    or on any facet when that fails, is dead for D (pairs built once)."""
+    or on any facet when that fails, is dead for D (pairs built once).
+    When MD is normal, every pair into D left alive is accepted."""
     if mcc._pass_index is None:
         index: dict = {}
         for key in mcc.fan.maximal:
@@ -215,23 +232,26 @@ def _dead_pairs(mcc: MonoidalComplex, a, memo: dict) -> set:
                 M._refusals[:] = key, faces, dict.fromkeys(
                     [(k, key) for k in faces], False), [
                     (f, dict.fromkeys([(k, key) for k in on], False), on)
-                    for f, on in zip(d.facets, on_facet)]
+                    for f, on in zip(d.facets, on_facet)], M.flags.normal
             index.setdefault(M.group, []).append(M._refusals)
         mcc._pass_index = tuple(index.items())
     live = set()
     for group, cones in mcc._pass_index:
         if not group.contains(a):
-            for _, _, refused, _ in cones:
+            for _, _, refused, _, _ in cones:
                 memo.update(refused)
             continue
-        for key, faces, _, facets in cones:
+        for key, faces, _, facets, normal in cones:
             memo[key, key] = True
             dead = set()
             for f, pairs, on in facets:
                 if dot(f, a) < 0:
                     memo.update(pairs)
                     dead.update(on)
-            live |= faces - dead
+            open_ = faces - dead
+            if normal:
+                memo.update({(k, key): True for k in open_})
+            live |= open_
     return live
 
 
@@ -282,12 +302,17 @@ class CechSlice:
 def cech_slice(mcc: MonoidalComplex, a,
                state_cap: Optional[int] = None) -> CechSlice:
     a = vec(a)
-    fan = mcc.fan
-    cap = DEFAULT_STATE_CAP if state_cap is None else state_cap
     memo: dict = {}
-    live = _dead_pairs(mcc, a, memo)
+    return _slice(mcc, a, state_cap, memo, _dead_pairs(mcc, a, memo))
+
+
+def _slice(mcc: MonoidalComplex, a, state_cap, memo: dict,
+           live: set) -> CechSlice:
+    """The slice in degree a from _dead_pairs' memo and live set."""
     if not live:   # every piece is zero, so the complex is
         return CechSlice(a, {}, {}, {})
+    fan = mcc.fan
+    cap = DEFAULT_STATE_CAP if state_cap is None else state_cap
     pieces = {}
     for c in fan.cones:
         if c.key in live:
@@ -310,9 +335,24 @@ def cech_slice(mcc: MonoidalComplex, a,
 
 def cech_degree(mcc: MonoidalComplex, a, characteristic,
                 state_cap: Optional[int] = None) -> CohomologyTable:
-    """H^i_m(R)_a from the localized pieces; no seminormality needed."""
+    """H^i_m(R)_a from the localized pieces; no seminormality needed.
+    On a normal complex the table is kept per set of accepted pairs."""
     check_characteristic(characteristic)
-    sl = cech_slice(mcc, a, state_cap)
+    a = vec(a)
+    memo: dict = {}
+    live = _dead_pairs(mcc, a, memo)
+    if not live:
+        return zero_table(characteristic)
+    if not mcc.normal_monoids:
+        return _table(_slice(mcc, a, state_cap, memo, live), characteristic)
+    key = frozenset(k for k, v in memo.items() if v), characteristic
+    if key not in mcc._tables:
+        mcc._tables[key] = _table(_slice(mcc, a, state_cap, memo, live),
+                                  characteristic)
+    return mcc._tables[key]
+
+
+def _table(sl: CechSlice, characteristic) -> CohomologyTable:
     if not sl.pieces:
         return zero_table(characteristic)
     return table_from_cochain(sl.sizes, sl.mats, characteristic)

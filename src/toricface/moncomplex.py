@@ -52,8 +52,10 @@ class MonoidalComplex:
         # star keys -> the subcomplex away from that star (or None), kept by
         # cohomology.complex_avoiding
         self._remainders: dict = {}
-        # the oracle's dead-pair index, kept by cech._dead_pairs
+        # the oracle's dead-pair index, kept by cech._dead_pairs, and its
+        # tables of a normal complex by accepted pairs, kept by cech_degree
         self._pass_index: Optional[tuple] = None
+        self._tables: dict = {}
         # whether every cone monoid is seminormal (normal), read from the
         # maximal monoids once, so no query pays for a decision
         flags = [monoids[k].flags for k in fan.maximal]

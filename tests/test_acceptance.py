@@ -259,9 +259,11 @@ def test_criteria_hold_under_python_O():
     """Every criterion above, the face-group nesting that star classes
     rest on, the carrier memo checked against the relint scan, the face
     lattice certificate of fan_build on damaged lattices and cones,
-    cone_build against the rank rules it replaced, and the presentation's
+    cone_build against the rank rules it replaced, the presentation's
     certificate on a lost binomial, a lost monomial relation and a
-    refused variable, run again in a `python -O` interpreter.  The library's
+    refused variable, the incidence signs of non-simplicial 4-cones, and
+    the oracle's accepted pairs and kept tables against the search and
+    fresh slices, run again in a `python -O` interpreter.  The library's
     asserts are stripped there, so no answer may rest on them; pytest
     still checks the tests' own asserts, which it rewrites."""
     here = Path(__file__).resolve()
@@ -282,7 +284,11 @@ def test_criteria_hold_under_python_O():
             ("test_moncomplex.py",
              "test_underived_zero_monomial_fails_the_certificate"),
             ("test_moncomplex.py",
-             "test_variable_refused_by_its_cone_monoid_fails_the_certificate"))]
+             "test_variable_refused_by_its_cone_monoid_fails_the_certificate"),
+            ("test_cohomology.py", "test_cubical_cones_cochain_and_oracle"),
+            ("test_cech.py", "test_pass_answers_agree_with_the_search"),
+            ("test_cech.py",
+             "test_normal_complex_keeps_one_table_per_pass_outcome"))]
     script = ("import sys, pytest; print('optimize', sys.flags.optimize); "
               "sys.exit(pytest.main(sys.argv[1:]))")
     run = subprocess.run(

@@ -19,8 +19,9 @@ from pathlib import Path
 import pytest
 
 import toricface.cech as cech_module
+import toricface.cli as cli_module
 from conftest import (ALL_FIXTURES, crosspoly, fix_a, fix_b, fix_c,
-                      stanley_r1)
+                      octant_boundary, stanley_r1)
 from toricface.cech import (BoundExhausted, CechSlice, cech_degree,
                             cech_slice, frobenius_check, localization_piece)
 from toricface.cli import main
@@ -166,10 +167,11 @@ def test_dead_pair_index_matches_the_cheap_exits():
     """On every fixture over [-4, 4]^d, the d=3 cusp and the d=3
     cross-polytope over [-2, 2]^3, the pass read from the per-complex index
     answers False exactly for the pairs (cone, maximal D above it) that
-    ruled_out refuses, True for (D, D) with a in Z MD, and nothing else;
-    its live set is the cones with a target not ruled out.  The cusp's
-    restrictions share its monoids, and with them the pairs kept on each,
-    so they are checked after it."""
+    ruled_out refuses, True for (D, D) with a in Z MD and for every other
+    pair into a normal D not ruled out, and nothing else; its live set is
+    the cones with a target not ruled out.  The cusp's restrictions share
+    its monoids, and with them the pairs kept on each, so they are checked
+    after it."""
     cusp = crosspoly(3, (2, 3))
     inputs = ([(build(), 4) for build in ALL_FIXTURES.values()]
               + [(cusp, 2), (crosspoly(3), 2),
@@ -187,12 +189,99 @@ def test_dead_pair_index_matches_the_cheap_exits():
                         expected[c.key, d.key] = False
                     else:
                         open_.add(c.key)
-                        if c == d:
+                        if c == d or mcc.monoids[d.key].flags.normal:
                             expected[c.key, d.key] = True
             assert memo == expected, a
             assert live == open_, a
             kinds.add((bool(live), len(live) < len(mcc.fan.cones)))
     assert kinds == {(False, True), (True, True), (True, False)}
+
+
+def test_pass_answers_agree_with_the_search():
+    """The pass accepts a pair (c, D) with c != D only into a normal MD,
+    and every pair it answers, accepted or ruled out, gets the same answer
+    from _decide_one's search, kept as the reference: on every fixture
+    over [-4, 4]^d (fix-b and fix-c have one normal target each), the d=2
+    and d=3 cross-polytopes and the seminormalized d=2 cusp."""
+    cap = cech_module.DEFAULT_STATE_CAP
+    inputs = ([(build(), 4) for build in ALL_FIXTURES.values()]
+              + [(crosspoly(2), 4), (crosspoly(3), 2),
+                 (seminormalize_complex(crosspoly(2, (2, 3))), 4)])
+    accepted = set()
+    for mcc, radius in inputs:
+        fan = mcc.fan
+        for a in box(mcc.ambient_dim, radius):
+            memo = {}
+            cech_module._dead_pairs(mcc, a, memo)
+            for (c, d), answer in memo.items():
+                if answer and c != d:
+                    assert mcc.monoids[d].flags.normal, (c, d, a)
+                    accepted.add((mcc, d))
+                assert cech_module._decide_one(
+                    mcc, fan.by_key(c), fan.by_key(d), a, cap) == answer, \
+                    (c, d, a)
+    # a normal target of each input, fix-b's and fix-c's among them
+    assert len({mcc for mcc, _ in accepted}) == len(inputs)
+
+
+def test_normal_complex_keeps_one_table_per_pass_outcome(monkeypatch,
+                                                         capsys):
+    """On crosspoly-2 over [-5, 5]^2 and on fix-a and octant-boundary over
+    [-4, 4]^3, in characteristics 0, 2, 3 and all, cech_degree builds one
+    cochain per (set of pairs the pass accepts, characteristic), 9 per
+    characteristic on crosspoly-2, none on a second sweep, and each table
+    equals table_from_cochain of a fresh cech_slice.  The cusp and fix-b
+    keep no table, and oracle --box reports on fix-a and stanley-r1 are
+    those of building every degree's slice."""
+    built = []
+    cochain_ = cech_module.cochain
+
+    def counted(*args):
+        built.append(args)
+        return cochain_(*args)
+
+    for mcc, radius, count in [(crosspoly(2), 5, 9), (fix_a(), 4, 19),
+                               (octant_boundary(), 4, 19)]:
+        degrees = list(box(mcc.ambient_dim, radius))
+        outcomes = set()
+        for a in degrees:
+            memo = {}
+            if cech_module._dead_pairs(mcc, a, memo):
+                outcomes.add(frozenset(k for k, v in memo.items() if v))
+        assert len(outcomes) == count
+        for ch in (0, 2, 3, "all"):
+            with monkeypatch.context() as m:
+                m.setattr(cech_module, "cochain", counted)
+                built.clear()
+                tables = [cech_degree(mcc, a, ch) for a in degrees]
+                assert len(built) == len(outcomes), ch
+                built.clear()
+                assert [cech_degree(mcc, a, ch) for a in degrees] == tables
+                assert not built
+            for a, t in zip(degrees, tables):
+                sl = cech_slice(mcc, a)
+                assert t == table_from_cochain(sl.sizes, sl.mats, ch), (a, ch)
+        assert len(mcc._tables) == 4 * count
+    for mcc in (crosspoly(2, (2, 3)), fix_b()):
+        for a in box(2, 3):
+            cech_degree(mcc, a, "all")
+        assert mcc._tables == {}
+
+    def per_degree(mcc, a, ch, cap):
+        sl = cech_slice(mcc, a, cap)
+        return table_from_cochain(sl.sizes, sl.mats, ch)
+    for name in ("fix-a", "stanley-r1"):
+        path = importlib.resources.files("toricface") / "fixtures" \
+            / f"{name}.json"
+        for ch in ("all", "2"):
+            args = ["oracle", str(path), "--box", "3", "--char", ch]
+            assert main(args) == 0
+            kept = capsys.readouterr()
+            with monkeypatch.context() as m:
+                m.setattr(cli_module, "cech_degree", per_degree)
+                assert main(args) == 0
+            assert capsys.readouterr() == kept
+            assert json.loads(kept.out)["payload"]["nonzero"]
 
 
 def test_slice_with_no_live_cone_exits_empty(monkeypatch, capsys):
@@ -365,8 +454,10 @@ def test_face_weights_are_computed_once_per_pair(monkeypatch):
 
 def test_slice_state_cap_stops_the_first_long_search():
     # pinned from the slice that searched every pair afresh: sharing the
-    # answers reorders no search, so the same one hits the cap
-    cases = [(fix_b(), (3, 1), CONE_BP),
+    # answers reorders no search, so the same one hits the cap, except
+    # that a normal target takes no search: fix-b's normal CONE_BP is
+    # accepted by the pass, and the cap is first hit at CONE_B
+    cases = [(fix_b(), (3, 1), CONE_B),
              (crosspoly(3, (2, 3)), (-1, -1, -1),
               ((-1, 0, 0), (0, -1, 0), (0, 0, -1)))]
     for mcc, a, key in cases:
