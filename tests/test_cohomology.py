@@ -411,7 +411,6 @@ def reference_trace(mcc, a, characteristic):
     summand and go on with the subcomplex away from the star, until the
     complex is seminormal or its remainder is empty, or until its star
     is empty, when the oracle finishes."""
-    from toricface.cech import cech_degree
     characteristic = check_characteristic(characteristic)
     a = tuple(a)
     current, steps, parts, oracle_tail = mcc, [], [], None
@@ -494,7 +493,6 @@ def test_one_remainder_build_per_star(monkeypatch):
 
 def test_restricted_complex_h2_both_paths():
     """H^2 of the subcomplex away from the star is 1 by formula and oracle."""
-    from toricface.cech import cech_degree
     b = fix_b()
     sub = complex_avoiding(b, (0, 1))
     for ch in (0, 2):
@@ -552,7 +550,6 @@ def test_compare_summand_identity_on_box():
 
 def test_monoid_vanishing_on_restricted_complex():
     """For -a inside the normalization, the avoided subcomplex vanishes at a."""
-    from toricface.cech import cech_degree
     big = cone_build([(1, 0), (0, 2), (1, 1)])
     mono = build_complex(fan_build([big]),
                          {big.key: [(1, 0), (0, 2), (1, 1)]})
